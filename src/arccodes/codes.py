@@ -1,19 +1,25 @@
-"""Linear-code analytics over GF(q): brute-force weight distributions, duals,
+"""Linear-code analytics over GF(q): weight distributions, duals,
 Singleton-defect classification, the near-MDS closed-form weight formulas,
 and minimum-weight support structure for dimension-3 arc codes.
 
-The brute-force enumerator walks one representative per projective message
-class ((q^k-1)/(q-1) codewords) and scales nonzero weights by q-1, so a
-dimension-3 code costs q^2+q+1 codeword evaluations regardless of q^3.
+In dimension 3 all of these are read off the line profile of the columns
+(geometry.LineProfile, built once per matrix from column pairs): the q-1
+codewords u.G of a line u vanish exactly on its columns, so a line holding c
+nonzero columns gives q-1 codewords of weight n - z - c (z zero columns).
+Other dimensions enumerate one message per projective class; that
+enumerator is also the test oracle for the profile.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .field import GF, parse_descriptor
 from . import geometry
 
 ENUMERATION_BUDGET = 2 ** 32
+# Column subsets of size 3 and 4 that _dual_distance_by_columns may test.
+DEPENDENCY_CAP = 250_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,6 +44,7 @@ class GeneratorMatrix:
         if len(pivots) != self.k:
             raise ValueError(f"rank {len(pivots)} below row count {self.k}")
         self._columns = tuple(zip(*self.rows))
+        self._line_profile = None
 
     @classmethod
     def from_columns(cls, field: GF, columns) -> "GeneratorMatrix":
@@ -45,6 +52,15 @@ class GeneratorMatrix:
 
     def columns(self):
         return self._columns
+
+    def line_profile(self) -> geometry.LineProfile:
+        """How many columns each line of PG(2,q) holds (k = 3 only); computed
+        on first use and kept."""
+        if self.k != 3:
+            raise ValueError("the line profile is defined for k = 3")
+        if self._line_profile is None:
+            self._line_profile = geometry.LineProfile(self.field, self._columns)
+        return self._line_profile
 
     def column_points(self):
         """Columns as canonical projective points (k = 3 only)."""
@@ -148,20 +164,27 @@ class WeightDistribution:
         return f"WeightDistribution({self.to_pairs()})"
 
 
+def _zero_coordinates(F: GF, cols, u) -> list[int]:
+    """The coordinates where the codeword u.G vanishes."""
+    add, mul = F.add, F.mul
+    zeros = []
+    for j, col in enumerate(cols):
+        acc = 0
+        for ui, e in zip(u, col):
+            if ui and e:
+                acc = add(acc, mul(ui, e))
+        if not acc:
+            zeros.append(j)
+    return zeros
+
+
 def weight_of(G: GeneratorMatrix, message) -> int:
     """Hamming weight of the codeword message . G."""
     F = G.field
     message = [F.check(int(u)) for u in message]
     if len(message) != G.k:
         raise ValueError(f"message length {len(message)} != k={G.k}")
-    w = 0
-    for col in G.columns():
-        acc = 0
-        for u, e in zip(message, col):
-            acc = F.add(acc, F.mul(u, e))
-        if acc:
-            w += 1
-    return w
+    return G.n - len(_zero_coordinates(F, G.columns(), message))
 
 
 def projective_messages(F: GF, k: int):
@@ -183,50 +206,34 @@ def projective_messages(F: GF, k: int):
 
 
 def weight_distribution(G: GeneratorMatrix, budget: int = ENUMERATION_BUDGET) -> WeightDistribution:
-    """Exact counts by projective enumeration; nonzero weights appear q-1
-    times per class."""
-    F = G.field
-    q = F.q
-    if q ** G.k > budget:
-        raise BudgetExceededError(
-            f"q^k = {q ** G.k} exceeds the enumeration budget {budget}"
-        )
+    """Exact counts A_0..A_n: from the line profile when k = 3, otherwise by
+    projective enumeration."""
+    if G.k != 3:
+        return enumerated_weight_distribution(G, budget)
+    q = G.field.q
+    profile = G.line_profile()
     counts = [0] * (G.n + 1)
     counts[0] = 1
-    cols = G.columns()
-    n = G.n
-    if G.k == 3:
-        scalar_row = F.scalar_row
-        if F.p == 2:
-            for u0, u1, u2 in projective_messages(F, 3):
-                t0, t1, t2 = scalar_row(u0), scalar_row(u1), scalar_row(u2)
-                w = sum(1 for a, b, c in cols if t0[a] ^ t1[b] ^ t2[c])
-                counts[w] += q - 1
-        else:
-            s = F._add_flat
-            if s is not None:
-                for u0, u1, u2 in projective_messages(F, 3):
-                    t0, t1, t2 = scalar_row(u0), scalar_row(u1), scalar_row(u2)
-                    w = sum(1 for a, b, c in cols if s[s[t0[a] * q + t1[b]] * q + t2[c]])
-                    counts[w] += q - 1
-            else:
-                add = F.add
-                for u0, u1, u2 in projective_messages(F, 3):
-                    t0, t1, t2 = scalar_row(u0), scalar_row(u1), scalar_row(u2)
-                    w = sum(1 for a, b, c in cols if add(add(t0[a], t1[b]), t2[c]))
-                    counts[w] += q - 1
-    else:
-        add, mul = F.add, F.mul
-        for u in projective_messages(F, G.k):
-            w = 0
-            for col in cols:
-                acc = 0
-                for ui, e in zip(u, col):
-                    if ui and e:
-                        acc = add(acc, mul(ui, e))
-                if acc:
-                    w += 1
-            counts[w] += q - 1
+    for c, lines in profile.counts.items():
+        counts[G.n - profile.zeros - c] += (q - 1) * lines
+    return WeightDistribution(counts, q, 3)
+
+
+def enumerated_weight_distribution(G: GeneratorMatrix,
+                                   budget: int = ENUMERATION_BUDGET) -> WeightDistribution:
+    """Exact counts by projective enumeration, for any k; nonzero weights
+    appear q-1 times per class.  The guard bounds the column evaluations,
+    (q^k-1)/(q-1) * n."""
+    F = G.field
+    q = F.q
+    work = (q ** G.k - 1) // (q - 1) * G.n
+    if work > budget:
+        raise BudgetExceededError(f"(q^k-1)/(q-1)*n = {work} column evaluations "
+                                  f"exceed the enumeration budget {budget}")
+    counts = [0] * (G.n + 1)
+    counts[0] = 1
+    for u in projective_messages(F, G.k):
+        counts[G.n - len(_zero_coordinates(F, G.columns(), u))] += q - 1
     return WeightDistribution(counts, q, G.k)
 
 
@@ -270,33 +277,32 @@ class CodeProfile:
 
 
 def _dual_distance_by_columns(G: GeneratorMatrix) -> int | None:
-    """Minimum size of a dependent column set of G = d(dual).  Exact up to 4;
-    None means "> 4"."""
-    F = G.field
-    cols = G.columns()
-    if any(all(e == 0 for e in c) for c in cols):
-        return 1
-    canon = []
-    for c in cols:
-        lead = next(i for i, e in enumerate(c) if e)
-        s = F.inv(c[lead])
-        canon.append(tuple(F.mul(s, e) for e in c))
-    if len(set(canon)) != len(canon):
-        return 2
+    """Minimum size of a dependent column set of G = d(dual), exact up to 4.
+    None means no 4 or fewer columns are dependent.  For k != 3 the column
+    sets of size 3 and 4 are tested in turn; BudgetExceededError is raised
+    when more than DEPENDENCY_CAP of them would be needed."""
     if G.k == 3:
-        # dependent triple <=> collinear canonical points
-        pts = G.column_points()
-        _, biggest = geometry.line_intersection_profile(F, pts)
-        if biggest >= 3:
+        profile = G.line_profile()
+        if profile.zeros:
+            return 1
+        if profile.repeated:
+            return 2
+        if profile.max_line >= 3:
             return 3
         return 4 if G.n >= 4 else None
-    n = G.n
+    F = G.field
+    cols = G.columns()
+    if not all(any(c) for c in cols):
+        return 1
+    if len({geometry.normalize(F, c) for c in cols}) != len(cols):
+        return 2
+    visited = 0
     for size in (3, 4):
-        if math.comb(n, size) > 250_000:
-            return None
-        from itertools import combinations
-
-        for subset in combinations(range(n), size):
+        for subset in combinations(range(G.n), size):
+            if visited == DEPENDENCY_CAP:
+                raise BudgetExceededError(f"d_dual > {size - 1} unresolved after "
+                                          f"testing {DEPENDENCY_CAP} column sets")
+            visited += 1
             sub = [[G.rows[i][j] for j in subset] for i in range(G.k)]
             _, pivots = rref(F, sub)
             if len(pivots) < size:
@@ -370,29 +376,12 @@ def min_weight_supports(G: GeneratorMatrix) -> list[tuple[int, int, int]]:
     These are exactly the supports of the weight-3 dual codewords, and their
     complements are the supports of the minimum-weight codewords.
     """
-    F = G.field
-    if G.k != 3:
-        raise ValueError("minimum-weight supports need k = 3")
-    pts = G.column_points()
-    if len(set(pts)) != len(pts):
-        raise ValueError("columns must be pairwise non-proportional")
-    by_line: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            u = geometry.line_through(F, pts[i], pts[j])
-            members = by_line.setdefault(u, [])
-            if i not in members:
-                members.append(i)
-            if j not in members:
-                members.append(j)
-    triples = []
-    for members in by_line.values():
-        if len(members) >= 4:
-            raise ValueError(f"four collinear columns: {sorted(members)}")
-        if len(members) == 3:
-            triples.append(tuple(sorted(members)))
-    triples.sort()
-    return triples
+    profile = G.line_profile()  # raises unless k = 3
+    if profile.zeros or profile.repeated:
+        raise ValueError("columns must be nonzero and pairwise non-proportional")
+    if profile.max_line >= 4:
+        raise ValueError(f"four collinear columns: {list(max(profile.rich, key=len))}")
+    return list(profile.rich)
 
 
 @dataclass(frozen=True)
@@ -424,21 +413,9 @@ def min_weight_pairing_check(G: GeneratorMatrix,
     if a_min != a_min_dual:
         return PairingVerdict(False, a_min, a_min_dual,
                               "minimum-weight counts differ between code and dual")
-    cols = G.columns()
-    add, mul = F.add, F.mul
     for u in projective_messages(F, 3):
-        support = []
-        for j, col in enumerate(cols):
-            acc = 0
-            for ui, e in zip(u, col):
-                if ui and e:
-                    acc = add(acc, mul(ui, e))
-            if acc:
-                support.append(j)
-        if len(support) != d:
-            continue
-        complement = tuple(sorted(set(range(G.n)) - set(support)))
-        if complement not in triples:
+        zeros = tuple(_zero_coordinates(F, G.columns(), u))
+        if len(zeros) == G.n - d and zeros not in triples:
             return PairingVerdict(
                 False, a_min, a_min_dual,
                 f"no disjoint dual support for codeword class {u}"

@@ -9,7 +9,8 @@ Odd q: take the conic columns (a^2, a, 1) plus (1,0,0), then append
 ((q-2+eta(-1))/4 admissible choices; none exist at q=3).
 
 Both column sets are (q+5, 3)-arcs, and the weight distributions admit
-closed forms that the exhaustive enumerator reproduces exactly.
+closed forms that the line-profile counts (and, at small q, brute-force
+enumeration) reproduce exactly.
 """
 
 from dataclasses import dataclass

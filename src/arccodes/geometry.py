@@ -14,16 +14,21 @@ from .opoly import OPolynomial, evaluate, is_o_polynomial
 Triple = tuple[int, int, int]
 
 
+def normalize(F: GF, vector) -> tuple[int, ...]:
+    """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
+    t = tuple(F.check(int(c)) for c in vector)
+    for c in reversed(t):
+        if c:
+            s = F.inv(c)
+            return tuple(F.mul(s, e) for e in t)
+    raise ValueError("the zero vector has no projective point")
+
+
 def canonical(F: GF, triple) -> Triple:
-    """Scale so the last nonzero coordinate becomes 1."""
-    t = tuple(F.check(int(c)) for c in triple)
-    if len(t) != 3:
+    """The canonical form of a homogeneous triple: last nonzero coordinate 1."""
+    if len(t := tuple(triple)) != 3:
         raise ValueError(f"expected a homogeneous triple, got {triple!r}")
-    for i in (2, 1, 0):
-        if t[i]:
-            s = F.inv(t[i])
-            return tuple(F.mul(s, c) for c in t)
-    raise ValueError("the zero triple is not a projective point")
+    return normalize(F, t)
 
 
 def all_points(F: GF) -> list[Triple]:
@@ -60,11 +65,6 @@ def line_through(F: GF, p1, p2) -> Triple:
     return canonical(F, cross)
 
 
-def lines_through_point(F: GF, point) -> list[Triple]:
-    """The q+1 lines of the pencil through a point."""
-    return [u for u in all_lines(F) if incident(F, point, u)]
-
-
 def validate_point_set(F: GF, points) -> list[Triple]:
     pts = [canonical(F, p) for p in points]
     if len(set(pts)) != len(pts):
@@ -72,43 +72,67 @@ def validate_point_set(F: GF, points) -> list[Triple]:
     return pts
 
 
-def line_point_counts(F: GF, points) -> dict[Triple, int]:
-    """Incidence count per canonical line (lines hitting no point omitted)."""
-    pts = [canonical(F, p) for p in points]
-    counts: dict[Triple, int] = {}
-    for u in all_lines(F):
-        c = sum(1 for p in pts if incident(F, p, u))
-        if c:
-            counts[u] = c
-    return counts
+class LineProfile:
+    """How many of a set of columns each line of PG(2,q) holds, found from
+    the pairs of distinct column points in O(n^2) field operations.
+
+    Zero columns are counted apart (`zeros`); the others are grouped by
+    canonical point, with multiplicity.  A line through two or more points
+    is the line through some pair.  Each point lies on q+1 lines, and those
+    that hold no other point hold its columns alone.  Every other line holds
+    no column.  Only a summary is kept: `counts` maps c to the number of
+    lines holding exactly c columns (over all q^2+q+1 lines), and `rich`
+    lists, sorted, the column indices of each line through two or more
+    points that holds three or more columns.
+    """
+
+    def __init__(self, F: GF, columns):
+        q = F.q
+        groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
+        for idx, col in enumerate(columns):
+            groups.setdefault(canonical(F, col) if any(col) else None, []).append(idx)
+        self.zeros = len(groups.pop(None, ()))
+        pts, mult = list(groups), [len(g) for g in groups.values()]
+        self.repeated = any(m > 1 for m in mult)
+        lines: dict[Triple, set[int]] = {}  # lines through two or more points
+        for i, p in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                lines.setdefault(line_through(F, p, pts[j]), set()).update((i, j))
+        through = [0] * len(pts)  # lines through each point holding another
+        counts: dict[int, int] = {}
+        rich = []
+        for members in lines.values():
+            for i in members:
+                through[i] += 1
+            cols = tuple(sorted(c for i in members for c in groups[pts[i]]))
+            counts[len(cols)] = counts.get(len(cols), 0) + 1
+            if len(cols) >= 3:
+                rich.append(cols)
+        self.rich: tuple[tuple[int, ...], ...] = tuple(sorted(rich))
+        for i, m in enumerate(mult):
+            counts[m] = counts.get(m, 0) + q + 1 - through[i]
+        counts[0] = q * q + q + 1 - sum(counts.values())
+        self.counts = {c: t for c, t in sorted(counts.items()) if t}
+        self.max_line = max(self.counts)
 
 
 def line_intersection_profile(F: GF, points) -> tuple[dict[int, int], int]:
     """Map size -> number of lines meeting the set in that many points, over
     all q^2+q+1 lines, plus the maximum size."""
-    counts = line_point_counts(F, points)
-    total = F.q * F.q + F.q + 1
-    profile: dict[int, int] = {}
-    for c in counts.values():
-        profile[c] = profile.get(c, 0) + 1
-    hit = sum(profile.values())
-    if hit < total:
-        profile[0] = total - hit
-    return profile, max(counts.values(), default=0)
+    profile = LineProfile(F, points)
+    if profile.zeros:
+        raise ValueError("the zero vector has no projective point")
+    return dict(profile.counts), profile.max_line
 
 
 def is_arc(F: GF, points) -> bool:
     """No three points collinear (pairwise distinct required)."""
-    pts = validate_point_set(F, points)
-    _, biggest = line_intersection_profile(F, pts)
-    return biggest <= 2
+    return LineProfile(F, validate_point_set(F, points)).max_line <= 2
 
 
 def is_n3_arc(F: GF, points) -> bool:
     """Some three points collinear but never four."""
-    pts = validate_point_set(F, points)
-    _, biggest = line_intersection_profile(F, pts)
-    return biggest == 3
+    return LineProfile(F, validate_point_set(F, points)).max_line == 3
 
 
 def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:

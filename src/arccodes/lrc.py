@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 from .codes import GeneratorMatrix, WeightDistribution, classify, min_weight_supports
 
-# Exactly what min_weight_supports returns; re-exported under the name the
-# locality machinery uses.
-dual_min_supports = min_weight_supports
-
 
 @dataclass(frozen=True)
 class LocalityReport:

@@ -1,6 +1,7 @@
 """Shared sweep builders.  The constructed-code sweeps are expensive enough
 (q up to 32, every family, every admissible v/w) that the acceptance
-criteria share one cached build."""
+criteria share one cached build.  Each distribution is read from the line
+profile; for q <= 16 it is also checked against projective enumeration."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,6 +11,7 @@ from arccodes import codes, construct, opoly
 
 EVEN_SWEEP_Q = (4, 8, 16, 32)
 ODD_SWEEP_Q = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
+ENUMERATED_Q = 16  # sweep codes up to this q are also enumerated
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,13 @@ class BuiltCode:
         return self.G.field
 
 
+def _built(q: int, label: str, G: codes.GeneratorMatrix) -> BuiltCode:
+    dist = codes.weight_distribution(G)
+    if q <= ENUMERATED_Q:
+        assert dist == codes.enumerated_weight_distribution(G), f"q={q} {label}"
+    return BuiltCode(q, label, G, dist)
+
+
 @lru_cache(maxsize=None)
 def even_sweep() -> tuple[BuiltCode, ...]:
     out = []
@@ -32,8 +41,7 @@ def even_sweep() -> tuple[BuiltCode, ...]:
         for f in opoly.applicable_families(F):
             for v in sorted(construct.valid_v_set(f)):
                 G = construct.build_even_matrix(f, v)
-                out.append(BuiltCode(q, f"{f.descriptor()},v={v}", G,
-                                     codes.weight_distribution(G)))
+                out.append(_built(q, f"{f.descriptor()},v={v}", G))
     return tuple(out)
 
 
@@ -44,5 +52,5 @@ def odd_sweep() -> tuple[BuiltCode, ...]:
         F = field_from_order(q)
         for w in sorted(construct.valid_w_set(F)):
             G = construct.build_odd_matrix(F, w)
-            out.append(BuiltCode(q, f"w={w}", G, codes.weight_distribution(G)))
+            out.append(_built(q, f"w={w}", G))
     return tuple(out)

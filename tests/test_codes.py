@@ -1,13 +1,18 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from arccodes.field import make_field
-from arccodes import geometry as geo
+from arccodes.field import field_from_order, make_field
+from arccodes import codes, geometry as geo
 from arccodes.codes import (
     BudgetExceededError,
     GeneratorMatrix,
     WeightDistribution,
+    _dual_distance_by_columns,
     classify,
     dual_matrix,
+    enumerated_weight_distribution,
     min_weight_pairing_check,
     min_weight_supports,
     nmds_closed_form,
@@ -105,6 +110,14 @@ def test_weight_distribution_budget():
     rows = [[1 if i == j else 0 for j in range(6)] for i in range(5)]
     with pytest.raises(BudgetExceededError):
         weight_distribution(GeneratorMatrix(F, rows))
+
+
+def test_enumeration_budget_counts_column_evaluations(q4_code):
+    dual = dual_matrix(q4_code)  # (4^6-1)/3 messages times 9 columns
+    work = (4 ** 6 - 1) // 3 * 9
+    with pytest.raises(BudgetExceededError):
+        enumerated_weight_distribution(dual, budget=work - 1)
+    assert enumerated_weight_distribution(dual, budget=work) == weight_distribution(dual)
 
 
 def test_weight_distribution_generic_k(q4_code):
@@ -230,3 +243,88 @@ def test_weight_distribution_validation():
         WeightDistribution([1, 2], q=2, k=3)  # sum != q^k
     d = WeightDistribution.from_pairs(4, [[0, 1], [4, 4]], q=5, k=1)
     assert d.to_pairs() == [[0, 1], [4, 4]]
+
+
+def _random_k3_matrix(rng, F):
+    """Random 3 x n columns over F with zero and proportional repeats."""
+    q = F.q
+    while True:
+        cols = []
+        for _ in range(rng.randint(3, 12)):
+            r = rng.random()
+            if r < 0.1:
+                cols.append((0, 0, 0))
+            elif r < 0.25 and cols:
+                s = rng.randrange(1, q)
+                cols.append(tuple(F.mul(s, e) for e in rng.choice(cols)))
+            else:
+                cols.append(tuple(rng.randrange(q) for _ in range(3)))
+        try:
+            return GeneratorMatrix.from_columns(F, cols)
+        except ValueError:  # rank below 3; draw again
+            continue
+
+
+def _brute_dual_distance(G):
+    """Least number of dependent columns (up to 4), by rank of each subset."""
+    for size in range(1, 5):
+        for subset in combinations(range(G.n), size):
+            sub = [[row[j] for j in subset] for row in G.rows]
+            if len(rref(G.field, sub)[1]) < size:
+                return size
+    return None
+
+
+def _enumerated_supports(G):
+    """Zero sets of the codewords u.G: the column sets on one line."""
+    F = G.field
+    zero_sets = set()
+    for u in projective_messages(F, 3):
+        zeros = []
+        for j, col in enumerate(G.columns()):
+            acc = 0
+            for ui, e in zip(u, col):
+                acc = F.add(acc, F.mul(ui, e))
+            if not acc:
+                zeros.append(j)
+        zero_sets.add(tuple(zeros))
+    return zero_sets
+
+
+def test_line_profile_matches_enumeration():
+    rng = random.Random(20220817)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        F = field_from_order(q)
+        for _ in range(12):
+            G = _random_k3_matrix(rng, F)
+            assert weight_distribution(G) == enumerated_weight_distribution(G), G.columns()
+            assert _dual_distance_by_columns(G) == _brute_dual_distance(G), G.columns()
+            zero_sets = _enumerated_supports(G)
+            points = {geo.normalize(F, c) for c in G.columns() if any(c)}
+            if len(points) < G.n or any(len(z) >= 4 for z in zero_sets):
+                with pytest.raises(ValueError):
+                    min_weight_supports(G)
+            else:
+                assert min_weight_supports(G) == sorted(z for z in zero_sets if len(z) == 3)
+
+
+def test_dual_distance_past_the_search_cap():
+    # C(120, 3) exceeds the cap; the dependent triple comes first
+    F = make_field(2, 7)
+    rng = random.Random(4)
+    cols = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
+    cols += [tuple(rng.randrange(F.q) for _ in range(4)) for _ in range(117)]
+    G = GeneratorMatrix.from_columns(F, cols)
+    assert _dual_distance_by_columns(G) == 3
+
+
+def test_dual_distance_budget_is_not_an_answer(monkeypatch):
+    # moment-curve columns (1, t, t^2, t^3): every 4 are independent
+    F = make_field(2, 4)
+    cols = [(1, t, F.mul(t, t), F.pow(t, 3)) for t in range(10)]
+    G = GeneratorMatrix.from_columns(F, cols)
+    monkeypatch.setattr(codes, "DEPENDENCY_CAP", 50)
+    with pytest.raises(BudgetExceededError):
+        _dual_distance_by_columns(G)
+    monkeypatch.undo()
+    assert _dual_distance_by_columns(G) is None  # d_dual = 5, proved

@@ -2,7 +2,12 @@ import pytest
 
 from arccodes.field import make_field, field_from_order
 from arccodes import geometry as geo
-from arccodes.codes import classify, min_weight_supports, weight_distribution
+from arccodes.codes import (
+    classify,
+    enumerated_weight_distribution,
+    min_weight_supports,
+    weight_distribution,
+)
 from arccodes.construct import (
     build_even_matrix,
     build_odd_matrix,
@@ -111,12 +116,32 @@ def test_closed_form_odd():
         odd_closed_form(8)
 
 
+@pytest.mark.parametrize("q", [64, 128, 256, 243, 251, 521])
+def test_closed_form_large_q(q):
+    # XOR addition (even q), the extension field 3^5 and two prime fields,
+    # 521 above the 512-element limit of the flat addition table
+    F = field_from_order(q)
+    if F.p == 2:
+        f = make_family_opoly(F, "translation", h=1)
+        G = build_even_matrix(f, min(valid_v_set(f)))
+        closed = even_closed_form(q)
+    else:
+        G = build_odd_matrix(F, min(valid_w_set(F)))
+        closed = odd_closed_form(q)
+    dist = weight_distribution(G)
+    assert dist == closed
+    profile = classify(G, dist)
+    assert (profile.n, profile.d, profile.d_dual, profile.category) == (q + 5, q + 2, 3, "NMDS")
+    assert (q - 1) * len(min_weight_supports(G)) == dist[q + 2]
+
+
 def test_q5_brute_force_confirms_closed_form():
     # smallest odd case: verified exhaustively, both admissible w
     F = make_field(5)
     for w in sorted(valid_w_set(F)):
         G = build_odd_matrix(F, w)
         dist = weight_distribution(G)
+        assert dist == enumerated_weight_distribution(G)
         assert classify(G, dist).category == "NMDS"
         assert dist == odd_closed_form(5)
         assert dist.to_pairs() == [[0, 1], [7, 48], [8, 36], [9, 24], [10, 16]]

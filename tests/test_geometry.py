@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arccodes.field import make_field, field_from_order
@@ -104,6 +106,39 @@ def test_oval_gf11_profile():
     assert len(pts) == 12
     profile, _ = geo.line_intersection_profile(F, pts)
     assert set(profile) == {0, 1, 2}
+
+
+def _scanned_profile(F, points):
+    """Columns per line by testing every point against every line."""
+    profile = {}
+    for u in geo.all_lines(F):
+        c = sum(1 for p in points if geo.incident(F, p, u))
+        profile[c] = profile.get(c, 0) + 1
+    return profile
+
+
+def test_line_profile_matches_line_scan():
+    rng = random.Random(11)
+    for q in (2, 3, 4, 5, 8, 9, 16):
+        F = field_from_order(q)
+        pts = geo.all_points(F)
+        for size in (0, 1, 2, 5, q + 2, 2 * q):
+            chosen = [rng.choice(pts) for _ in range(size)]  # repeats allowed
+            profile, biggest = geo.line_intersection_profile(F, chosen)
+            assert profile == _scanned_profile(F, chosen), (q, chosen)
+            assert biggest == max((c for c in profile if c), default=0)
+
+
+def test_line_profile_summary():
+    F = make_field(3, 1)
+    # (0,0,1) twice, (1,0,1) and (2,0,1) on the line y = 0; a zero column
+    cols = [(0, 0, 1), (0, 0, 2), (1, 0, 1), (0, 0, 0), (2, 0, 1), (1, 1, 1)]
+    lp = geo.LineProfile(F, cols)
+    assert lp.zeros == 1 and lp.repeated
+    # y = 0, and x = y through the doubled point and (1,1,1)
+    assert lp.rich == ((0, 1, 2, 4), (0, 1, 5))
+    assert lp.max_line == 4
+    assert lp.counts == {0: 2, 1: 5, 2: 4, 3: 1, 4: 1}  # 13 lines in PG(2,3)
 
 
 def test_four_collinear_fails_both_predicates():

@@ -56,16 +56,18 @@ class _Plane:
         self.lines = geometry.all_lines(F)
         self.line_index = {u: i for i, u in enumerate(self.lines)}
         self.points = geometry.all_points(F)
+        # the q+1 points of each coordinate line X_i = 0
+        self.axes = [[p for p in self.points if p[i] == 0] for i in range(3)]
         self._pencils: dict[tuple, tuple[int, ...]] = {}
 
     def pencil(self, point) -> tuple[int, ...]:
-        """Indices of the q+1 lines through a point."""
+        """Indices of the q+1 lines through a point, sorted: the lines joining
+        it to the points of a coordinate line X_i = 0 that misses it."""
         cached = self._pencils.get(point)
         if cached is None:
-            F = self.F
-            cached = tuple(
-                i for i, u in enumerate(self.lines) if geometry.incident(F, point, u)
-            )
+            F, index = self.F, self.line_index
+            axis = self.axes[next(i for i, c in enumerate(point) if c)]
+            cached = tuple(sorted(index[geometry.line_through(F, point, r)] for r in axis))
             self._pencils[point] = cached
         return cached
 

@@ -130,7 +130,7 @@ def cmd_construct(args) -> int:
     }
     _emit(args, data, _matrix_lines(G, args.powers) + [
         f"[{profile.n},{profile.k},{profile.d}] {profile.category}",
-        f"enumerated:  {dist.to_pairs()}",
+        f"weights:     {dist.to_pairs()}",
         f"closed form: {closed.to_pairs()}",
         "MATCH" if match else "MISMATCH",
     ])

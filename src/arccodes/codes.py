@@ -92,6 +92,9 @@ class GeneratorMatrix:
         if not lines:
             raise ValueError("empty matrix text")
         head = dict(tok.split("=", 1) for tok in lines[0].split())
+        missing = [key for key in ("p", "m", "mod") if key not in head]
+        if missing:
+            raise ValueError(f"matrix header {lines[0]!r} lacks {', '.join(missing)}")
         F = parse_descriptor(
             f"p={head['p']} m={head['m']} mod={head['mod']}"
         )

@@ -7,9 +7,11 @@ encoding 0 is the additive identity and 1 the multiplicative identity, and
 for m = 1 the index is just the residue mod p.
 
 Multiplication, inversion and powering go through log/antilog tables built
-once per field from the least-index generator of the multiplicative group,
-so every operation is O(1) after construction.  Addition is XOR in
-characteristic 2 and table- or digit-based otherwise.
+once per field from the least-index generator g of the multiplicative group.
+Addition has one rule per kind of field: XOR for p = 2, the sum mod p for
+odd prime fields, and for odd prime powers Zech logarithms (K. Huber, IEEE
+Trans. IT 36(4), 1990): g^a + g^b = g^(a + zech[b - a]), 1 + g^i = g^zech[i].
+Every table has at most q entries and every operation is O(1).
 
 Because elements are bare ints they carry no field tag; mixing elements of
 different fields is only caught when the index falls outside [0, q).
@@ -19,10 +21,6 @@ import math
 from functools import lru_cache
 
 MAX_ORDER = 2 ** 16
-
-# Flat addition tables are built for odd q up to this bound; beyond it
-# addition falls back to per-digit arithmetic.
-_ADD_TABLE_LIMIT = 512
 
 # Default irreducible moduli, coefficients low-to-high, monic.  These are the
 # Conway polynomials for the listed (p, m); in particular x^2+x+1 for GF(4),
@@ -208,15 +206,14 @@ class GF:
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
 
-        self._digits = [self._index_to_digits(i) for i in range(q)]
         self._build_log_tables()
-        self._add_flat = None
-        if p != 2 and q <= _ADD_TABLE_LIMIT:
-            dig = self._digits
-            self._add_flat = [
-                self._digits_to_index([(a + b) % p for a, b in zip(dig[x], dig[y])])
-                for x in range(q)
-                for y in range(q)
+        # Odd prime powers: g^zech[i] = 1 + g^i, None where 1 + g^i = 0.
+        # Adding 1 changes digit 0 only, wrapping it from p-1 to 0.
+        self._zech = None
+        if p != 2 and m > 1:
+            self._zech = [
+                None if x == p - 1 else self._log[x + 1 if x % p != p - 1 else x - p + 1]
+                for x in self._exp
             ]
         # eta[x] in {-1, 0, 1}; squares read off the exponent parity.
         self._chi = None
@@ -248,7 +245,7 @@ class GF:
             return 0
         if self.m == 1:
             return (a * b) % self.p
-        da, db = self._digits[a], self._digits[b]
+        da, db = self._index_to_digits(a), self._index_to_digits(b)
         prod = [0] * (2 * self.m - 1)
         for i, ai in enumerate(da):
             if ai:
@@ -315,19 +312,22 @@ class GF:
         self.check(b)
         if self.p == 2:
             return a ^ b
-        if self._add_flat is not None:
-            return self._add_flat[a * self.q + b]
-        p = self.p
-        return self._digits_to_index(
-            [(x + y) % p for x, y in zip(self._digits[a], self._digits[b])]
-        )
+        if self.m == 1:
+            return (a + b) % self.p
+        if a == 0 or b == 0:
+            return a or b
+        la, n = self._log[a], self.q - 1
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
         self.check(a)
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        p = self.p
-        return self._digits_to_index([(-x) % p for x in self._digits[a]])
+        if self.m == 1:
+            return self.p - a
+        n = self.q - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

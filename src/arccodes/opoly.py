@@ -176,8 +176,8 @@ def _adelaide_values(F: GF, beta_power: int, t: int) -> list[int]:
     embed = []
     for x in range(q):
         acc = 0
-        for c in reversed(F._digits[x]):
-            acc = E.add(E.mul(acc, root), c)
+        for i in reversed(range(F.m)):
+            acc = E.add(E.mul(acc, root), (x >> i) & 1)
         embed.append(acc)
     unembed = {img: x for x, img in enumerate(embed)}
 

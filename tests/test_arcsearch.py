@@ -1,7 +1,7 @@
 import pytest
 
-from arccodes.field import make_field
-from arccodes import geometry as geo
+from arccodes.field import field_from_order, make_field
+from arccodes import arcsearch, geometry as geo
 from arccodes.arcsearch import (
     conclusion_matrix,
     extend_to_n3_arc,
@@ -34,6 +34,16 @@ def test_conclusion_report():
     # 15 = 2q-1 beats the elliptic-curve length ceiling q + floor(2 sqrt q) + 1 = 14
     assert rep.exceeds_elliptic_bound
     assert conclusion_matrix().n == 2 * 8 - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pencils_match_incidence_scan(q):
+    F = field_from_order(q)
+    plane = arcsearch._Plane(F)
+    for point in plane.points:
+        scan = tuple(i for i, u in enumerate(plane.lines) if geo.incident(F, point, u))
+        assert len(scan) == q + 1
+        assert plane.pencil(point) == scan
 
 
 def test_line_multiplicities_match_recount():

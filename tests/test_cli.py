@@ -47,6 +47,11 @@ def test_construct_even_json(capsys):
     assert data["profile"]["n"] == 9 and data["profile"]["category"] == "NMDS"
     assert data["closed_form_match"] is True
     assert data["weight_distribution"] == [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]
+    code, out, _ = run(capsys, "construct", "--even", "--q", "4",
+                       "--opoly", "translation:h=1", "--v", "g^1")
+    assert code == 0
+    assert "weights:     [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]" in out
+    assert "enumerated" not in out
 
 
 def test_construct_odd_defaults(capsys):
@@ -83,6 +88,14 @@ def test_analyze_rank_deficient(tmp_path, capsys):
     path.write_text("q=4 p=2 m=2 mod=1,1,1\n1 1 0\n1 1 0\n")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2 and "rank" in err
+
+
+def test_analyze_header_without_modulus(tmp_path, capsys):
+    path = tmp_path / "nomod.txt"
+    path.write_text("q=9 p=3 m=2\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert "error:" in err and "lacks mod" in err
 
 
 def test_analyze_missing_file(capsys):

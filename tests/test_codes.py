@@ -55,6 +55,10 @@ def test_matrix_text_round_trip(q4_code):
     assert text.splitlines()[0] == "q=4 p=2 m=2 mod=1,1,1"
     with pytest.raises(ValueError):
         GeneratorMatrix.from_text("q=5 p=2 m=2 mod=1,1,1\n1 0 1\n0 1 1\n")
+    with pytest.raises(ValueError, match="lacks mod"):
+        GeneratorMatrix.from_text("q=9 p=3 m=2\n1 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ValueError, match="lacks p, m"):
+        GeneratorMatrix.from_text("mod=2,2,1\n1 0\n0 1\n")
 
 
 def test_weight_of(q4_code):

@@ -81,6 +81,30 @@ def test_field_axioms_exhaustive(p, m):
                     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
+def _digitwise(F, *elements, combine):
+    """Combine elements digit by digit from the index encoding sum(c_i p^i)."""
+    p = F.p
+    digits = [[x // p ** i % p for i in range(F.m)] for x in elements]
+    return sum(combine(*cs) % p * p ** i for i, cs in enumerate(zip(*digits)))
+
+
+# Every addition rule (XOR, residues mod p, Zech logarithms) at small and
+# large q, with odd q on both sides of 512.
+@pytest.mark.parametrize("q", [8, 256, 5, 509, 521, 65521, 9, 25, 27, 243, 529, 729])
+def test_addition_matches_digitwise_oracle(q):
+    F = field_from_order(q)
+    if q <= 27:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        pairs += [(0, 0), (1, F.p - 1), (q - 1, 1), (0, q - 1)]
+    for a, b in pairs:
+        assert F.add(a, b) == _digitwise(F, a, b, combine=lambda x, y: x + y)
+        assert F.sub(a, b) == _digitwise(F, a, b, combine=lambda x, y: x - y)
+        assert F.neg(a) == _digitwise(F, a, combine=lambda x: -x)
+
+
 def test_pow_semantics():
     F = make_field(2, 3)
     g = F.primitive_element()

@@ -4,18 +4,16 @@ A state is an ordered point list plus a per-line multiplicity counter;
 adding a point increments the q+1 lines through it (O(q) per node), and any
 candidate lying on a line that already holds 3 chosen points is pruned.
 The DFS enumerates supersets in lexicographic candidate order (so each set
-is visited once and runs are reproducible); greedy-restart does seeded
-random greedy completions and keeps the best.  Both are anytime: the best
-arc so far survives budget exhaustion.  Runs are bit-deterministic for a
-fixed seed under node budgets with one worker; wall-clock budgets and
-concurrent restarts trade that for responsiveness (the merge itself stays
-order-independent).
+is visited once and runs are reproducible); greedy-restart runs seeded
+random greedy completions in turn and keeps the best.  Both are anytime:
+the best arc so far survives budget exhaustion.  Under node budgets runs
+are bit-deterministic for a fixed seed; under a wall-clock budget they are not.
 """
 
 import time
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .field import GF, make_field
 from . import geometry
@@ -55,7 +53,7 @@ class _Plane:
         self.F = F
         self.lines = geometry.all_lines(F)
         self.line_index = {u: i for i, u in enumerate(self.lines)}
-        self.points = geometry.all_points(F)
+        self.points = self.lines  # geometry.all_lines is all_points
         # the q+1 points of each coordinate line X_i = 0
         self.axes = [[p for p in self.points if p[i] == 0] for i in range(3)]
         self._pencils: dict[tuple, tuple[int, ...]] = {}
@@ -72,15 +70,7 @@ class _Plane:
         return cached
 
 
-_planes: dict[GF, _Plane] = {}
-
-
-def _plane(F: GF) -> _Plane:
-    plane = _planes.get(F)
-    if plane is None:
-        plane = _Plane(F)
-        _planes[F] = plane
-    return plane
+_plane = lru_cache(maxsize=None)(_Plane)
 
 
 def line_multiplicities(F: GF, points) -> list[int]:
@@ -94,20 +84,30 @@ def line_multiplicities(F: GF, points) -> list[int]:
 
 
 class _Budget:
-    def __init__(self, max_nodes, max_seconds):
+    """Node and time limits and the target size of one search."""
+
+    def __init__(self, max_nodes, max_seconds, target_size):
         self.max_nodes = max_nodes
-        self.deadline = time.monotonic() + max_seconds if max_seconds else None
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
+        self.target_size = target_size
         self.nodes = 0
         self.exhausted = False
 
-    def spend(self) -> bool:
-        """Count one node; False once the budget is gone."""
+    def done(self, best) -> bool:
+        """True once a node was refused or `best` reaches the target size."""
+        return self.exhausted or (self.target_size is not None and len(best) >= self.target_size)
+
+    def spend(self, best) -> bool:
+        """Let one more node through and count it, or refuse it."""
+        if self.done(best):
+            return False
+        if (self.max_nodes is not None and self.nodes >= self.max_nodes) or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        ):
+            self.exhausted = True
+            return False
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            self.exhausted = True
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+        return True
 
 
 def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None = None,
@@ -116,112 +116,83 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
     """Grow `base` into the largest (n,3)-arc found.
 
     Returns (points, SearchStats).  The base must already satisfy the
-    no-4-on-a-line condition.  DFS is deterministic and complete given
-    enough budget; greedy-restart is deterministic for a fixed seed.
+    no-4-on-a-line condition.  `max_nodes` bounds the points tried and
+    `max_seconds` the wall time (None: no limit).  DFS is deterministic and
+    complete given enough budget; greedy-restart is deterministic for a fixed
+    seed.  The search is sequential: `workers` must be 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
+    for name, value in (("max_nodes", max_nodes), ("restarts", restarts)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if max_seconds is not None and not max_seconds > 0:
+        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
+    pencil = plane.pencil
     mult = line_multiplicities(F, base_pts)
     if any(c > 3 for c in mult):
         raise ValueError("base set has four points on a line")
 
     chosen_set = set(base_pts)
-    candidates = [
-        p for p in plane.points
-        if p not in chosen_set and all(mult[li] <= 2 for li in plane.pencil(p))
-    ]
+    candidates = [p for p in plane.points
+                  if p not in chosen_set and all(mult[li] <= 2 for li in pencil(p))]
 
-    budget = _Budget(max_nodes, max_seconds)
-    best = {"points": list(base_pts)}
+    budget = _Budget(max_nodes, max_seconds, target_size)
+    best = list(base_pts)
     start = time.monotonic()
 
-    def better(pts) -> bool:
-        cur = best["points"]
-        return len(pts) > len(cur) or (len(pts) == len(cur) and pts < cur)
-
-    def record(pts):
-        if better(pts):
-            best["points"] = list(pts)
+    def record(pts):  # larger wins; among equal sizes, lexicographically smaller
+        nonlocal best
+        if len(pts) > len(best) or (len(pts) == len(best) and pts < best):
+            best = list(pts)
 
     done_restarts = 0
     if strategy == "dfs":
-        pencil = plane.pencil
-
         def dfs(chosen, cands):
-            if target_size is not None and len(best["points"]) >= target_size:
-                return
             for i, p in enumerate(cands):
-                remaining = len(cands) - i
-                if len(chosen) + remaining <= len(best["points"]):
-                    return
-                if not budget.spend():
+                if len(chosen) + len(cands) - i <= len(best) or not budget.spend(best):
                     return
                 for li in pencil(p):
                     mult[li] += 1
                 chosen.append(p)
                 record(chosen)
-                nxt = [
-                    r for r in cands[i + 1:]
-                    if all(mult[li] <= 2 for li in pencil(r))
-                ]
-                dfs(chosen, nxt)
+                dfs(chosen, [r for r in cands[i + 1:] if all(mult[li] <= 2 for li in pencil(r))])
                 chosen.pop()
                 for li in pencil(p):
                     mult[li] -= 1
-                if budget.exhausted or (
-                    target_size is not None and len(best["points"]) >= target_size
-                ):
-                    return
 
         dfs(list(base_pts), candidates)
     elif strategy == "greedy-restart":
-        def one_restart(idx: int):
-            rng = random.Random(seed * 1_000_003 + idx)
+        while done_restarts < restarts and not budget.done(best):
             order = list(candidates)
-            rng.shuffle(order)
+            random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
             local_mult = list(mult)
             pts = list(base_pts)
             for p in order:
-                if not budget.spend():
+                if not budget.spend(best):
                     break
-                if all(local_mult[li] <= 2 for li in plane.pencil(p)):
+                if all(local_mult[li] <= 2 for li in pencil(p)):
                     pts.append(p)
-                    for li in plane.pencil(p):
+                    for li in pencil(p):
                         local_mult[li] += 1
-            return pts
-
-        indices = range(restarts)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_restart, indices))
-        else:
-            results = []
-            for idx in indices:
-                if budget.exhausted or (
-                    target_size is not None and len(best["points"]) >= target_size
-                ):
-                    break
-                results.append(one_restart(idx))
-        done_restarts = len(results)
-        # the (size, lex) criterion makes the merge order-independent
-        for pts in results:
+            done_restarts += 1
             record(pts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    pts = best["points"]
     stats = SearchStats(
-        found_n=len(pts),
+        found_n=len(best),
         nodes=budget.nodes,
         restarts=done_restarts,
         seed=seed,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=int((time.monotonic() - start) * 1000),
         strategy=strategy,
         budget_exhausted=budget.exhausted,
-        arc=list(pts),
+        arc=list(best),
     )
-    return list(pts), stats
+    return list(best), stats
 
 
 # ----------------------------------------------------------------------

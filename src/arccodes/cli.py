@@ -39,10 +39,11 @@ def _add_field_args(sub):
     sub.add_argument("--modulus", help="modulus coefficients, low-to-high, e.g. 1,1,0,1")
 
 
-def _add_output_args(sub):
+def _add_output_args(sub, powers: bool):
     sub.add_argument("--format", choices=("table", "json"), default="table")
-    sub.add_argument("--powers", action="store_true",
-                     help="print field elements as powers of the generator")
+    if powers:
+        sub.add_argument("--powers", action="store_true",
+                         help="print field elements as powers of the generator")
 
 
 def _emit(args, data: dict, table_lines):
@@ -204,7 +205,7 @@ def cmd_locality(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    verdict = lrc.bound_verdict(args.n, args.k, args.d, args.r, args.q)
+    verdict = lrc.bound_verdict(args.n, args.k, args.d, args.r)
     data = verdict.to_dict()
     _emit(args, data, [
         f"singleton-like bound: d <= {verdict.singleton_like_rhs} "
@@ -239,7 +240,6 @@ def cmd_search(args) -> int:
         target_size=args.target,
         seed=args.seed,
         restarts=args.restarts,
-        workers=args.threads,
     )
     data = stats.to_dict(F)
     G = codes.GeneratorMatrix.from_columns(F, pts)
@@ -291,18 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("field-info", help="describe a finite field")
     _add_field_args(sub)
-    _add_output_args(sub)
+    _add_output_args(sub, powers=True)
     sub.set_defaults(func=cmd_field_info)
 
     sub = subs.add_parser("opoly-check", help="validate an o-polynomial descriptor")
     _add_field_args(sub)
-    _add_output_args(sub)
+    _add_output_args(sub, powers=True)
     sub.add_argument("--opoly", required=True, help="e.g. translation:h=1, segre, custom:coeffs=0,0,1")
     sub.set_defaults(func=cmd_opoly_check)
 
     sub = subs.add_parser("construct", help="build a [q+5,3,q+2] code and verify it")
     _add_field_args(sub)
-    _add_output_args(sub)
+    _add_output_args(sub, powers=True)
     sub.add_argument("--even", action="store_true", help="hyperoval construction (q = 2^m)")
     sub.add_argument("--odd", action="store_true", help="oval construction (odd q)")
     sub.add_argument("--opoly", default="translation:h=1")
@@ -312,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_construct)
 
     sub = subs.add_parser("analyze", help="profile + weights + locality of a matrix file")
-    _add_output_args(sub)
+    _add_output_args(sub, powers=False)
     sub.add_argument("matrix", help="matrix text file")
     sub.set_defaults(func=cmd_analyze)
 
     sub = subs.add_parser("census", help="root counts of the construction line equations")
     _add_field_args(sub)
-    _add_output_args(sub)
+    _add_output_args(sub, powers=False)
     for kind in construct.CENSUS_KINDS:
         sub.add_argument(f"--{kind}", dest=kind.replace("-", "_"), action="store_true")
     sub.add_argument("--opoly", default="translation:h=1")
@@ -327,19 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_census)
 
     sub = subs.add_parser("locality", help="locality report of a matrix file")
-    _add_output_args(sub)
+    _add_output_args(sub, powers=False)
     sub.add_argument("matrix")
     sub.set_defaults(func=cmd_locality)
 
     sub = subs.add_parser("bounds", help="locality bound verdicts for given parameters")
-    _add_output_args(sub)
-    for name in ("n", "k", "d", "r", "q"):
+    _add_output_args(sub, powers=False)
+    for name in ("n", "k", "d", "r"):
         sub.add_argument(f"--{name}", type=int, required=True)
     sub.set_defaults(func=cmd_bounds)
 
     sub = subs.add_parser("search", help="extend an arc to a larger (n,3)-arc")
     _add_field_args(sub)
-    _add_output_args(sub)
+    _add_output_args(sub, powers=True)
     sub.add_argument("--base", default="hyperoval:translation:h=1",
                      help="hyperoval[:opoly-descriptor], oval, or points:x:y:z;...")
     sub.add_argument("--strategy", choices=("dfs", "greedy-restart"), default="dfs")
@@ -349,11 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--target", type=int)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--restarts", type=int, default=64)
-    sub.add_argument("--threads", type=int, default=1)
     sub.set_defaults(func=cmd_search)
 
     sub = subs.add_parser("verify-paper", help="run all built-in golden fixtures")
-    _add_output_args(sub)
     sub.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .field import GF, parse_descriptor
+from .field import GF, parse_descriptor, parse_key_values
 from . import geometry
 
 ENUMERATION_BUDGET = 2 ** 32
@@ -91,7 +91,7 @@ class GeneratorMatrix:
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
+        head = parse_key_values(lines[0])
         missing = [key for key in ("p", "m", "mod") if key not in head]
         if missing:
             raise ValueError(f"matrix header {lines[0]!r} lacks {', '.join(missing)}")

@@ -451,9 +451,17 @@ def field_from_order(q: int, modulus=None) -> GF:
     return make_field(p, m, modulus)
 
 
+def parse_key_values(text: str) -> dict[str, str]:
+    """Split 'key=value key=value ...' into a dict, naming any bad token."""
+    bad = [tok for tok in text.split() if "=" not in tok]
+    if bad:
+        raise ValueError(f"token {bad[0]!r} in {text!r} is not key=value")
+    return dict(tok.split("=", 1) for tok in text.split())
+
+
 def parse_descriptor(text: str) -> GF:
     """Parse 'p=2 m=3 mod=1,1,0,1' back into a field."""
-    parts = dict(tok.split("=", 1) for tok in text.split())
+    parts = parse_key_values(text)
     try:
         p = int(parts["p"])
         m = int(parts["m"])

@@ -76,7 +76,7 @@ def singleton_like_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:
     return rhs, d == rhs
 
 
-def cm_bound(n: int, k: int, d: int, r: int, q: int) -> int:
+def cm_bound(n: int, d: int, r: int) -> int:
     """min over t >= 1 with n - t(r+1) >= 1 of t*r + max(n - t(r+1) - d + 1, 0)."""
     if r < 1:
         raise ValueError("locality r must be >= 1")
@@ -92,8 +92,8 @@ def cm_bound(n: int, k: int, d: int, r: int, q: int) -> int:
     return best
 
 
-def cm_bound_check(n: int, k: int, d: int, r: int, q: int) -> tuple[int, bool]:
-    rhs = cm_bound(n, k, d, r, q)
+def cm_bound_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:
+    rhs = cm_bound(n, d, r)
     return rhs, k == rhs
 
 
@@ -114,9 +114,9 @@ class BoundVerdict:
         }
 
 
-def bound_verdict(n: int, k: int, d: int, r: int, q: int) -> BoundVerdict:
+def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
     s_rhs, d_opt = singleton_like_check(n, k, d, r)
-    c_rhs, k_opt = cm_bound_check(n, k, d, r, q)
+    c_rhs, k_opt = cm_bound_check(n, k, d, r)
     return BoundVerdict(d_opt, k_opt, s_rhs, c_rhs)
 
 
@@ -126,7 +126,6 @@ def lrc_report(G: GeneratorMatrix,
     optimality flags for the code and its dual."""
     profile = classify(G, distribution)
     loc = locality_report(G)
-    q = G.field.q
     out = {
         "n": profile.n,
         "k": profile.k,
@@ -141,14 +140,13 @@ def lrc_report(G: GeneratorMatrix,
         "remark": loc.remark,
     }
     if loc.r_primal is not None:
-        primal = bound_verdict(profile.n, profile.k, profile.d, loc.r_primal, q)
+        primal = bound_verdict(profile.n, profile.k, profile.d, loc.r_primal)
         out["d_optimal"] = primal.d_optimal
         out["k_optimal"] = primal.k_optimal
         out["singleton_like_rhs"] = primal.singleton_like_rhs
         out["cm_rhs"] = primal.cm_rhs
     if loc.r_dual is not None and profile.d_dual is not None:
-        dual = bound_verdict(profile.n, profile.n - profile.k, profile.d_dual,
-                             loc.r_dual, q)
+        dual = bound_verdict(profile.n, profile.n - profile.k, profile.d_dual, loc.r_dual)
         out["dual_d_optimal"] = dual.d_optimal
         out["dual_k_optimal"] = dual.k_optimal
         out["dual_singleton_like_rhs"] = dual.singleton_like_rhs

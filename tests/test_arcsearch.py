@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import arccodes
 
 from arccodes.field import field_from_order, make_field
 from arccodes import arcsearch, geometry as geo
@@ -91,7 +97,23 @@ def test_budget_exhaustion_flagged():
     F, hyper = _hyperoval(3)
     pts, stats = extend_to_n3_arc(F, hyper, strategy="dfs", max_nodes=1)
     assert stats.budget_exhausted
-    assert stats.found_n >= len(hyper)
+    # the one node the budget lets through is expanded
+    assert (stats.nodes, stats.found_n) == (1, len(hyper) + 1)
+    for strategy in ("dfs", "greedy-restart"):
+        for n in (2, 7, 50, 500):
+            pts, stats = extend_to_n3_arc(F, hyper, strategy=strategy, max_nodes=n)
+            assert stats.nodes == n and stats.budget_exhausted
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_nodes": 0}, {"max_nodes": -3}, {"restarts": 0}, {"restarts": -3},
+    {"max_seconds": 0}, {"max_seconds": -1.0}, {"workers": 2}, {"workers": 0},
+])
+def test_bad_budgets_rejected(bad):
+    F, hyper = _hyperoval(2)
+    for strategy in ("dfs", "greedy-restart"):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            extend_to_n3_arc(F, hyper, strategy=strategy, **bad)
 
 
 def test_four_on_a_line_base_rejected():
@@ -113,12 +135,19 @@ def test_greedy_restart_deterministic():
     assert geo.is_n3_arc(F, different[0]) or geo.is_arc(F, different[0])
 
 
-def test_greedy_restart_workers_agree():
+def test_greedy_restart_stops_at_target():
     F, hyper = _hyperoval(3)
-    solo = extend_to_n3_arc(F, hyper, strategy="greedy-restart", restarts=8, seed=3)
-    multi = extend_to_n3_arc(F, hyper, strategy="greedy-restart", restarts=8, seed=3,
-                             workers=4)
-    assert solo[0] == multi[0]
+    pts, stats = extend_to_n3_arc(F, hyper, strategy="greedy-restart", target_size=12)
+    assert stats.found_n >= 12 and geo.is_n3_arc(F, pts)
+    assert stats.restarts < 64 and not stats.budget_exhausted
+
+
+def test_import_loads_no_thread_pool():
+    src = str(Path(arccodes.__file__).parent.parent)
+    code = "import sys, arccodes; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_dfs_reaches_fifteen_at_q8():

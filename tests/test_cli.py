@@ -98,6 +98,14 @@ def test_analyze_header_without_modulus(tmp_path, capsys):
     assert "error:" in err and "lacks mod" in err
 
 
+def test_analyze_header_token_without_equals(tmp_path, capsys):
+    path = tmp_path / "junk.txt"
+    path.write_text("q=9 p=3 m=2 mod=2,2,1 junk\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert "error:" in err and "'junk'" in err
+
+
 def test_analyze_missing_file(capsys):
     assert run(capsys, "analyze", "/nonexistent/matrix.txt")[0] == 2
 
@@ -125,7 +133,7 @@ def test_locality(tmp_path, capsys):
 
 def test_bounds(capsys):
     code, data, _ = run_json(
-        capsys, "bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2", "--q", "4",
+        capsys, "bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2",
     )
     assert code == 0
     assert data == {
@@ -151,6 +159,30 @@ def test_search(capsys):
         "--target", "99", "--max-nodes", "50",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--max-nodes", "0"), ("--max-nodes", "-3"), ("--restarts", "0"), ("--restarts", "-3"),
+    ("--max-seconds", "0"), ("--max-seconds", "-1"),
+])
+def test_search_rejects_bad_budgets(capsys, flag, value):
+    code, out, err = run(capsys, "search", "--q", "4", "--strategy", "greedy-restart",
+                         flag, value)
+    assert code == 2 and not out
+    assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--format", "json"],
+    ["census", "--odd-B1", "--q", "11", "--powers"],
+    ["bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2", "--q", "1000000"],
+    ["search", "--q", "4", "--threads", "2"],
+])
+def test_removed_options_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_base_descriptors(capsys):

@@ -59,6 +59,8 @@ def test_matrix_text_round_trip(q4_code):
         GeneratorMatrix.from_text("q=9 p=3 m=2\n1 0 0\n0 1 0\n0 0 1\n")
     with pytest.raises(ValueError, match="lacks p, m"):
         GeneratorMatrix.from_text("mod=2,2,1\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match="token 'junk'"):
+        GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1 junk\n1 0 0\n0 1 0\n0 0 1\n")
 
 
 def test_weight_of(q4_code):

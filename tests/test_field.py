@@ -210,6 +210,8 @@ def test_descriptor_round_trip():
     assert parse_descriptor(F.descriptor()) == F
     with pytest.raises(ValueError):
         parse_descriptor("p=2 mod=1,1")
+    with pytest.raises(ValueError, match="token 'junk'"):
+        parse_descriptor("p=2 m=3 junk")
 
 
 def test_make_field_caches():

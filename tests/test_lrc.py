@@ -54,21 +54,21 @@ def test_singleton_like_check():
 
 def test_cm_bound_check():
     for q in (4, 9, 11):
-        rhs, opt = cm_bound_check(q + 5, 3, q + 2, 2, q)
+        rhs, opt = cm_bound_check(q + 5, 3, q + 2, 2)
         assert rhs == 3 and opt
         # dual parameters
-        rhs, opt = cm_bound_check(q + 5, q + 2, 3, q + 1, q)
+        rhs, opt = cm_bound_check(q + 5, q + 2, 3, q + 1)
         assert rhs == q + 2 and opt
     # d > n - (r+1) at t=1 leaves only the tr term
-    rhs, opt = cm_bound_check(6, 2, 5, 2, 4)
+    rhs, opt = cm_bound_check(6, 2, 5, 2)
     assert rhs == 2 and opt
-    assert cm_bound(9, 3, 6, 2, 4) == 3
+    assert cm_bound(9, 6, 2) == 3
     with pytest.raises(ValueError):
-        cm_bound(3, 1, 1, 3, 4)  # no feasible t
+        cm_bound(3, 1, 3)  # no feasible t
 
 
 def test_bound_verdict_fields():
-    v = bound_verdict(9, 3, 6, 2, 4)
+    v = bound_verdict(9, 3, 6, 2)
     assert v.d_optimal and v.k_optimal
     assert v.singleton_like_rhs == 6 and v.cm_rhs == 3
     d = v.to_dict()

@@ -21,14 +21,14 @@ EXIT_BUDGET = 4
 
 def _field_from_args(args) -> GF:
     modulus = None
-    if getattr(args, "modulus", None):
+    if args.modulus is not None:
         modulus = [int(c) for c in args.modulus.split(",")]
-    if getattr(args, "q", None):
-        if getattr(args, "p", None) or getattr(args, "m", None):
+    if args.q is not None:
+        if args.p is not None or args.m is not None:
             raise ValueError("give either --q or --p/--m, not both")
         return field_from_order(args.q, modulus)
-    if getattr(args, "p", None):
-        return make_field(args.p, args.m or 1, modulus)
+    if args.p is not None:
+        return make_field(args.p, 1 if args.m is None else args.m, modulus)
     raise ValueError("a field is required: --q Q or --p P --m M")
 
 

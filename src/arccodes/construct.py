@@ -13,10 +13,12 @@ closed forms that the line-profile counts (and, at small q, brute-force
 enumeration) reproduce exactly.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .field import GF
 from .codes import GeneratorMatrix, WeightDistribution
+from .geometry import hyperoval_from_opoly, standard_oval
 from .opoly import OPolynomial, evaluate, is_o_polynomial, linear_shift_image
 
 CENSUS_KINDS = ("even-A1", "even-A2", "odd-B1", "odd-B2")
@@ -54,8 +56,7 @@ def build_even_matrix(f: OPolynomial, v: int, order: str = "powers") -> Generato
     F.check(v)
     if v not in valid_v_set(f):
         raise ValueError(f"v={v} lies in the image of x -> f(x)+x; not admissible")
-    cols = [(evaluate(f, a), a, 1) for a in F.elements(order)]
-    cols += [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, v, 1), (v, 0, 1)]
+    cols = hyperoval_from_opoly(f, order) + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
     return GeneratorMatrix.from_columns(F, cols)
 
 
@@ -65,9 +66,7 @@ def build_odd_matrix(F: GF, w: int, order: str = "powers") -> GeneratorMatrix:
     F.check(w)
     if w not in valid_w_set(F):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
-    minus_one = F.neg(1)
-    cols = [(F.mul(a, a), a, 1) for a in F.elements(order)]
-    cols += [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, w, minus_one), (w, 0, 1)]
+    cols = standard_oval(F, order) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
     return GeneratorMatrix.from_columns(F, cols)
 
 
@@ -135,6 +134,11 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
       odd-B1:   u1 x^2  + u2 x + u2 w = 0
       odd-B2:   u1 x^2  + u2 x - u1 w = 0
 
+    Each reads u1 a(x) + u2 b(x) = 0, so its roots depend only on t = u2/u1,
+    which stands for q-1 pairs.  One pass over x finds them: x is a root for
+    t = -a(x)/b(x) alone when both are nonzero, and for no t when one is
+    zero.  Both vanish only when v = 0 or w = 0, and neither is admissible.
+
     diagonal_ok reports that the structurally solution-free diagonal pairs
     (u, u) for the even kinds, (u, -u) for the odd kinds, have zero roots.
     """
@@ -144,33 +148,25 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
     if kind.startswith("even"):
         if f is None or v is None:
             raise ValueError(f"{kind} needs an o-polynomial and v")
+        if f.field != F:
+            raise ValueError(f"the o-polynomial is over {f.field!r}, not {F!r}")
         if v not in valid_v_set(f):
             raise ValueError(f"v={v} is not admissible")
-        tab = [evaluate(f, x) for x in range(q)]
-        const_from_u1 = kind == "even-A2"
-        shift = v
+        a, shift, diagonal = [evaluate(f, x) for x in range(q)], v, 1
     else:
         if w is None:
             raise ValueError(f"{kind} needs w")
         if w not in valid_w_set(F):
             raise ValueError(f"w={w} is not admissible")
-        tab = [F.mul(x, x) for x in range(q)]
-        const_from_u1 = kind == "odd-B2"
-        shift = F.neg(w) if const_from_u1 else w
-    add, mul = F.add, F.mul
-    counts: dict[int, int] = {}
-    diagonal_ok = True
-    for u1 in range(1, q):
-        row1 = F.scalar_row(u1)
-        for u2 in range(1, q):
-            row2 = F.scalar_row(u2)
-            const = mul(u1 if const_from_u1 else u2, shift)
-            roots = 0
-            for x in range(q):
-                if add(add(row1[tab[x]], row2[x]), const) == 0:
-                    roots += 1
-            counts[roots] = counts.get(roots, 0) + 1
-            diagonal = u2 == u1 if kind.startswith("even") else u2 == F.neg(u1)
-            if diagonal and roots:
-                diagonal_ok = False
-    return CensusResult(kind, q, counts, diagonal_ok)
+        a, shift, diagonal = [F.mul(x, x) for x in range(q)], w, F.neg(1)
+    b = range(q)
+    if kind.endswith("1"):  # u2 carries the constant: b = x + v or x + w
+        b = [F.add(x, shift) for x in b]
+    else:  # u1 carries it: a = f(x) - v = f(x) + v, or a = x^2 - w
+        a = [F.sub(y, shift) for y in a]
+    roots = [0] * q  # roots[t]: the x with a(x) = -t b(x) != 0
+    for ax, bx in zip(a, b):
+        if ax and bx:
+            roots[F.neg(F.mul(ax, F.inv(bx)))] += 1
+    counts = {r: pairs * (q - 1) for r, pairs in Counter(roots[1:]).items()}
+    return CensusResult(kind, q, counts, roots[diagonal] == 0)

@@ -187,13 +187,14 @@ class GF:
     """The finite field GF(p^m) with a fixed irreducible modulus."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
+        # Bound p and m (p^m >= 2^m) before trial division and powering.
+        if p <= MAX_ORDER and not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if p > MAX_ORDER or m >= MAX_ORDER.bit_length() or p ** m > MAX_ORDER:
+            raise ValueError(f"q={p}^{m} exceeds the supported range (q <= {MAX_ORDER})")
         q = p ** m
-        if q > MAX_ORDER:
-            raise ValueError(f"q={q} exceeds the supported range (q <= {MAX_ORDER})")
         self.p = p
         self.m = m
         self.q = q
@@ -222,7 +223,6 @@ class GF:
             for i in range(q - 1):
                 chi[self._exp[i]] = 1 if i % 2 == 0 else -1
             self._chi = chi
-        self._scalar_rows: dict[int, list[int]] = {}
 
     # -- construction internals -------------------------------------------
 
@@ -356,14 +356,6 @@ class GF:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def scalar_row(self, u: int) -> list[int]:
-        """The row [u*x for x in 0..q-1], cached. Hot-loop helper."""
-        row = self._scalar_rows.get(u)
-        if row is None:
-            row = [self.mul(u, x) for x in range(self.q)]
-            self._scalar_rows[u] = row
-        return row
-
     # -- characters and traces -------------------------------------------------
 
     def quadratic_character(self, x: int) -> int:
@@ -441,6 +433,8 @@ def field_from_order(q: int, modulus=None) -> GF:
     """GF(q) for a prime power q, inferring (p, m)."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
+    if q > MAX_ORDER:  # before the trial division in prime_factors
+        raise ValueError(f"q={q} exceeds the supported range (q <= {MAX_ORDER})")
     facs = prime_factors(q)
     if len(facs) != 1:
         raise ValueError(f"q={q} is not a prime power")

@@ -9,6 +9,7 @@ permutes GF(q).  Equivalently (given f(0)=0): x -> f(x) + u*x is 2-to-1 for
 every nonzero u.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -381,13 +382,9 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     tab = value_table(f)
     if tab[0] != 0:
         raise ValueError("2-to-1 criterion requires f(0) = 0")
-    q = F.q
-    for u in range(1, q):
-        row = F.scalar_row(u)
-        fibers: dict[int, int] = {}
-        for x in range(q):
-            v = tab[x] ^ row[x]
-            fibers[v] = fibers.get(v, 0) + 1
+    add, mul = F.add, F.mul
+    for u in range(1, F.q):
+        fibers = Counter(add(t, mul(u, x)) for x, t in enumerate(tab))
         if any(c != 2 for c in fibers.values()):
             return Verdict(False, "fiber-size", u)
     return Verdict(True)

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arccodes
 from arccodes.cli import main
 from arccodes.fixtures import GOLDEN_Q9_ODD
 
@@ -27,6 +31,33 @@ def test_field_info_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "field-info", "--q", "12")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "2", "--m", "0"], "m=0 must be >= 1"),
+    (["--q", "0"], "q=0 is not a prime power"),
+    (["--p", "0"], "p=0 is not prime"),
+])
+def test_field_info_zero_parameters_rejected(capsys, argv, message):
+    code, out, err = run(capsys, "field-info", *argv)
+    assert code == 2 and not out and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--p", "3", "--m", "100000000"],
+    ["field-info", "--p", "1000000000000000003"],
+    ["field-info", "--p", "2", "--m", "99999999999"],
+    ["field-info", "--q", "2305843009213693951"],
+    ["analyze", "HUGE"],
+])
+def test_huge_field_parameters_exit_promptly(tmp_path, argv):
+    matrix = tmp_path / "huge.txt"
+    matrix.write_text("p=3 m=100000000 mod=1,1\n1 0 0\n")
+    argv = [str(matrix) if a == "HUGE" else a for a in argv]
+    src = str(Path(arccodes.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-m", "arccodes.cli", *argv], cwd=src,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2 and "exceeds the supported range" in out.stderr
 
 
 def test_opoly_check(capsys):

@@ -9,6 +9,7 @@ from arccodes.codes import (
     weight_distribution,
 )
 from arccodes.construct import (
+    CensusResult,
     build_even_matrix,
     build_odd_matrix,
     even_closed_form,
@@ -18,7 +19,7 @@ from arccodes.construct import (
     valid_w_set,
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
-from arccodes.opoly import make_custom_opoly, make_family_opoly
+from arccodes.opoly import applicable_families, evaluate, make_custom_opoly, make_family_opoly
 
 
 def test_valid_v_set_gf4():
@@ -194,6 +195,63 @@ def test_census_argument_validation():
     f = make_family_opoly(F4, "translation", h=1)
     with pytest.raises(ValueError):
         solution_count_census("even-A1", F4, f=f)  # missing v
+
+
+def test_census_rejects_opolynomial_over_another_field():
+    # x^3 + x^2 + 1 and the default x^3 + x + 1 give two different GF(8)s;
+    # read in the wrong one, f's values give 1-root pairs, which no hyperoval has.
+    f = make_family_opoly(make_field(2, 3, [1, 0, 1, 1]), "segre")
+    with pytest.raises(ValueError, match="o-polynomial is over"):
+        solution_count_census("even-A1", make_field(2, 3), f=f, v=1)
+
+
+def brute_force_census(kind, F, f=None, v=None, w=None):
+    """Count the roots of every (u1, u2) by testing every x: O(q^3)."""
+    q = F.q
+    add, mul = F.add, F.mul
+    rows = [[mul(u, x) for x in range(q)] for u in range(q)]
+    if kind.startswith("even"):
+        tab = [evaluate(f, x) for x in range(q)]
+        const_from_u1 = kind == "even-A2"
+        shift = v
+    else:
+        tab = [mul(x, x) for x in range(q)]
+        const_from_u1 = kind == "odd-B2"
+        shift = F.neg(w) if const_from_u1 else w
+    counts = {}
+    diagonal_ok = True
+    for u1 in range(1, q):
+        for u2 in range(1, q):
+            const = mul(u1 if const_from_u1 else u2, shift)
+            roots = sum(add(add(rows[u1][tab[x]], rows[u2][x]), const) == 0
+                        for x in range(q))
+            counts[roots] = counts.get(roots, 0) + 1
+            diagonal = u2 == u1 if kind.startswith("even") else u2 == F.neg(u1)
+            if diagonal and roots:
+                diagonal_ok = False
+    return CensusResult(kind, q, counts, diagonal_ok)
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_even_census_matches_brute_force(q):
+    F = field_from_order(q)
+    families = applicable_families(F)
+    if q == 32:
+        families = [make_family_opoly(F, "translation", h=1)]
+    for f in families:
+        for v in sorted(valid_v_set(f)):
+            for kind in ("even-A1", "even-A2"):
+                assert (solution_count_census(kind, F, f=f, v=v)
+                        == brute_force_census(kind, F, f=f, v=v)), (f.descriptor(), v, kind)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_odd_census_matches_brute_force(q):
+    F = field_from_order(q)
+    for w in sorted(valid_w_set(F)):
+        for kind in ("odd-B1", "odd-B2"):
+            assert (solution_count_census(kind, F, w=w)
+                    == brute_force_census(kind, F, w=w)), (w, kind)
 
 
 def test_canonical_order_still_n3_arc():

@@ -54,6 +54,17 @@ def test_field_from_order():
         field_from_order(1)
 
 
+def test_huge_parameters_rejected_before_factoring():
+    # Each must fail before any trial division or p**m.
+    for p, m in ((3, 100_000_000), (1_000_000_000_000_000_003, 1), (2, 99_999_999_999)):
+        with pytest.raises(ValueError, match="exceeds the supported range"):
+            make_field(p, m)
+    with pytest.raises(ValueError, match="exceeds the supported range"):
+        field_from_order(2_305_843_009_213_693_951)  # 2^61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        make_field(1, 100)
+
+
 def test_gf4_multiplication():
     # xi = 2, xi^2 = 3; reduced by hand mod x^2+x+1
     F = make_field(2, 2)

@@ -1,13 +1,18 @@
 """Backtracking extension of arcs to larger (n,3)-arcs in PG(2,q).
 
-A state is an ordered point list plus a per-line multiplicity counter;
-adding a point increments the q+1 lines through it (O(q) per node), and any
-candidate lying on a line that already holds 3 chosen points is pruned.
-The DFS enumerates supersets in lexicographic candidate order (so each set
-is visited once and runs are reproducible); greedy-restart runs seeded
-random greedy completions in turn and keeps the best.  Both are anytime:
-the best arc so far survives budget exhaustion.  Under node budgets runs
-are bit-deterministic for a fixed seed; under a wall-clock budget they are not.
+A state is an ordered point list, a per-line multiplicity counter and the
+set of open candidates, held as one int with a bit per index of
+`_Plane.points`.  Adding a point raises the q+1 lines through it (O(q) per
+node); each line that reaches 3 chosen points is full, and its points leave
+the candidates in one `cands & ~kill`, where `kill` ORs the bit masks of the
+lines that just filled.  A line's mask is built the first time it fills,
+and only for the one search.  The DFS takes candidates by lowest set bit,
+so it enumerates supersets in lexicographic candidate order (each set is
+visited once and runs are reproducible); greedy-restart runs seeded random
+greedy completions in turn, refusing any point on a full line, and keeps the
+best.  Both are anytime: the best arc so far survives budget exhaustion.
+Under node budgets runs are bit-deterministic for a fixed seed; under a
+wall-clock budget they are not.
 """
 
 import time
@@ -25,6 +30,7 @@ class SearchStats:
     found_n: int
     nodes: int
     restarts: int
+    prunes: int  # DFS levels cut by the size bound
     seed: int
     elapsed_ms: int
     strategy: str
@@ -36,6 +42,7 @@ class SearchStats:
             "found_n": self.found_n,
             "nodes": self.nodes,
             "restarts": self.restarts,
+            "prunes": self.prunes,
             "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,
             "strategy": self.strategy,
@@ -110,6 +117,23 @@ class _Budget:
         return True
 
 
+class _LineMasks(dict):
+    """Line index -> the line's points as bits over point indices, built on
+    first use.  The points of a line are the pencil of the point with the
+    line's coordinates, since points and lines share one list."""
+
+    def __init__(self, plane: _Plane):
+        super().__init__()
+        self.plane = plane
+
+    def __missing__(self, li: int) -> int:
+        mask = self[li] = sum(1 << i for i in self.plane.pencil(self.plane.points[li]))
+        return mask
+
+
+STRATEGIES = ("dfs", "greedy-restart")
+
+
 def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None = None,
                      max_seconds: float | None = None, target_size: int | None = None,
                      seed: int = 0, restarts: int = 64, workers: int = 1):
@@ -128,16 +152,33 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
             raise ValueError(f"{name} must be at least 1, got {value}")
     if max_seconds is not None and not max_seconds > 0:
         raise ValueError(f"max_seconds must be positive, got {max_seconds}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
-    pencil = plane.pencil
+    points, pencil = plane.points, plane.pencil
     mult = line_multiplicities(F, base_pts)
     if any(c > 3 for c in mult):
         raise ValueError("base set has four points on a line")
 
-    chosen_set = set(base_pts)
-    candidates = [p for p in plane.points
-                  if p not in chosen_set and all(mult[li] <= 2 for li in pencil(p))]
+    masks = _LineMasks(plane)
+
+    def add(p, counts) -> int:
+        """Raise the counts of the lines through p; return the points of
+        the lines that just filled, which no longer extend the arc."""
+        kill = 0
+        for li in pencil(p):
+            counts[li] += 1
+            if counts[li] == 3:
+                kill |= masks[li]
+        return kill
+
+    dead = 0  # points on a line the base fills
+    for li, c in enumerate(mult):
+        if c == 3:
+            dead |= masks[li]
+    taken = sum(1 << plane.line_index[p] for p in base_pts)
+    candidates = ((1 << len(points)) - 1) & ~(dead | taken)
 
     budget = _Budget(max_nodes, max_seconds, target_size)
     best = list(base_pts)
@@ -148,44 +189,52 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         if len(pts) > len(best) or (len(pts) == len(best) and pts < best):
             best = list(pts)
 
-    done_restarts = 0
+    done_restarts = prunes = 0
     if strategy == "dfs":
-        def dfs(chosen, cands):
-            for i, p in enumerate(cands):
-                if len(chosen) + len(cands) - i <= len(best) or not budget.spend(best):
+        def dfs(chosen, cands, remaining):
+            nonlocal prunes
+            while cands:
+                if len(chosen) + remaining <= len(best):
+                    prunes += 1
                     return
-                for li in pencil(p):
-                    mult[li] += 1
+                if not budget.spend(best):
+                    return
+                low = cands & -cands  # lowest set bit: lexicographic order
+                cands ^= low
+                remaining -= 1
+                p = points[low.bit_length() - 1]
                 chosen.append(p)
+                child = cands & ~add(p, mult)
                 record(chosen)
-                dfs(chosen, [r for r in cands[i + 1:] if all(mult[li] <= 2 for li in pencil(r))])
+                dfs(chosen, child, child.bit_count())
                 chosen.pop()
                 for li in pencil(p):
                     mult[li] -= 1
 
-        dfs(list(base_pts), candidates)
-    elif strategy == "greedy-restart":
+        dfs(list(base_pts), candidates, candidates.bit_count())
+        del dfs  # it calls itself: drop the cycle so the masks go now, not at a later gc
+    else:
+        indices = [i for i in range(len(points)) if candidates >> i & 1]
         while done_restarts < restarts and not budget.done(best):
-            order = list(candidates)
+            order = list(indices)
             random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
             local_mult = list(mult)
+            local_dead = dead
             pts = list(base_pts)
-            for p in order:
+            for i in order:
                 if not budget.spend(best):
                     break
-                if all(local_mult[li] <= 2 for li in pencil(p)):
-                    pts.append(p)
-                    for li in pencil(p):
-                        local_mult[li] += 1
+                if not local_dead >> i & 1:
+                    pts.append(points[i])
+                    local_dead |= add(points[i], local_mult)
             done_restarts += 1
             record(pts)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     stats = SearchStats(
         found_n=len(best),
         nodes=budget.nodes,
         restarts=done_restarts,
+        prunes=prunes,
         seed=seed,
         elapsed_ms=int((time.monotonic() - start) * 1000),
         strategy=strategy,

@@ -243,11 +243,14 @@ def cmd_search(args) -> int:
     )
     data = stats.to_dict(F)
     G = codes.GeneratorMatrix.from_columns(F, pts)
+    dist = codes.weight_distribution(G)
     data["matrix"] = _matrix_lines(G, args.powers)
+    data["weight_distribution"] = dist.to_pairs()
     _emit(args, data, [
         f"found ({stats.found_n},3)-arc in PG(2,{F.q}) "
-        f"[nodes={stats.nodes} restarts={stats.restarts} elapsed={stats.elapsed_ms}ms]",
-    ] + _matrix_lines(G, args.powers))
+        f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "
+        f"elapsed={stats.elapsed_ms}ms]",
+    ] + _matrix_lines(G, args.powers) + [f"weights: {dist.to_pairs()}"])
     if args.target is not None and stats.found_n < args.target:
         return EXIT_BUDGET
     return EXIT_OK
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub, powers=True)
     sub.add_argument("--base", default="hyperoval:translation:h=1",
                      help="hyperoval[:opoly-descriptor], oval, or points:x:y:z;...")
-    sub.add_argument("--strategy", choices=("dfs", "greedy-restart"), default="dfs")
+    sub.add_argument("--strategy", choices=arcsearch.STRATEGIES, default="dfs")
     sub.add_argument("--max-nodes", type=int)
     sub.add_argument("--max-seconds", type=float, default=60.0,
                      help="time budget (default 60; the best arc so far survives)")

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,13 +17,115 @@ from arccodes.arcsearch import (
 )
 from arccodes.codes import GeneratorMatrix, classify
 from arccodes.construct import build_even_matrix, valid_v_set
-from arccodes.opoly import make_family_opoly
+from arccodes.opoly import applicable_families, make_family_opoly
 
 
 def _hyperoval(q_m):
     F = make_field(2, q_m)
     f = make_family_opoly(F, "translation", h=1)
     return F, geo.hyperoval_from_opoly(f)
+
+
+def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=None,
+                         seed=0, restarts=64):
+    """Slow-path oracle for extend_to_n3_arc: candidates are a list, and every
+    node re-tests the pencil of each remaining candidate against the line
+    counts.  Returns (points, nodes, restarts, prunes, budget_exhausted)."""
+    base_pts = geo.validate_point_set(F, base)
+    plane = arcsearch._plane(F)
+    pencil = plane.pencil
+    mult = line_multiplicities(F, base_pts)
+    chosen_set = set(base_pts)
+    candidates = [p for p in plane.points
+                  if p not in chosen_set and all(mult[li] <= 2 for li in pencil(p))]
+    budget = arcsearch._Budget(max_nodes, None, target_size)
+    best = list(base_pts)
+
+    def record(pts):
+        nonlocal best
+        if len(pts) > len(best) or (len(pts) == len(best) and pts < best):
+            best = list(pts)
+
+    done_restarts = prunes = 0
+    if strategy == "dfs":
+        def dfs(chosen, cands):
+            nonlocal prunes
+            for i, p in enumerate(cands):
+                if len(chosen) + len(cands) - i <= len(best):
+                    prunes += 1
+                    return
+                if not budget.spend(best):
+                    return
+                for li in pencil(p):
+                    mult[li] += 1
+                chosen.append(p)
+                record(chosen)
+                dfs(chosen, [r for r in cands[i + 1:] if all(mult[li] <= 2 for li in pencil(r))])
+                chosen.pop()
+                for li in pencil(p):
+                    mult[li] -= 1
+
+        dfs(list(base_pts), candidates)
+    else:
+        while done_restarts < restarts and not budget.done(best):
+            order = list(candidates)
+            random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
+            local_mult = list(mult)
+            pts = list(base_pts)
+            for p in order:
+                if not budget.spend(best):
+                    break
+                if all(local_mult[li] <= 2 for li in pencil(p)):
+                    pts.append(p)
+                    for li in pencil(p):
+                        local_mult[li] += 1
+            done_restarts += 1
+            record(pts)
+    return best, budget.nodes, done_restarts, prunes, budget.exhausted
+
+
+def _oracle_bases():
+    """Two hyperovals per even q (at q=4, the hyperoval and the columns of an
+    even-construction code, whose lines with three points start out full),
+    and the conic at odd q."""
+    F = make_field(2, 2)
+    f = make_family_opoly(F, "translation", h=1)
+    yield F, geo.hyperoval_from_opoly(f)
+    yield F, build_even_matrix(f, min(valid_v_set(f))).column_points()
+    for m in (3, 4, 5):
+        F = make_field(2, m)
+        families = applicable_families(F)
+        for f in (families[0], families[-1]):
+            yield F, geo.hyperoval_from_opoly(f)
+    for q in (5, 7, 9, 11):
+        F = field_from_order(q)
+        yield F, geo.standard_oval(F)
+
+
+def _outcome(F, base, **kwargs):
+    pts, stats = extend_to_n3_arc(F, base, **kwargs)
+    assert (stats.arc, stats.found_n) == (pts, len(pts))
+    return pts, stats.nodes, stats.restarts, stats.prunes, stats.budget_exhausted
+
+
+def test_bitset_search_matches_list_rebuild_oracle():
+    bases = list(_oracle_bases())
+    assert len(bases) == 12
+    for F, base in bases:
+        # None: the q=4 searches run to completion
+        for max_nodes in (1, 7, 50, 2000) + ((None,) if F.q == 4 else ()):
+            got = _outcome(F, base, strategy="dfs", max_nodes=max_nodes)
+            assert got == _list_rebuild_search(F, base, "dfs", max_nodes), (F.q, max_nodes)
+    F, hyper = _hyperoval(3)
+    assert (_outcome(F, hyper, strategy="dfs", target_size=15)
+            == _list_rebuild_search(F, hyper, "dfs", target_size=15))
+    for F, base in (_hyperoval(3), (field_from_order(7), geo.standard_oval(field_from_order(7)))):
+        for seed in (0, 5):
+            for max_nodes in (None, 1000):
+                got = _outcome(F, base, strategy="greedy-restart", seed=seed,
+                               max_nodes=max_nodes)
+                want = _list_rebuild_search(F, base, "greedy-restart", max_nodes, seed=seed)
+                assert got == want, (F.q, seed, max_nodes)
 
 
 def test_conclusion_matrix_profile():
@@ -159,7 +262,21 @@ def test_dfs_reaches_fifteen_at_q8():
     assert classify(GeneratorMatrix.from_columns(F, pts)).category == "NMDS"
 
 
-def test_unknown_strategy():
-    F, hyper = _hyperoval(2)
-    with pytest.raises(ValueError):
+def test_unknown_strategy(monkeypatch):
+    F, hyper = _hyperoval(6)
+
+    def no_plane(F):
+        raise AssertionError("the plane was built for a search that cannot run")
+
+    monkeypatch.setattr(arcsearch, "_plane", no_plane)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         extend_to_n3_arc(F, hyper, strategy="bogus")
+
+
+def test_prunes_counted_by_dfs_only():
+    F, hyper = _hyperoval(2)
+    pts, stats = extend_to_n3_arc(F, hyper, strategy="dfs")
+    assert not stats.budget_exhausted and stats.prunes > 0
+    assert stats.to_dict(F)["prunes"] == stats.prunes
+    pts, stats = extend_to_n3_arc(F, hyper, strategy="greedy-restart")
+    assert stats.prunes == 0 and stats.to_dict()["prunes"] == 0

@@ -7,6 +7,7 @@ import pytest
 
 import arccodes
 from arccodes.cli import main
+from arccodes.codes import nmds_closed_form
 from arccodes.fixtures import GOLDEN_Q9_ODD
 
 
@@ -190,6 +191,18 @@ def test_search(capsys):
         "--target", "99", "--max-nodes", "50",
     )
     assert code == 4
+
+
+def test_search_reports_weight_distribution(capsys):
+    code, data, _ = run_json(capsys, "search", "--q", "8", "--target", "15")
+    assert code == 0 and data["found_n"] == 15
+    pairs = data["weight_distribution"]
+    # an [n,3,n-3] code is NMDS; its distribution follows from A_{n-3}
+    assert pairs[1][0] == 12
+    primal, _ = nmds_closed_form(15, 3, 8, pairs[1][1])
+    assert pairs == primal.to_pairs() == [[0, 1], [12, 189], [13, 168], [14, 42], [15, 112]]
+    code, out, _ = run(capsys, "search", "--q", "8", "--target", "15")
+    assert code == 0 and out.rstrip().splitlines()[-1] == f"weights: {pairs}"
 
 
 @pytest.mark.parametrize("flag,value", [

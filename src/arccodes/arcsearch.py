@@ -66,13 +66,14 @@ class _Plane:
         self._pencils: dict[tuple, tuple[int, ...]] = {}
 
     def pencil(self, point) -> tuple[int, ...]:
-        """Indices of the q+1 lines through a point, sorted: the lines joining
-        it to the points of a coordinate line X_i = 0 that misses it."""
+        """Indices of the q+1 lines through a canonical, checked point, sorted:
+        the lines joining it to the points of a coordinate line X_i = 0 that
+        misses it, on the field's unchecked kernel."""
         cached = self._pencils.get(point)
         if cached is None:
-            F, index = self.F, self.line_index
+            K, index = self.F.kernel, self.line_index
             axis = self.axes[next(i for i, c in enumerate(point) if c)]
-            cached = tuple(sorted(index[geometry.line_through(F, point, r)] for r in axis))
+            cached = tuple(sorted(index[geometry.join(K, point, r)] for r in axis))
             self._pencils[point] = cached
         return cached
 

@@ -242,15 +242,19 @@ def cmd_search(args) -> int:
         restarts=args.restarts,
     )
     data = stats.to_dict(F)
+    lines = [
+        f"found ({stats.found_n},3)-arc in PG(2,{F.q}) "
+        f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "
+        f"elapsed={stats.elapsed_ms}ms]",
+    ]
+    if stats.found_n < 3:  # too short for a code of dimension 3
+        _emit(args, data, lines)
+        return EXIT_BUDGET
     G = codes.GeneratorMatrix.from_columns(F, pts)
     dist = codes.weight_distribution(G)
     data["matrix"] = _matrix_lines(G, args.powers)
     data["weight_distribution"] = dist.to_pairs()
-    _emit(args, data, [
-        f"found ({stats.found_n},3)-arc in PG(2,{F.q}) "
-        f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "
-        f"elapsed={stats.elapsed_ms}ms]",
-    ] + _matrix_lines(G, args.powers) + [f"weights: {dist.to_pairs()}"])
+    _emit(args, data, lines + _matrix_lines(G, args.powers) + [f"weights: {dist.to_pairs()}"])
     if args.target is not None and stats.found_n < args.target:
         return EXIT_BUDGET
     return EXIT_OK

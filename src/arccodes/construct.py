@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .field import GF
 from .codes import GeneratorMatrix, WeightDistribution
 from .geometry import hyperoval_from_opoly, standard_oval
-from .opoly import OPolynomial, evaluate, is_o_polynomial, linear_shift_image
+from .opoly import OPolynomial, is_o_polynomial, linear_shift_image, value_table
 
 CENSUS_KINDS = ("even-A1", "even-A2", "odd-B1", "odd-B2")
 
@@ -38,11 +38,11 @@ def valid_w_set(F: GF) -> frozenset[int]:
     """Admissible w for the odd construction, by exhaustive scan."""
     if F.p == 2:
         raise ValueError("the odd construction needs odd characteristic")
-    eta = F.quadratic_character
-    four = F.add(F.add(1, 1), F.add(1, 1))
+    eta, add, mul = F.quadratic_character, F.kernel.add, F.kernel.mul
+    four = add(add(1, 1), add(1, 1))
     out = frozenset(
         w for w in range(F.q)
-        if eta(w) == -1 and eta(F.add(1, F.mul(four, w))) == -1
+        if eta(w) == -1 and eta(add(1, mul(four, w))) == -1
     )
     if not out:
         raise ValueError(f"no admissible w exists at q={F.q}")
@@ -145,6 +145,7 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
     if kind not in CENSUS_KINDS:
         raise ValueError(f"unknown census kind {kind!r}")
     q = F.q
+    add, sub, mul, inv = F.kernel  # v and w are checked by the admissible sets
     if kind.startswith("even"):
         if f is None or v is None:
             raise ValueError(f"{kind} needs an o-polynomial and v")
@@ -152,21 +153,21 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
             raise ValueError(f"the o-polynomial is over {f.field!r}, not {F!r}")
         if v not in valid_v_set(f):
             raise ValueError(f"v={v} is not admissible")
-        a, shift, diagonal = [evaluate(f, x) for x in range(q)], v, 1
+        a, shift, diagonal = value_table(f), v, 1
     else:
         if w is None:
             raise ValueError(f"{kind} needs w")
         if w not in valid_w_set(F):
             raise ValueError(f"w={w} is not admissible")
-        a, shift, diagonal = [F.mul(x, x) for x in range(q)], w, F.neg(1)
+        a, shift, diagonal = [mul(x, x) for x in range(q)], w, sub(0, 1)
     b = range(q)
     if kind.endswith("1"):  # u2 carries the constant: b = x + v or x + w
-        b = [F.add(x, shift) for x in b]
+        b = [add(x, shift) for x in b]
     else:  # u1 carries it: a = f(x) - v = f(x) + v, or a = x^2 - w
-        a = [F.sub(y, shift) for y in a]
+        a = [sub(y, shift) for y in a]
     roots = [0] * q  # roots[t]: the x with a(x) = -t b(x) != 0
     for ax, bx in zip(a, b):
         if ax and bx:
-            roots[F.neg(F.mul(ax, F.inv(bx)))] += 1
+            roots[sub(0, mul(ax, inv(bx)))] += 1
     counts = {r: pairs * (q - 1) for r, pairs in Counter(roots[1:]).items()}
     return CensusResult(kind, q, counts, roots[diagonal] == 0)

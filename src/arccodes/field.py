@@ -6,19 +6,25 @@ element is sum(c_i * x^i) modulo the field's irreducible modulus.  With this
 encoding 0 is the additive identity and 1 the multiplicative identity, and
 for m = 1 the index is just the residue mod p.
 
-Multiplication, inversion and powering go through log/antilog tables built
-once per field from the least-index generator g of the multiplicative group.
-Addition has one rule per kind of field: XOR for p = 2, the sum mod p for
-odd prime fields, and for odd prime powers Zech logarithms (K. Huber, IEEE
-Trans. IT 36(4), 1990): g^a + g^b = g^(a + zech[b - a]), 1 + g^i = g^zech[i].
-Every table has at most q entries and every operation is O(1).
+Each field builds one `Kernel`: unchecked add, sub, mul and inv bound to its
+tables, the only code that knows the encoding.  Products are a*b mod p in
+prime fields and use log/antilog tables (generator g) otherwise.  Sums have
+one rule per kind of field: XOR for p = 2, residues mod p for odd primes,
+and for odd prime powers Zech logarithms (K. Huber, IEEE Trans. IT 36(4),
+1990), g^a + g^b = g^(a + zech[b - a]), with -1 folded into a second table
+for differences.  Every operation is O(1).
 
-Because elements are bare ints they carry no field tag; mixing elements of
-different fields is only caught when the index falls outside [0, q).
+Input is checked once, where it enters the library: `GF.add/sub/neg/mul/inv`
+check their operands and call the kernel, and the hot loops elsewhere check
+their inputs on entry and then stay on the kernel.  Elements are bare ints
+with no field tag, so mixing fields is only caught when an index falls
+outside [0, q) at such a check.
 """
 
 import math
 from functools import lru_cache
+from operator import xor
+from typing import Callable, NamedTuple
 
 MAX_ORDER = 2 ** 16
 
@@ -183,6 +189,66 @@ def _find_default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no primitive irreducible of degree {m} over GF({p})")
 
 
+class Kernel(NamedTuple):
+    """Unchecked add, sub, mul and inv on the element indices of one field.
+
+    No operand is range-checked: an index outside [0, q) gives a wrong
+    answer or an IndexError.  Callers check their inputs once, where they
+    enter the library.  inv(0) raises ZeroDivisionError.
+    """
+
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+
+
+def _kernel(p: int, m: int, exp: list[int], log: list[int], zech: list[int] | None) -> Kernel:
+    """The kernel of GF(p^m), bound to the tables `GF` builds for it."""
+    n = len(log) - 1
+
+    def inv(a):
+        if not a:  # a table read would return 0 through the log sentinel
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return exp[n - log[a]]
+
+    if m == 1:
+        def mul(a, b):
+            return a * b % p
+    else:
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+    if p == 2:
+        return Kernel(xor, xor, mul, inv)
+    if m == 1:
+        def add(a, b):
+            return (a + b) % p
+
+        def sub(a, b):
+            return (a - b) % p
+        return Kernel(add, sub, mul, inv)
+
+    # g^a +- g^b = g^a (1 +- g^(b - a)), and 1 - g^i = 1 + g^(i + n/2), so
+    # zneg[i] = zech[i + n/2].  b - a lies in (-n, n): negative indices wrap.
+    half = n // 2
+    zneg = zech[half:] + zech[:half]
+
+    def add(a, b):
+        if not a or not b:
+            return a or b
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
+
+    def sub(a, b):
+        if not b:
+            return a
+        if not a:
+            return exp[log[b] + half]
+        la = log[a]
+        return exp[la + zneg[log[b] - la]]
+    return Kernel(add, sub, mul, inv)
+
+
 class GF:
     """The finite field GF(p^m) with a fixed irreducible modulus."""
 
@@ -208,19 +274,21 @@ class GF:
         self.modulus = modulus
 
         self._build_log_tables()
-        # Odd prime powers: g^zech[i] = 1 + g^i, None where 1 + g^i = 0.
-        # Adding 1 changes digit 0 only, wrapping it from p-1 to 0.
+        n = q - 1
+        # Odd prime powers: g^zech[i] = 1 + g^i, the log sentinel where
+        # 1 + g^i = 0.  Adding 1 changes digit 0 only, wrapping p-1 to 0.
         self._zech = None
         if p != 2 and m > 1:
             self._zech = [
-                None if x == p - 1 else self._log[x + 1 if x % p != p - 1 else x - p + 1]
-                for x in self._exp
+                self._log[0] if x == p - 1 else self._log[x + 1 if x % p != p - 1 else x - p + 1]
+                for x in self._exp[:n]
             ]
+        self.kernel = _kernel(p, m, self._exp, self._log, self._zech)
         # eta[x] in {-1, 0, 1}; squares read off the exponent parity.
         self._chi = None
         if p != 2:
             chi = [0] * q
-            for i in range(q - 1):
+            for i in range(n):
                 chi[self._exp[i]] = 1 if i % 2 == 0 else -1
             self._chi = chi
 
@@ -274,14 +342,19 @@ class GF:
         if g is None:
             raise AssertionError("no generator found")
         self.generator = g
-        exp = [1] * (q - 1)
+        n = q - 1
+        exp = [1] * n
         log = [0] * q
         v = 1
-        for i in range(q - 1):
+        for i in range(n):
             exp[i] = v
             log[v] = i
             v = self._raw_mul(v, g)
-        self._exp = exp
+        # exp runs twice round the group and then holds zeros, and log[0] is
+        # the sentinel 2n: a sum of two logs indexes exp with no reduction,
+        # and any sum with the sentinel in it reads a zero.
+        log[0] = 2 * n
+        self._exp = exp * 2 + [0] * (2 * n + 1)
         self._log = log
 
     # -- identity ----------------------------------------------------------
@@ -301,49 +374,28 @@ class GF:
     # -- element validation --------------------------------------------------
 
     def check(self, x: int) -> int:
-        if not 0 <= x < self.q:
-            raise ValueError(f"{x} is not an element index of {self!r} (out of [0, {self.q}))")
+        """x itself if it is an element index: an int in [0, q).  The kernel
+        behind every checked operation trusts this test alone."""
+        if type(x) is not int or not 0 <= x < self.q:
+            raise ValueError(f"{x!r} is not an element index of {self!r} (an int in [0, {self.q}))")
         return x
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        if a == 0 or b == 0:
-            return a or b
-        la, n = self._log[a], self.q - 1
-        z = self._zech[(self._log[b] - la) % n]
-        return 0 if z is None else self._exp[(la + z) % n]
-
-    def neg(self, a: int) -> int:
-        self.check(a)
-        if self.p == 2 or a == 0:
-            return a
-        if self.m == 1:
-            return self.p - a
-        n = self.q - 1
-        return self._exp[(self._log[a] + n // 2) % n]
+        return self.kernel.add(self.check(a), self.check(b))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.kernel.sub(self.check(a), self.check(b))
+
+    def neg(self, a: int) -> int:
+        return self.kernel.sub(0, self.check(a))
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.kernel.mul(self.check(a), self.check(b))
 
     def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.kernel.inv(self.check(a))
 
     def pow(self, a: int, e: int) -> int:
         """a**e with exponent reduction mod q-1 for nonzero a; 0**0 == 1."""

@@ -6,10 +6,14 @@ canonical form unique per 1-dimensional subspace and matches the reference
 notations (x^2, x, 1) and (1, 0, 0).  A line u is incident with a point x
 when the dot product x.u vanishes; the representation of points and lines is
 identical, so incidence is symmetric under duality.
+
+Field elements are checked once, where they enter (`canonical` for
+`LineProfile`'s columns); the per-pair work then runs on the field's
+unchecked kernel through `join`.
 """
 
-from .field import GF
-from .opoly import OPolynomial, evaluate, is_o_polynomial
+from .field import GF, Kernel
+from .opoly import OPolynomial, is_o_polynomial, value_table
 
 Triple = tuple[int, int, int]
 
@@ -17,10 +21,11 @@ Triple = tuple[int, int, int]
 def normalize(F: GF, vector) -> tuple[int, ...]:
     """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
     t = tuple(F.check(int(c)) for c in vector)
+    inv, mul = F.kernel.inv, F.kernel.mul
     for c in reversed(t):
         if c:
-            s = F.inv(c)
-            return tuple(F.mul(s, e) for e in t)
+            s = inv(c)
+            return tuple(mul(s, e) for e in t)
     raise ValueError("the zero vector has no projective point")
 
 
@@ -53,16 +58,30 @@ def incident(F: GF, point, line) -> bool:
 
 def line_through(F: GF, p1, p2) -> Triple:
     """The unique line through two distinct points (cross product)."""
+    for c in (*p1, *p2):
+        F.check(c)
+    return join(F.kernel, p1, p2)
+
+
+def join(K: Kernel, p1, p2) -> Triple:
+    """line_through on the unchecked kernel K, for points whose coordinates
+    the caller has checked.  The canonical form (last nonzero coordinate 1)
+    is taken inline rather than through normalize: this is the per-pair step
+    of LineProfile and of the arc-search pencils."""
+    mul, sub = K.mul, K.sub
     a1, a2, a3 = p1
     b1, b2, b3 = p2
-    cross = (
-        F.sub(F.mul(a2, b3), F.mul(a3, b2)),
-        F.sub(F.mul(a3, b1), F.mul(a1, b3)),
-        F.sub(F.mul(a1, b2), F.mul(a2, b1)),
-    )
-    if cross == (0, 0, 0):
-        raise ValueError(f"points {p1} and {p2} coincide projectively")
-    return canonical(F, cross)
+    x = sub(mul(a2, b3), mul(a3, b2))
+    y = sub(mul(a3, b1), mul(a1, b3))
+    z = sub(mul(a1, b2), mul(a2, b1))
+    if z:
+        s = K.inv(z)
+        return mul(s, x), mul(s, y), 1
+    if y:
+        return mul(K.inv(y), x), 1, 0
+    if x:
+        return 1, 0, 0
+    raise ValueError(f"points {p1} and {p2} coincide projectively")
 
 
 def validate_point_set(F: GF, points) -> list[Triple]:
@@ -87,7 +106,7 @@ class LineProfile:
     """
 
     def __init__(self, F: GF, columns):
-        q = F.q
+        q, K = F.q, F.kernel
         groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
         for idx, col in enumerate(columns):
             groups.setdefault(canonical(F, col) if any(col) else None, []).append(idx)
@@ -97,7 +116,7 @@ class LineProfile:
         lines: dict[Triple, set[int]] = {}  # lines through two or more points
         for i, p in enumerate(pts):
             for j in range(i + 1, len(pts)):
-                lines.setdefault(line_through(F, p, pts[j]), set()).update((i, j))
+                lines.setdefault(join(K, p, pts[j]), set()).update((i, j))
         through = [0] * len(pts)  # lines through each point holding another
         counts: dict[int, int] = {}
         rich = []
@@ -144,8 +163,8 @@ def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
             f"not an o-polynomial (failed {verdict.condition}"
             + (f" at a={verdict.witness})" if verdict.witness is not None else ")")
         )
-    F = f.field
-    pts = [(evaluate(f, c), c, 1) for c in F.elements(order)]
+    tab = value_table(f)
+    pts = [(tab[c], c, 1) for c in f.field.elements(order)]
     pts.append((1, 0, 0))
     pts.append((0, 1, 0))
     return pts

@@ -12,6 +12,7 @@ every nonzero u.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 from .field import GF, make_field
@@ -38,6 +39,10 @@ class OPolynomial:
     family: str
     params: tuple[tuple[str, int], ...]
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        for c in self.coeffs:  # checked here, so the evaluations run unchecked
+            self.field.check(c)
 
     @property
     def degree(self) -> int:
@@ -76,16 +81,20 @@ class Verdict:
 
 def evaluate(f: OPolynomial, x: int) -> int:
     """Horner evaluation of f at x."""
-    F = f.field
-    F.check(x)
+    return _horner(f, f.field.check(x))
+
+
+def _horner(f: OPolynomial, x: int) -> int:
+    add, mul = f.field.kernel.add, f.field.kernel.mul
     acc = 0
     for c in reversed(f.coeffs):
-        acc = F.add(F.mul(acc, x), c)
+        acc = add(mul(acc, x), c)
     return acc
 
 
 def value_table(f: OPolynomial) -> list[int]:
-    return [evaluate(f, x) for x in range(f.field.q)]
+    """f(x) for every x in GF(q), indexed by x."""
+    return [_horner(f, x) for x in range(f.field.q)]
 
 
 def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
@@ -301,7 +310,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
 
 
 def make_custom_opoly(F: GF, coeffs) -> OPolynomial:
-    coeffs = [F.check(int(c)) for c in coeffs]
+    coeffs = [int(c) for c in coeffs]
     if len(coeffs) > F.q:
         raise ValueError(f"degree must stay below q={F.q}")
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -357,12 +366,11 @@ def _is_o_polynomial_cached(F: GF, coeffs: tuple[int, ...]) -> Verdict:
         return Verdict(False, "f(0)=0", 0)
     if tab[1] != 1:
         return Verdict(False, "f(1)=1", 1)
-    add, mul, inv = F.add, F.mul, F.inv
+    add, mul, inv = F.kernel.add, F.kernel.mul, F.kernel.inv
+    inverses = [inv(x) for x in range(1, q)]
     for a in range(q):
         fa = tab[a]
-        seen = set()
-        for x in range(1, q):
-            seen.add(mul(add(tab[add(x, a)], fa), inv(x)))
+        seen = {mul(add(tab[add(x, a)], fa), ix) for x, ix in enumerate(inverses, 1)}
         # g_a(0) = 0 and f injective keep 0 out of the nonzero image, so
         # g_a permutes GF(q) iff the q-1 nonzero images are distinct.
         if len(seen) != q - 1:
@@ -382,9 +390,9 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     tab = value_table(f)
     if tab[0] != 0:
         raise ValueError("2-to-1 criterion requires f(0) = 0")
-    add, mul = F.add, F.mul
+    add, mul, xs = F.kernel.add, F.kernel.mul, range(F.q)
     for u in range(1, F.q):
-        fibers = Counter(add(t, mul(u, x)) for x, t in enumerate(tab))
+        fibers = Counter(map(add, tab, map(mul, repeat(u), xs)))
         if any(c != 2 for c in fibers.values()):
             return Verdict(False, "fiber-size", u)
     return Verdict(True)
@@ -392,8 +400,7 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
 
 def linear_shift_image(f: OPolynomial) -> frozenset[int]:
     """The image of x -> f(x) + x; size q/2 for a valid o-polynomial."""
-    F = f.field
-    return frozenset(F.add(evaluate(f, x), x) for x in range(F.q))
+    return frozenset(map(f.field.kernel.add, value_table(f), range(f.field.q)))
 
 
 def applicable_families(F: GF) -> list[OPolynomial]:

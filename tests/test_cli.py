@@ -193,6 +193,28 @@ def test_search(capsys):
     assert code == 4
 
 
+def test_search_too_short_for_a_code(capsys):
+    # one node grows a 1-point base to 2 points: stats only, budget exit
+    argv = ("search", "--q", "4", "--base", "points:1:0:0", "--max-nodes", "1")
+    code, data, err = run_json(capsys, *argv)
+    assert code == 4 and not err
+    assert data["found_n"] == 2 and data["nodes"] == 1 and data["budget_exhausted"]
+    assert "matrix" not in data and "weight_distribution" not in data
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and not err
+    assert len(out.splitlines()) == 1 and out.startswith("found (2,3)-arc in PG(2,4) [nodes=1 ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(arccodes.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-m", "arccodes", "field-info", "--q", "9"],
+                         cwd=src, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0 and "p=3 m=2 mod=2,2,1" in out.stdout
+    out = subprocess.run([sys.executable, "-m", "arccodes", "field-info", "--q", "12"],
+                         cwd=src, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2 and "error" in out.stderr
+
+
 def test_search_reports_weight_distribution(capsys):
     code, data, _ = run_json(capsys, "search", "--q", "8", "--target", "15")
     assert code == 0 and data["found_n"] == 15

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import arccodes
 from arccodes.field import (
     GF,
     MAX_ORDER,
@@ -76,20 +79,24 @@ def test_gf4_multiplication():
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_field_axioms_exhaustive(p, m):
     F = make_field(p, m)
+    K = F.kernel
     q = F.q
     for a in range(q):
         for b in range(q):
-            assert F.mul(a, b) == F.mul(b, a)
-            assert F.add(a, b) == F.add(b, a)
-        assert F.add(a, F.neg(a)) == 0
+            assert F.mul(a, b) == F.mul(b, a) == K.mul(a, b) == K.mul(b, a)
+            assert F.add(a, b) == F.add(b, a) == K.add(a, b) == K.add(b, a)
+            assert K.add(K.sub(a, b), b) == a
+        assert F.add(a, F.neg(a)) == 0 == K.add(a, K.sub(0, a)) == K.sub(a, a)
         if a:
-            assert F.mul(a, F.inv(a)) == 1
+            assert F.mul(a, F.inv(a)) == 1 == K.mul(a, K.inv(a))
     if q <= 16:
         for a in range(q):
             for b in range(q):
                 for c in range(q):
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+                    assert K.mul(a, K.sub(b, c)) == K.sub(K.mul(a, b), K.mul(a, c))
+                    assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c))
 
 
 def _digitwise(F, *elements, combine):
@@ -99,21 +106,64 @@ def _digitwise(F, *elements, combine):
     return sum(combine(*cs) % p * p ** i for i, cs in enumerate(zip(*digits)))
 
 
-# Every addition rule (XOR, residues mod p, Zech logarithms) at small and
-# large q, with odd q on both sides of 512.
+def _schoolbook(F, a, b):
+    """a * b from the index encoding: the product of the digit polynomials,
+    reduced by the field's monic modulus, with no table."""
+    p, m = F.p, F.m
+    da, db = ([x // p ** i % p for i in range(m)] for x in (a, b))
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):  # x^k = -x^(k-m) (modulus - x^m)
+        for i in range(m):
+            prod[k - m + i] -= prod[k] * F.modulus[i]
+    return sum(prod[i] % p * p ** i for i in range(m))
+
+
+# Every addition rule (XOR, residues mod p, Zech logarithms) and both product
+# rules (a*b mod p, log tables), public and kernel, at small and large q,
+# with odd q on both sides of 512.
 @pytest.mark.parametrize("q", [8, 256, 5, 509, 521, 65521, 9, 25, 27, 243, 529, 729])
 def test_addition_matches_digitwise_oracle(q):
     F = field_from_order(q)
+    K = F.kernel
     if q <= 27:
         pairs = [(a, b) for a in range(q) for b in range(q)]
     else:
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
-        pairs += [(0, 0), (1, F.p - 1), (q - 1, 1), (0, q - 1)]
+        pairs += [(0, 0), (1, F.p - 1), (q - 1, 1), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
     for a, b in pairs:
-        assert F.add(a, b) == _digitwise(F, a, b, combine=lambda x, y: x + y)
-        assert F.sub(a, b) == _digitwise(F, a, b, combine=lambda x, y: x - y)
-        assert F.neg(a) == _digitwise(F, a, combine=lambda x: -x)
+        assert F.add(a, b) == K.add(a, b) == _digitwise(F, a, b, combine=lambda x, y: x + y)
+        assert F.sub(a, b) == K.sub(a, b) == _digitwise(F, a, b, combine=lambda x, y: x - y)
+        assert F.neg(a) == K.sub(0, a) == _digitwise(F, a, combine=lambda x: -x)
+        assert F.mul(a, b) == K.mul(a, b) == _schoolbook(F, a, b)
+        if b:
+            assert F.inv(b) == K.inv(b) and _schoolbook(F, K.inv(b), b) == 1
+
+
+@pytest.mark.parametrize("q", [2, 8, 5, 521, 9, 243])
+def test_kernel_inverse_of_zero_raises(q):
+    F = field_from_order(q)
+    with pytest.raises(ZeroDivisionError):
+        F.kernel.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_only_field_module_reads_field_tables():
+    """The element encoding stays in field.py: no other module of the
+    package reads a field's log, antilog or Zech table."""
+    tables = {"_exp", "_log", "_zech"}
+    package = Path(arccodes.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in tables
+    ]
+    assert not readers
 
 
 def test_pow_semantics():
@@ -135,6 +185,19 @@ def test_out_of_range_elements_rejected():
         F.mul(1, 3)  # an element of a bigger field
     with pytest.raises(ValueError):
         F.add(-1, 0)
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_non_int_elements_rejected(q):
+    # in range but not an index: the unchecked a*b % p would answer 3.0 at q=5
+    F = field_from_order(q)
+    for op in (F.add, F.sub, F.mul):
+        for a, b in ((1.5, 2), (2, 2.0), ("1", 1)):
+            with pytest.raises(ValueError, match="not an element index"):
+                op(a, b)
+    for op in (F.neg, F.inv, F.check):
+        with pytest.raises(ValueError, match="not an element index"):
+            op(1.0)
 
 
 def test_primitive_element():

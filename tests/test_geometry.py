@@ -52,6 +52,20 @@ def test_line_through_basics():
         geo.line_through(F9, (1, 2, 0), (2, 1, 0))  # (2,1,0) = 2 * (1,2,0)
 
 
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_line_through_checks_its_points(q):
+    F = field_from_order(q)
+    for bad in (q, -1, q + 7):
+        with pytest.raises(ValueError, match="not an element index"):
+            geo.line_through(F, (1, bad, 0), (0, 0, 1))
+        with pytest.raises(ValueError, match="not an element index"):
+            geo.line_through(F, (1, 0, 0), (0, 1, bad))
+    g = F.primitive_element()
+    for p1, p2 in (((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (g, g, g)), ((0, 0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="coincide"):
+            geo.line_through(F, p1, p2)
+
+
 def test_duality_symmetry():
     F = make_field(2, 2)
     pts = geo.all_points(F)

@@ -31,7 +31,7 @@ class GeneratorMatrix:
 
     def __init__(self, field: GF, rows):
         self.field = field
-        self.rows = tuple(tuple(field.check(int(e)) for e in row) for row in rows)
+        self.rows = tuple(tuple(field.as_element(e) for e in row) for row in rows)
         self.k = len(self.rows)
         if self.k < 1:
             raise ValueError("a generator matrix needs at least one row")
@@ -105,10 +105,12 @@ class GeneratorMatrix:
 
 
 def rref(F: GF, rows):
-    """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form over GF(q); returns (rows, pivot columns).
+    Each entry is checked once here; the elimination runs on F.kernel."""
+    mat = [[F.check(e) for e in r] for r in rows]
     if not mat:
         return [], []
+    inv, mul, sub = F.kernel.inv, F.kernel.mul, F.kernel.sub
     n = len(mat[0])
     pivots = []
     r = 0
@@ -117,12 +119,12 @@ def rref(F: GF, rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        s = F.inv(mat[r][col])
-        mat[r] = [F.mul(s, e) for e in mat[r]]
+        s = inv(mat[r][col])
+        mat[r] = [mul(s, e) for e in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
                 f = mat[i][col]
-                mat[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -168,8 +170,9 @@ class WeightDistribution:
 
 
 def _zero_coordinates(F: GF, cols, u) -> list[int]:
-    """The coordinates where the codeword u.G vanishes."""
-    add, mul = F.add, F.mul
+    """The coordinates where the codeword u.G vanishes, on F.kernel: the
+    callers pass checked columns and a checked or generated message."""
+    add, mul = F.kernel.add, F.kernel.mul
     zeros = []
     for j, col in enumerate(cols):
         acc = 0
@@ -184,7 +187,7 @@ def _zero_coordinates(F: GF, cols, u) -> list[int]:
 def weight_of(G: GeneratorMatrix, message) -> int:
     """Hamming weight of the codeword message . G."""
     F = G.field
-    message = [F.check(int(u)) for u in message]
+    message = [F.as_element(u) for u in message]
     if len(message) != G.k:
         raise ValueError(f"message length {len(message)} != k={G.k}")
     return G.n - len(_zero_coordinates(F, G.columns(), message))

@@ -23,7 +23,7 @@ outside [0, q) at such a check.
 
 import math
 from functools import lru_cache
-from operator import xor
+from operator import index, xor
 from typing import Callable, NamedTuple
 
 MAX_ORDER = 2 ** 16
@@ -379,6 +379,16 @@ class GF:
         if type(x) is not int or not 0 <= x < self.q:
             raise ValueError(f"{x!r} is not an element index of {self!r} (an int in [0, {self.q}))")
         return x
+
+    def as_element(self, x) -> int:
+        """Outside input as an element index: converted as operator.index
+        converts (ints, bools, numpy integers), then checked.  A float or
+        string raises ValueError instead of being truncated."""
+        try:
+            x = index(x)
+        except TypeError:
+            pass  # not an integer: check refuses it
+        return self.check(x)
 
     # -- arithmetic ----------------------------------------------------------
 

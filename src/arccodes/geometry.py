@@ -20,7 +20,7 @@ Triple = tuple[int, int, int]
 
 def normalize(F: GF, vector) -> tuple[int, ...]:
     """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
-    t = tuple(F.check(int(c)) for c in vector)
+    t = tuple(F.as_element(c) for c in vector)
     inv, mul = F.kernel.inv, F.kernel.mul
     for c in reversed(t):
         if c:
@@ -103,6 +103,18 @@ class LineProfile:
     lines holding exactly c columns (over all q^2+q+1 lines), and `rich`
     lists, sorted, the column indices of each line through two or more
     points that holds three or more columns.
+
+    The pairs (i, j), i < j, of the m distinct points are visited in order.
+    `first` maps each line through two or more points to its first pair,
+    stored as the int i*m + j; as i ascends, that pair holds the line's two
+    lowest points.  A line hit by a second pair gets a member set, seeded
+    with the first pair; each later pair adds its j (its i is already in).
+    So only lines through three or more points keep their members.  Point i
+    pairs with m-1 others and a line through i and k points accounts for
+    k-1 of them, so i lies on (m-1) - sum(k-2) lines holding another point,
+    the sum over the member sets that contain i.  With no repeated point
+    the other lines of `first` hold two columns each and are only counted;
+    otherwise one walk over `first` counts their columns.
     """
 
     def __init__(self, F: GF, columns):
@@ -111,25 +123,43 @@ class LineProfile:
         for idx, col in enumerate(columns):
             groups.setdefault(canonical(F, col) if any(col) else None, []).append(idx)
         self.zeros = len(groups.pop(None, ()))
-        pts, mult = list(groups), [len(g) for g in groups.values()]
-        self.repeated = any(m > 1 for m in mult)
-        lines: dict[Triple, set[int]] = {}  # lines through two or more points
+        pts, cols_at = list(groups), list(groups.values())
+        m = len(pts)
+        self.repeated = any(len(g) > 1 for g in cols_at)
+        first: dict[Triple, int] = {}  # line -> i*m + j of its first pair
+        members: dict[Triple, set[int]] = {}  # lines through 3+ points
         for i, p in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                lines.setdefault(join(K, p, pts[j]), set()).update((i, j))
-        through = [0] * len(pts)  # lines through each point holding another
+            base = i * m
+            for j in range(i + 1, m):
+                line = join(K, p, pts[j])
+                f = first.setdefault(line, base + j)
+                if f != base + j:
+                    if line in members:
+                        members[line].add(j)
+                    else:
+                        members[line] = {*divmod(f, m), j}
+        through = [m - 1] * m  # lines through each point holding another
         counts: dict[int, int] = {}
         rich = []
-        for members in lines.values():
-            for i in members:
-                through[i] += 1
-            cols = tuple(sorted(c for i in members for c in groups[pts[i]]))
+        for pset in members.values():
+            for i in pset:
+                through[i] -= len(pset) - 2
+            cols = tuple(sorted(c for i in pset for c in cols_at[i]))
             counts[len(cols)] = counts.get(len(cols), 0) + 1
-            if len(cols) >= 3:
-                rich.append(cols)
+            rich.append(cols)
+        if self.repeated:
+            for line, f in first.items():
+                if line not in members:
+                    i, j = divmod(f, m)
+                    cols = cols_at[i] + cols_at[j]
+                    counts[len(cols)] = counts.get(len(cols), 0) + 1
+                    if len(cols) >= 3:
+                        rich.append(tuple(sorted(cols)))
+        else:
+            counts[2] = len(first) - len(members)
         self.rich: tuple[tuple[int, ...], ...] = tuple(sorted(rich))
-        for i, m in enumerate(mult):
-            counts[m] = counts.get(m, 0) + q + 1 - through[i]
+        for i, g in enumerate(cols_at):
+            counts[len(g)] = counts.get(len(g), 0) + q + 1 - through[i]
         counts[0] = q * q + q + 1 - sum(counts.values())
         self.counts = {c: t for c, t in sorted(counts.items()) if t}
         self.max_line = max(self.counts)

@@ -275,7 +275,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         need(m >= 2, "needs m >= 2")
         a = params.pop("a", None)
         need(not params, f"unknown parameters {sorted(params)}")
-        a = _default_subiaco_a(F) if a is None else F.check(int(a))
+        a = _default_subiaco_a(F) if a is None else F.as_element(a)
         need(a != 0 and F.trace(F.inv(a)) == 1, f"parameter a={a} needs Tr(1/a) = 1")
         if m % 4 == 2:
             need(F.pow(a, 4) != a, f"parameter a={a} must avoid the GF(4) subfield")
@@ -310,7 +310,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
 
 
 def make_custom_opoly(F: GF, coeffs) -> OPolynomial:
-    coeffs = [int(c) for c in coeffs]
+    coeffs = [F.as_element(c) for c in coeffs]
     if len(coeffs) > F.q:
         raise ValueError(f"degree must stay below q={F.q}")
     while len(coeffs) > 1 and coeffs[-1] == 0:

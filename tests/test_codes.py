@@ -48,6 +48,21 @@ def test_matrix_validation():
         GeneratorMatrix(F, [])
 
 
+def test_matrix_refuses_non_integer_entries():
+    F = make_field(5, 1)
+    for bad in (1.7, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an element index"):
+            GeneratorMatrix(F, [[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_rref_checks_its_entries():
+    F = make_field(5, 1)
+    assert rref(F, [[2, 4], [1, 1]]) == ([[1, 0], [0, 1]], [0, 1])
+    for rows in ([[1, 0], [0, 5]], [[1, -1]], [[1, 0], [0, 1], [7, 0]], [[1.0, 0]]):
+        with pytest.raises(ValueError, match="not an element index"):
+            rref(F, rows)
+
+
 def test_matrix_text_round_trip(q4_code):
     for powers in (False, True):
         text = q4_code.to_text(powers)
@@ -69,6 +84,9 @@ def test_weight_of(q4_code):
     assert weight_of(q4_code, [0, 0, 1]) == 9 - 3 == 6
     with pytest.raises(ValueError):
         weight_of(q4_code, [0, 0])
+    for bad in (1.9, 1.0, "1", 4):
+        with pytest.raises(ValueError, match="not an element index"):
+            weight_of(q4_code, [bad, 0, 0])
 
 
 def _even_code(q_m):

@@ -200,6 +200,29 @@ def test_non_int_elements_rejected(q):
             op(1.0)
 
 
+class _Index:
+    def __index__(self):
+        return 3
+
+
+def test_as_element_converts_like_operator_index():
+    F = field_from_order(5)
+    assert F.as_element(4) == 4
+    assert F.as_element(True) == 1 and type(F.as_element(True)) is int
+    assert F.as_element(_Index()) == 3
+    for bad in (1.5, 1.0, "1", None, 5, -1):
+        with pytest.raises(ValueError, match="not an element index"):
+            F.as_element(bad)
+
+
+def test_as_element_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    F = field_from_order(9)
+    assert F.as_element(np.int64(7)) == 7 and type(F.as_element(np.uint8(2))) is int
+    with pytest.raises(ValueError, match="not an element index"):
+        F.as_element(np.float64(2.0))
+
+
 def test_primitive_element():
     assert make_field(2, 2).primitive_element() == 2   # xi
     assert make_field(2, 1).primitive_element() == 1

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arccodes.field import make_field, field_from_order
-from arccodes import geometry as geo
+from arccodes import construct, geometry as geo
 from arccodes.opoly import make_custom_opoly, make_family_opoly
 
 
@@ -28,6 +28,16 @@ def test_canonicalization():
     assert p[2] == 1
     with pytest.raises(ValueError):
         geo.canonical(F, (0, 0, 0))
+
+
+def test_canonical_refuses_non_integer_coordinates():
+    F = make_field(5, 1)
+    assert geo.canonical(F, (True, 0, 2)) == (3, 0, 1)
+    for bad in ((1.5, 0, 1), (1.0, 0, 1), ("1", 0, 1), (0, 0, 1.0)):
+        with pytest.raises(ValueError, match="not an element index"):
+            geo.canonical(F, bad)
+        with pytest.raises(ValueError, match="not an element index"):
+            geo.LineProfile(F, [(0, 1, 0), bad])
 
 
 def test_incidence_basics():
@@ -153,6 +163,127 @@ def test_line_profile_summary():
     assert lp.rich == ((0, 1, 2, 4), (0, 1, 5))
     assert lp.max_line == 4
     assert lp.counts == {0: 2, 1: 5, 2: 4, 3: 1, 4: 1}  # 13 lines in PG(2,3)
+
+
+PROFILE_FIELDS = ("counts", "rich", "zeros", "repeated", "max_line")
+
+
+def _pairwise_profile(F, columns):
+    """LineProfile's fields the slow way: a member set for every line
+    through two or more points, filled from every pair."""
+    groups = {}
+    for idx, col in enumerate(columns):
+        groups.setdefault(geo.canonical(F, col) if any(col) else None, []).append(idx)
+    zeros = len(groups.pop(None, ()))
+    pts, mult = list(groups), [len(g) for g in groups.values()]
+    lines = {}
+    for i, p in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            lines.setdefault(geo.join(F.kernel, p, pts[j]), set()).update((i, j))
+    through = [0] * len(pts)
+    counts = {}
+    rich = []
+    for members in lines.values():
+        for i in members:
+            through[i] += 1
+        cols = tuple(sorted(c for i in members for c in groups[pts[i]]))
+        counts[len(cols)] = counts.get(len(cols), 0) + 1
+        if len(cols) >= 3:
+            rich.append(cols)
+    for i, m in enumerate(mult):
+        counts[m] = counts.get(m, 0) + F.q + 1 - through[i]
+    counts[0] = F.q * F.q + F.q + 1 - sum(counts.values())
+    counts = {c: t for c, t in sorted(counts.items()) if t}
+    return {"counts": counts, "rich": tuple(sorted(rich)), "zeros": zeros,
+            "repeated": any(m > 1 for m in mult), "max_line": max(counts)}
+
+
+def _assert_profile_matches_pairwise(F, columns):
+    lp = geo.LineProfile(F, columns)
+    assert {f: getattr(lp, f) for f in PROFILE_FIELDS} == _pairwise_profile(F, columns), \
+        (F.q, columns)
+
+
+def _random_columns(rng, F, size):
+    """Random columns with zero columns, nonzero multiples of earlier columns
+    and exact repeats mixed in."""
+    g = F.primitive_element()
+    cols = []
+    for _ in range(size):
+        roll = rng.random()
+        if roll < 0.1:
+            cols.append((0, 0, 0))
+        elif roll < 0.25 and cols:
+            s = F.pow(g, rng.randrange(F.q - 1))
+            cols.append(tuple(F.mul(s, e) for e in rng.choice(cols)))
+        elif roll < 0.35 and cols:
+            cols.append(rng.choice(cols))
+        else:
+            cols.append(tuple(rng.randrange(F.q) for _ in range(3)))
+    return cols
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_line_profile_matches_pairwise_on_random_columns(q):
+    rng = random.Random(1000 + q)
+    F = field_from_order(q)
+    for size in (0, 1, 2, 3, 4, 6, q + 2, 2 * q, 3 * q + 1):
+        for _ in range(4):
+            _assert_profile_matches_pairwise(F, _random_columns(rng, F, size))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_line_profile_matches_pairwise_on_a_full_line(q):
+    F = field_from_order(q)
+    pts = geo.all_points(F)
+    line = geo.all_lines(F)[q]
+    on = [p for p in pts if geo.incident(F, p, line)]
+    off = [p for p in pts if not geo.incident(F, p, line)]
+    assert len(on) == q + 1
+    _assert_profile_matches_pairwise(F, on)
+    _assert_profile_matches_pairwise(F, off[:3] + on + off[-2:])
+    _assert_profile_matches_pairwise(F, on[:4] + off[:2] + [on[0], (0, 0, 0)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_line_profile_matches_pairwise_on_the_whole_plane(q):
+    F = field_from_order(q)
+    pts = geo.all_points(F)
+    _assert_profile_matches_pairwise(F, pts)
+    assert geo.LineProfile(F, pts).counts == {q + 1: q * q + q + 1}
+
+
+@pytest.mark.parametrize("q", [64, 243, 256])
+def test_line_profile_matches_pairwise_on_a_paper_code(q):
+    F = field_from_order(q)
+    if F.p == 2:
+        f = make_family_opoly(F, "translation", h=1)
+        G = construct.build_even_matrix(f, min(construct.valid_v_set(f)))
+    else:
+        G = construct.build_odd_matrix(F, min(construct.valid_w_set(F)))
+    _assert_profile_matches_pairwise(F, G.columns())
+
+
+def test_line_profile_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def field_and_columns(draw):
+        F = field_from_order(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+        elem = st.integers(0, F.q - 1)
+        base = draw(st.lists(st.tuples(elem, elem, elem), max_size=12))
+        scaled = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(1, F.q - 1)),
+                               max_size=6 if base else 0))
+        cols = base + [tuple(F.mul(s, e) for e in base[i % len(base)]) for i, s in scaled]
+        return F, draw(st.permutations(cols))
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(field_and_columns())
+    def check(case):
+        _assert_profile_matches_pairwise(*case)
+
+    check()
 
 
 def test_four_collinear_fails_both_predicates():

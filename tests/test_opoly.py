@@ -135,6 +135,12 @@ def test_subiaco_interpolated_form_matches_pointwise():
     a = f.param("a")
     assert F.trace(F.inv(a)) == 1
     assert f.degree < F.q
+    assert make_family_opoly(F, "subiaco", a=a) == f
+    for bad in (float(a), a + 0.5, str(a)):
+        with pytest.raises(ValueError, match="not an element index"):
+            make_family_opoly(F, "subiaco", a=bad)
+    with pytest.raises(ValueError, match="not an element index"):
+        make_custom_opoly(F, [0, 0, 1.0])
 
 
 def test_adelaide_q16():

@@ -2,24 +2,22 @@
 Singleton-defect classification, the near-MDS closed-form weight formulas,
 and minimum-weight support structure for dimension-3 arc codes.
 
-In dimension 3 all of these are read off the line profile of the columns
-(geometry.LineProfile, built once per matrix from column pairs): the q-1
-codewords u.G of a line u vanish exactly on its columns, so a line holding c
-nonzero columns gives q-1 codewords of weight n - z - c (z zero columns).
-Other dimensions enumerate one message per projective class; that
-enumerator is also the test oracle for the profile.
+In dimension 3 the weights and supports are read off the line profile of the
+columns (geometry.LineProfile, built once per matrix from column pairs): the
+q-1 codewords u.G of a line u vanish exactly on its columns, so a line
+holding c nonzero columns gives q-1 codewords of weight n - z - c (z zero
+columns).  Other dimensions enumerate one message per projective class; that
+enumerator is also the test oracle for the profile.  For every k the dual
+distance comes from the weight distribution by the MacWilliams identities.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
 
 from .field import GF, parse_descriptor, parse_key_values
 from . import geometry
 
 ENUMERATION_BUDGET = 2 ** 32
-# Column subsets of size 3 and 4 that _dual_distance_by_columns may test.
-DEPENDENCY_CAP = 250_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -265,64 +263,44 @@ class CodeProfile:
     n: int
     k: int
     d: int
-    d_dual: int | None
+    d_dual: int | None  # None only when n = k: the dual is {0}
     defect: int
     defect_dual: int | None
     category: str  # MDS / AMDS / NMDS / other
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "d_dual": self.d_dual,
-            "defect": self.defect,
-            "defect_dual": self.defect_dual,
-            "category": self.category,
-        }
+        return asdict(self)
 
 
-def _dual_distance_by_columns(G: GeneratorMatrix) -> int | None:
-    """Minimum size of a dependent column set of G = d(dual), exact up to 4.
-    None means no 4 or fewer columns are dependent.  For k != 3 the column
-    sets of size 3 and 4 are tested in turn; BudgetExceededError is raised
-    when more than DEPENDENCY_CAP of them would be needed."""
-    if G.k == 3:
-        profile = G.line_profile()
-        if profile.zeros:
-            return 1
-        if profile.repeated:
-            return 2
-        if profile.max_line >= 3:
-            return 3
-        return 4 if G.n >= 4 else None
-    F = G.field
-    cols = G.columns()
-    if not all(any(c) for c in cols):
-        return 1
-    if len({geometry.normalize(F, c) for c in cols}) != len(cols):
-        return 2
-    visited = 0
-    for size in (3, 4):
-        for subset in combinations(range(G.n), size):
-            if visited == DEPENDENCY_CAP:
-                raise BudgetExceededError(f"d_dual > {size - 1} unresolved after "
-                                          f"testing {DEPENDENCY_CAP} column sets")
-            visited += 1
-            sub = [[G.rows[i][j] for j in subset] for i in range(G.k)]
-            _, pivots = rref(F, sub)
-            if len(pivots) < size:
-                return size
+def _dual_distance(distribution: WeightDistribution, q: int) -> int | None:
+    """d of the dual from the code's own weights (MacWilliams): the least
+    j >= 1 with sum_i A_i K_j(i) = q^k B_j nonzero.  The Krawtchouk values
+    K_j(i) follow the exact three-term recurrence in j, for the nonzero A_i
+    only; since d_dual <= k + 1 the loop stops after a few steps.  None only
+    when every B_j vanishes, i.e. n = k."""
+    n = distribution.n
+    weights = [i for i, a in enumerate(distribution.counts) if a]
+    counts = [distribution[i] for i in weights]
+    prev, cur = [0] * len(weights), [1] * len(weights)  # K_{-1}, K_0
+    for j in range(n):
+        prev, cur = cur, [
+            (((q - 1) * (n - j) + j - q * i) * kj - (q - 1) * (n - j + 1) * kp) // (j + 1)
+            for i, kj, kp in zip(weights, cur, prev)
+        ]
+        if sum(a * kj for a, kj in zip(counts, cur)):
+            return j + 1
     return None
 
 
 def classify(G: GeneratorMatrix, distribution: WeightDistribution | None = None) -> CodeProfile:
-    """Fill the code profile; pass a precomputed distribution to reuse it."""
+    """Fill the code profile from the weight distribution, for any k: d is
+    its least nonzero weight and d_dual comes from the MacWilliams
+    identities.  Pass a precomputed distribution to reuse it."""
     if distribution is None:
         distribution = weight_distribution(G)
     d = distribution.minimum_distance()
     defect = G.n - G.k + 1 - d
-    d_dual = _dual_distance_by_columns(G)
+    d_dual = _dual_distance(distribution, G.field.q)
     defect_dual = None if d_dual is None else G.k + 1 - d_dual
     if defect == 0:
         category = "MDS"
@@ -335,6 +313,26 @@ def classify(G: GeneratorMatrix, distribution: WeightDistribution | None = None)
     return CodeProfile(G.n, G.k, d, d_dual, defect, defect_dual, category)
 
 
+def _nmds_side(n: int, k: int, q: int, a_min: int, side: str) -> WeightDistribution:
+    """The weight distribution of an [n, k, n-k] NMDS code with a_min words of
+    minimum weight; the dual's is the same formula at dimension n - k."""
+    comb = math.comb
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    counts[n - k] = a_min
+    for s in range(1, k + 1):
+        base = comb(n, k - s) * sum(
+            (-1) ** j * comb(n - k + s, j) * (q ** (s - j) - 1) for j in range(s)
+        )
+        val = base + (-1) ** s * comb(k, s) * a_min
+        if val < 0:
+            raise ValueError(
+                f"{side} A_{n - k + s} = {val} < 0: a_min={a_min} is inconsistent"
+            )
+        counts[n - k + s] = val
+    return WeightDistribution(counts, q, k)
+
+
 def nmds_closed_form(n: int, k: int, q: int, a_min: int):
     """Both full weight distributions of an [n, k, n-k] NMDS code from the
     count a_min of minimum-weight codewords (= the dual's, by the pairing).
@@ -344,35 +342,8 @@ def nmds_closed_form(n: int, k: int, q: int, a_min: int):
     """
     if not (1 <= k < n):
         raise ValueError(f"bad NMDS parameters n={n}, k={k}")
-    comb = math.comb
-    primal = [0] * (n + 1)
-    primal[0] = 1
-    primal[n - k] = a_min
-    for s in range(1, k + 1):
-        base = comb(n, k - s) * sum(
-            (-1) ** j * comb(n - k + s, j) * (q ** (s - j) - 1) for j in range(s)
-        )
-        val = base + (-1) ** s * comb(k, s) * a_min
-        if val < 0:
-            raise ValueError(f"A_{n - k + s} = {val} < 0: a_min={a_min} is inconsistent")
-        primal[n - k + s] = val
-    dual = [0] * (n + 1)
-    dual[0] = 1
-    dual[k] = a_min
-    for s in range(1, n - k + 1):
-        base = comb(n, k + s) * sum(
-            (-1) ** j * comb(k + s, j) * (q ** (s - j) - 1) for j in range(s)
-        )
-        val = base + (-1) ** s * comb(n - k, s) * a_min
-        if val < 0:
-            raise ValueError(
-                f"dual A_{k + s} = {val} < 0: a_min={a_min} is inconsistent"
-            )
-        dual[k + s] = val
-    return (
-        WeightDistribution(primal, q, k),
-        WeightDistribution(dual, q, n - k),
-    )
+    return (_nmds_side(n, k, q, a_min, "primal"),
+            _nmds_side(n, n - k, q, a_min, "dual"))
 
 
 def min_weight_supports(G: GeneratorMatrix) -> list[tuple[int, int, int]]:

@@ -28,16 +28,6 @@ class LocalityReport:
     supports: tuple[tuple[int, int, int], ...]
     remark: str = ""
 
-    def to_dict(self):
-        return {
-            "r_primal": self.r_primal,
-            "r_dual": self.r_dual,
-            "cover_ok": self.cover_ok,
-            "disjoint_ok": self.disjoint_ok,
-            "supports": [list(t) for t in self.supports],
-            "remark": self.remark,
-        }
-
 
 def locality_report(G: GeneratorMatrix) -> LocalityReport:
     """Apply the support-cover criterion to a dimension-3 code."""
@@ -77,19 +67,17 @@ def singleton_like_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:
 
 
 def cm_bound(n: int, d: int, r: int) -> int:
-    """min over t >= 1 with n - t(r+1) >= 1 of t*r + max(n - t(r+1) - d + 1, 0)."""
+    """min over t >= 1 with n - t(r+1) >= 1 of t*r + max(n - t(r+1) - d + 1, 0).
+    The objective falls by 1 per step up to t0 = floor((n-d+1)/(r+1)) and
+    is t*r, at least its value at t0, from t0+1 on; so t0 clamped to the
+    feasible range attains the minimum."""
     if r < 1:
         raise ValueError("locality r must be >= 1")
-    best = None
-    t = 1
-    while n - t * (r + 1) >= 1:
-        rest = n - t * (r + 1)
-        val = t * r + max(rest - d + 1, 0)
-        best = val if best is None else min(best, val)
-        t += 1
-    if best is None:
+    t_max = (n - 1) // (r + 1)
+    if t_max < 1:
         raise ValueError(f"no feasible t: n={n} too short for r={r}")
-    return best
+    t = min(max((n - d + 1) // (r + 1), 1), t_max)
+    return t * r + max(n - t * (r + 1) - d + 1, 0)
 
 
 def cm_bound_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:

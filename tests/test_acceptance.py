@@ -221,15 +221,19 @@ def test_criterion_08_nmds_formula_oracle():
             triples = min_weight_supports(G)
             assert dual[3] == (q - 1) * len(triples), f"q={q} {built.label}: dual seed"
             assert sum(dual.counts) == q ** (n - 3)
+            H = dual_matrix(G)
+            dual_profile = classify(H, dual)
+            assert (dual_profile.d, dual_profile.d_dual, dual_profile.category) == \
+                (3, q + 2, "NMDS"), f"q={q} {built.label}: dual profile"
             if q <= 5:
                 # the dual is small enough to enumerate outright
-                assert dual == weight_distribution(dual_matrix(G))
+                assert dual == weight_distribution(H)
         for built in [b for b in codes_small if b.q <= 9]:
             verdict = min_weight_pairing_check(built.G, built.dist)
             assert verdict.ok, f"q={built.q} {built.label}: {verdict.detail}"
             assert verdict.min_weight_count == verdict.dual_min_weight_count
 
-    _criterion(8, "closed-form oracle q <= 16; disjoint-support pairing q <= 9", run)
+    _criterion(8, "closed-form oracle, NMDS duals q <= 16; disjoint-support pairing q <= 9", run)
 
 
 def test_criterion_09_locality_and_bounds():

@@ -7,8 +7,8 @@ import pytest
 
 import arccodes
 from arccodes.cli import main
-from arccodes.codes import nmds_closed_form
-from arccodes.fixtures import GOLDEN_Q9_ODD
+from arccodes.codes import dual_matrix, nmds_closed_form
+from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 
 
 def run(capsys, *argv):
@@ -113,6 +113,16 @@ def test_analyze_matrix_file(tmp_path, capsys):
     assert (rep["r_primal"], rep["r_dual"]) == (2, 10)
     assert rep["d_optimal"] and rep["k_optimal"]
     assert rep["dual_d_optimal"] and rep["dual_k_optimal"]
+
+
+def test_analyze_dual_of_the_q4_code(tmp_path, capsys):
+    path = tmp_path / "dual.txt"
+    path.write_text(dual_matrix(GOLDEN_Q4_EVEN.matrix()).to_text())
+    code, data, _ = run_json(capsys, "analyze", str(path))
+    assert code == 0
+    assert data["profile"]["category"] == "NMDS"
+    assert (data["profile"]["d"], data["profile"]["d_dual"]) == (3, 6)
+    assert "lrc" not in data  # locality reports are for k = 3
 
 
 def test_analyze_rank_deficient(tmp_path, capsys):

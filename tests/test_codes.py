@@ -4,12 +4,11 @@ from itertools import combinations
 import pytest
 
 from arccodes.field import field_from_order, make_field
-from arccodes import codes, geometry as geo
+from arccodes import geometry as geo
 from arccodes.codes import (
     BudgetExceededError,
     GeneratorMatrix,
     WeightDistribution,
-    _dual_distance_by_columns,
     classify,
     dual_matrix,
     enumerated_weight_distribution,
@@ -176,6 +175,12 @@ def test_classify_golden(q4_code, q9_code):
     assert (p9.n, p9.k, p9.d, p9.category) == (14, 3, 11, "NMDS")
 
 
+def test_classify_dual_of_the_q4_code(q4_code):
+    p = classify(dual_matrix(q4_code))
+    assert (p.n, p.k, p.d, p.d_dual, p.category) == (9, 6, 3, 6, "NMDS")
+    assert p.defect == p.defect_dual == 1
+
+
 def test_classify_mds_oval_code(q9_code):
     F = make_field(2, 2)
     f = make_family_opoly(F, "translation", h=1)
@@ -209,8 +214,10 @@ def test_nmds_closed_form_matches_brute_dual(q4_code):
 
 
 def test_nmds_closed_form_rejects_inconsistent_seed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="primal"):
         nmds_closed_form(9, 3, 4, 1000)
+    with pytest.raises(ValueError, match="dual"):
+        nmds_closed_form(3, 2, 3, 3)  # the primal counts are fine, the dual's A_3 is not
     with pytest.raises(ValueError):
         nmds_closed_form(3, 4, 4, 1)
 
@@ -290,8 +297,9 @@ def _random_k3_matrix(rng, F):
 
 
 def _brute_dual_distance(G):
-    """Least number of dependent columns (up to 4), by rank of each subset."""
-    for size in range(1, 5):
+    """Least number of dependent columns, by rank of each subset of at most
+    k + 1 columns; None when there are only k columns (the dual is {0})."""
+    for size in range(1, G.k + 2):
         for subset in combinations(range(G.n), size):
             sub = [[row[j] for j in subset] for row in G.rows]
             if len(rref(G.field, sub)[1]) < size:
@@ -322,7 +330,7 @@ def test_line_profile_matches_enumeration():
         for _ in range(12):
             G = _random_k3_matrix(rng, F)
             assert weight_distribution(G) == enumerated_weight_distribution(G), G.columns()
-            assert _dual_distance_by_columns(G) == _brute_dual_distance(G), G.columns()
+            assert classify(G).d_dual == _brute_dual_distance(G), G.columns()
             zero_sets = _enumerated_supports(G)
             points = {geo.normalize(F, c) for c in G.columns() if any(c)}
             if len(points) < G.n or any(len(z) >= 4 for z in zero_sets):
@@ -332,23 +340,36 @@ def test_line_profile_matches_enumeration():
                 assert min_weight_supports(G) == sorted(z for z in zero_sets if len(z) == 3)
 
 
-def test_dual_distance_past_the_search_cap():
-    # C(120, 3) exceeds the cap; the dependent triple comes first
-    F = make_field(2, 7)
-    rng = random.Random(4)
-    cols = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
-    cols += [tuple(rng.randrange(F.q) for _ in range(4)) for _ in range(117)]
-    G = GeneratorMatrix.from_columns(F, cols)
-    assert _dual_distance_by_columns(G) == 3
-
-
-def test_dual_distance_budget_is_not_an_answer(monkeypatch):
-    # moment-curve columns (1, t, t^2, t^3): every 4 are independent
+def test_dual_distance_budget_is_not_an_answer():
+    # moment-curve columns (1, t, t^2, t^3): every 4 are independent, so the
+    # [10,4] code is MDS and so is its dual; d_dual is exact, never a budget
     F = make_field(2, 4)
     cols = [(1, t, F.mul(t, t), F.pow(t, 3)) for t in range(10)]
     G = GeneratorMatrix.from_columns(F, cols)
-    monkeypatch.setattr(codes, "DEPENDENCY_CAP", 50)
-    with pytest.raises(BudgetExceededError):
-        _dual_distance_by_columns(G)
-    monkeypatch.undo()
-    assert _dual_distance_by_columns(G) is None  # d_dual = 5, proved
+    profile = classify(G)
+    assert (profile.d, profile.d_dual, profile.defect_dual) == (7, 5, 0)
+    assert _brute_dual_distance(G) == 5
+
+
+def test_dual_distance_matches_column_ranks_for_any_k():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        F = field_from_order(draw(st.sampled_from([2, 3, 4, 5])))
+        k = draw(st.integers(1, 5))
+        n = draw(st.integers(k, 8))
+        elem = st.integers(0, F.q - 1)
+        rows = draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=k, max_size=k))
+        try:
+            return GeneratorMatrix(F, rows)
+        except ValueError:  # rank below k
+            hypothesis.reject()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(G):
+        assert classify(G).d_dual == _brute_dual_distance(G), G.rows
+
+    check()

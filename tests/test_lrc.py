@@ -65,6 +65,26 @@ def test_cm_bound_check():
     assert cm_bound(9, 6, 2) == 3
     with pytest.raises(ValueError):
         cm_bound(3, 1, 3)  # no feasible t
+    assert cm_bound(10 ** 12, 5, 1) == 499999999998  # O(1) in n
+
+
+def _cm_bound_by_scan(n, d, r):
+    """The Cadambe-Mazumdar minimum by trying every feasible t; None if none."""
+    vals = [t * r + max(n - t * (r + 1) - d + 1, 0)
+            for t in range(1, n) if n - t * (r + 1) >= 1]
+    return min(vals, default=None)
+
+
+def test_cm_bound_matches_scan():
+    for n in range(70):
+        for d in range(-3, n + 3):
+            for r in range(1, 12):
+                expected = _cm_bound_by_scan(n, d, r)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        cm_bound(n, d, r)
+                else:
+                    assert cm_bound(n, d, r) == expected, (n, d, r)
 
 
 def test_bound_verdict_fields():

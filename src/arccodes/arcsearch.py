@@ -37,7 +37,7 @@ class SearchStats:
     budget_exhausted: bool
     arc: list = dc_field(default_factory=list)
 
-    def to_dict(self, F: GF | None = None):
+    def to_dict(self, F: GF):
         return {
             "found_n": self.found_n,
             "nodes": self.nodes,
@@ -47,9 +47,7 @@ class SearchStats:
             "elapsed_ms": self.elapsed_ms,
             "strategy": self.strategy,
             "budget_exhausted": self.budget_exhausted,
-            "arc": [
-                geometry.point_to_str(F, p) if F else list(p) for p in self.arc
-            ],
+            "arc": [geometry.point_to_str(F, p) for p in self.arc],
         }
 
 

@@ -89,6 +89,12 @@ def cmd_opoly_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 
+def _reject_flag(args, flag: str, applies_to: str):
+    """Refuse a flag that the chosen construction would ignore."""
+    if getattr(args, flag) is not None:
+        raise ValueError(f"--{flag} applies to {applies_to} only")
+
+
 def _matrix_lines(G: codes.GeneratorMatrix, powers: bool):
     return G.to_text(powers).rstrip("\n").splitlines()
 
@@ -98,6 +104,7 @@ def cmd_construct(args) -> int:
     if args.even == args.odd:
         raise ValueError("exactly one of --even / --odd is required")
     if args.even:
+        _reject_flag(args, "w", "--odd")
         if F.p != 2:
             raise ValueError(f"--even needs characteristic 2, got q={F.q}")
         f = opoly.parse_opoly_descriptor(F, args.opoly)
@@ -109,6 +116,7 @@ def cmd_construct(args) -> int:
         closed = construct.even_closed_form(F.q)
         chosen = {"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
     else:
+        _reject_flag(args, "v", "--even")
         if F.p == 2:
             raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
         if args.w is not None:
@@ -182,9 +190,11 @@ def cmd_census(args) -> int:
     F = _field_from_args(args)
     f = v = w = None
     if kind.startswith("even"):
+        _reject_flag(args, "w", "--odd-B1/--odd-B2")
         f = opoly.parse_opoly_descriptor(F, args.opoly)
         v = F.element_from_str(args.v) if args.v is not None else min(construct.valid_v_set(f))
     else:
+        _reject_flag(args, "v", "--even-A1/--even-A2")
         w = F.element_from_str(args.w) if args.w is not None else min(construct.valid_w_set(F))
     result = construct.solution_count_census(kind, F, f=f, v=v, w=w)
     data = result.to_dict()

@@ -14,6 +14,14 @@ and for odd prime powers Zech logarithms (K. Huber, IEEE Trans. IT 36(4),
 1990), g^a + g^b = g^(a + zech[b - a]), with -1 folded into a second table
 for differences.  Every operation is O(1).
 
+Set-up has one polynomial arithmetic over GF(p) (`_poly_mul`, `_poly_mod`,
+`_poly_powmod`) and one primitivity test on it, `_generates`: g^((q-1)/l)
+!= 1 for every prime l | q-1.  The default modulus is x - g0 for prime
+fields, g0 the least primitive root, and otherwise the tabulated Conway
+polynomial or the least irreducible modulo which x generates; the generator
+is the least index that generates, and the antilog table is the walk
+v <- v*g mod the modulus: q-1 polynomial products.
+
 Input is checked once, where it enters the library: `GF.add/sub/neg/mul/inv`
 check their operands and call the kernel, and the hot loops elsewhere check
 their inputs on entry and then stay on the kernel.  Elements are bare ints
@@ -47,21 +55,6 @@ _DEFAULT_MODULI = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -78,10 +71,28 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomial helpers over GF(p), used for modulus validation and for raw
-# multiplication before the log tables exist.  Polynomials are tuples of
-# coefficients low-to-high with no trailing zeros ((),) == 0.
+# Polynomial arithmetic over GF(p), the only arithmetic before the tables
+# exist: modulus checks, generator tests and the antilog walk.  Polynomials
+# are tuples of coefficients low-to-high; results carry no trailing zeros
+# (() == 0), and inputs may.
 # ----------------------------------------------------------------------
+
+def _digits(p: int, m: int, i: int) -> tuple[int, ...]:
+    """The m base-p digits of index i, low to high: its polynomial."""
+    out = []
+    for _ in range(m):
+        i, c = divmod(i, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _index(p: int, digits) -> int:
+    """The index sum(c_i * p^i) of a polynomial of degree < m."""
+    out = 0
+    for c in reversed(digits):
+        out = out * p + c
+    return out
+
 
 def _poly_trim(c):
     i = len(c)
@@ -96,9 +107,9 @@ def _poly_mul(p, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _poly_trim([c % p for c in out])
 
 
 def _poly_mod(p, a, mod):
@@ -155,36 +166,26 @@ def _is_irreducible(p: int, coeffs) -> bool:
     return True
 
 
-def _least_primitive_root(p: int) -> int:
-    factors = prime_factors(p - 1)
-    for g in range(1, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise AssertionError("no primitive root found")
+def _generates(p: int, g, modulus) -> bool:
+    """Whether the nonzero polynomial g has order p^m - 1 modulo the monic
+    irreducible modulus of degree m: g^(n/l) != 1 for each prime l | n."""
+    n = p ** (len(modulus) - 1) - 1
+    return all(_poly_powmod(p, g, n // ell, modulus) != (1,) for ell in prime_factors(n))
 
 
 def _find_default_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
-        # x - g with g the least primitive root, so that x is a generator.
-        return ((p - _least_primitive_root(p)) % p, 1)
+        # x - g0 with g0 the least primitive root (constants modulo x are
+        # GF(p)), so that x = g0 is a generator.
+        g0 = next(g for g in range(1, p) if _generates(p, (g,), (0, 1)))
+        return ((-g0) % p, 1)
     if (p, m) in _DEFAULT_MODULI:
         return _DEFAULT_MODULI[(p, m)]
     # Smallest irreducible (by low-to-high coefficient encoding) whose root
     # x generates the multiplicative group.  Deterministic.
-    q = p ** m
-    factors = prime_factors(q - 1)
-    for enc in range(1, q):
-        coeffs = []
-        e = enc
-        for _ in range(m):
-            coeffs.append(e % p)
-            e //= p
-        coeffs.append(1)
-        coeffs = tuple(coeffs)
-        if not _is_irreducible(p, coeffs):
-            continue
-        x = (0, 1)
-        if all(_poly_powmod(p, x, (q - 1) // ell, coeffs) != (1,) for ell in factors):
+    for enc in range(1, p ** m):
+        coeffs = _digits(p, m, enc) + (1,)
+        if _is_irreducible(p, coeffs) and _generates(p, (0, 1), coeffs):
             return coeffs
     raise ValueError(f"no primitive irreducible of degree {m} over GF({p})")
 
@@ -256,7 +257,7 @@ class GF:
         if m < 1:
             raise ValueError(f"extension degree m={m} must be >= 1")
         # Bound p and m (p^m >= 2^m) before trial division and powering.
-        if p <= MAX_ORDER and not is_prime(p):
+        if p <= MAX_ORDER and prime_factors(p) != [p]:
             raise ValueError(f"p={p} is not prime")
         if p > MAX_ORDER or m >= MAX_ORDER.bit_length() or p ** m > MAX_ORDER:
             raise ValueError(f"q={p}^{m} exceeds the supported range (q <= {MAX_ORDER})")
@@ -294,62 +295,19 @@ class GF:
 
     # -- construction internals -------------------------------------------
 
-    def _index_to_digits(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def _digits_to_index(self, digits) -> int:
-        out = 0
-        for c in reversed(digits):
-            out = out * self.p + c
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Schoolbook multiply mod modulus, no tables. Used to bootstrap."""
-        if a == 0 or b == 0:
-            return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        da, db = self._index_to_digits(a), self._index_to_digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        red = _poly_mod(self.p, [c % self.p for c in prod], self.modulus)
-        return self._digits_to_index(list(red) + [0] * (self.m - len(red)))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
-
     def _build_log_tables(self):
-        q = self.q
-        factors = prime_factors(q - 1) if q > 2 else []
-        g = None
-        for cand in range(1, q):
-            if all(self._raw_pow(cand, (q - 1) // ell) != 1 for ell in factors):
-                g = cand
-                break
-        if g is None:
-            raise AssertionError("no generator found")
-        self.generator = g
+        p, m, q, modulus = self.p, self.m, self.q, self.modulus
+        self.generator = next(i for i in range(1, q) if _generates(p, _digits(p, m, i), modulus))
+        g = _digits(p, m, self.generator)
         n = q - 1
         exp = [1] * n
         log = [0] * q
-        v = 1
+        v = (1,)
         for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self._raw_mul(v, g)
+            x = _index(p, v)
+            exp[i] = x
+            log[x] = i
+            v = _poly_mod(p, _poly_mul(p, g, v), modulus)
         # exp runs twice round the group and then holds zeros, and log[0] is
         # the sentinel 2n: a sum of two logs indexes exp with no reduction,
         # and any sum with the sentinel in it reads a zero.
@@ -508,11 +466,17 @@ def field_from_order(q: int, modulus=None) -> GF:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Split 'key=value key=value ...' into a dict, naming any bad token."""
-    bad = [tok for tok in text.split() if "=" not in tok]
-    if bad:
-        raise ValueError(f"token {bad[0]!r} in {text!r} is not key=value")
-    return dict(tok.split("=", 1) for tok in text.split())
+    """Split 'key=value key=value ...' into a dict, naming any bad token
+    and any key given twice."""
+    out = {}
+    for tok in text.split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"token {tok!r} in {text!r} is not key=value")
+        if key in out:
+            raise ValueError(f"key {key!r} repeated in {text!r}")
+        out[key] = value
+    return out
 
 
 def parse_descriptor(text: str) -> GF:

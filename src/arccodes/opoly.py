@@ -335,6 +335,8 @@ def parse_opoly_descriptor(F: GF, text: str) -> OPolynomial:
             if not eq:
                 raise ValueError(f"bad o-polynomial parameter {item!r}")
             key = key.strip()
+            if key in params:
+                raise ValueError(f"o-polynomial parameter {key!r} repeated in {text!r}")
             if key == "a":
                 params[key] = F.element_from_str(value)
             else:

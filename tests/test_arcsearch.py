@@ -279,4 +279,4 @@ def test_prunes_counted_by_dfs_only():
     assert not stats.budget_exhausted and stats.prunes > 0
     assert stats.to_dict(F)["prunes"] == stats.prunes
     pts, stats = extend_to_n3_arc(F, hyper, strategy="greedy-restart")
-    assert stats.prunes == 0 and stats.to_dict()["prunes"] == 0
+    assert stats.prunes == 0 and stats.to_dict(F)["prunes"] == 0

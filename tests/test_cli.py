@@ -103,6 +103,18 @@ def test_construct_errors(capsys):
     assert run(capsys, "construct", "--even", "--q", "9")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--odd", "--q", "11", "--v", "3"], "--v applies to --even only"),
+    (["construct", "--even", "--q", "8", "--w", "3"], "--w applies to --odd only"),
+    (["census", "--odd-B1", "--q", "11", "--v", "3"], "--v applies to --even-A1/--even-A2 only"),
+    (["census", "--even-A1", "--q", "8", "--w", "3"], "--w applies to --odd-B1/--odd-B2 only"),
+])
+def test_flag_of_the_other_construction_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"error: {message}" in err
+
+
 def test_analyze_matrix_file(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
@@ -146,6 +158,14 @@ def test_analyze_header_token_without_equals(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and not out
     assert "error:" in err and "'junk'" in err
+
+
+def test_analyze_header_with_repeated_key(tmp_path, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text("q=8 p=2 m=3 mod=1,1,0,1 mod=1,0,1,1\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert "error:" in err and "key 'mod' repeated" in err
 
 
 def test_analyze_missing_file(capsys):

@@ -13,6 +13,7 @@ from arccodes.field import (
     field_from_order,
     make_field,
     parse_descriptor,
+    parse_key_values,
     prime_factors,
 )
 
@@ -229,6 +230,53 @@ def test_primitive_element():
     assert make_field(11).primitive_element() == 2     # 2 has order 10 mod 11
 
 
+def _schoolbook_order(F, a):
+    """The multiplicative order of a nonzero a, by repeated schoolbook products."""
+    v, k = a, 1
+    while v != 1:
+        v, k = _schoolbook(F, v, a), k + 1
+    return k
+
+
+SUPPORTED_ORDERS = [q for q in range(2, 1025) if len(prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_generator_and_antilog_table_match_schoolbook(q):
+    """The generator is the least index of order q-1, and _exp[i] = g^i,
+    both checked with table-free products."""
+    F = field_from_order(q)
+    g, n = F.generator, q - 1
+    assert all(_schoolbook_order(F, a) < n for a in range(1, g))
+    v = 1
+    for i in range(n):
+        assert F._exp[i] == v and (v != 1 or i == 0)
+        v = _schoolbook(F, v, g)
+    assert v == 1
+
+
+def test_prime_field_modulus_is_x_minus_least_primitive_root():
+    for p in range(2, 1000):
+        if prime_factors(p) != [p]:
+            continue
+        g0 = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+        assert make_field(p).modulus == ((-g0) % p, 1)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (3, 10, (2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (7, 5, (4, 1, 0, 0, 0, 1)),
+])
+def test_searched_default_moduli_are_pinned(p, m, modulus):
+    """Untabulated (p, m) get the least primitive irreducible by the
+    low-to-high encoding; these are the moduli that search gives."""
+    assert (p, m) not in _DEFAULT_MODULI
+    assert make_field(p, m).modulus == modulus
+
+
 def test_quadratic_character_gf11():
     F = make_field(11)
     squares = {pow(x, 2, 11) for x in range(1, 11)}
@@ -309,6 +357,14 @@ def test_descriptor_round_trip():
         parse_descriptor("p=2 mod=1,1")
     with pytest.raises(ValueError, match="token 'junk'"):
         parse_descriptor("p=2 m=3 junk")
+
+
+def test_repeated_key_rejected():
+    assert parse_key_values("p=2 m=3 mod=1,1,0,1") == {"p": "2", "m": "3", "mod": "1,1,0,1"}
+    with pytest.raises(ValueError, match="key 'mod' repeated"):
+        parse_key_values("q=8 p=2 m=3 mod=1,1,0,1 mod=1,0,1,1")
+    with pytest.raises(ValueError, match="key 'p' repeated"):
+        parse_descriptor("p=2 m=3 p=3 mod=1,1,0,1")
 
 
 def test_make_field_caches():

@@ -119,6 +119,14 @@ def test_descriptor_parse_round_trip():
         parse_opoly_descriptor(F, "translation:h")
 
 
+def test_descriptor_repeated_parameter_rejected():
+    F = make_field(2, 3)
+    with pytest.raises(ValueError, match="'h' repeated"):
+        parse_opoly_descriptor(F, "translation:h=1,h=2")
+    with pytest.raises(ValueError, match="'a' repeated"):
+        parse_opoly_descriptor(F, "subiaco:a=1, a=g^2")
+
+
 def test_interpolation_reconstructs_values():
     F = make_field(2, 3)
     rng = random.Random(7)

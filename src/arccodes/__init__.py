@@ -54,7 +54,6 @@ from .arcsearch import (
     extend_to_n3_arc,
     conclusion_matrix,
     verify_conclusion_matrix,
-    line_multiplicities,
 )
 
 __version__ = "0.1.0"

@@ -1,18 +1,23 @@
 """Backtracking extension of arcs to larger (n,3)-arcs in PG(2,q).
 
-A state is an ordered point list, a per-line multiplicity counter and the
-set of open candidates, held as one int with a bit per index of
-`_Plane.points`.  Adding a point raises the q+1 lines through it (O(q) per
-node); each line that reaches 3 chosen points is full, and its points leave
-the candidates in one `cands & ~kill`, where `kill` ORs the bit masks of the
-lines that just filled.  A line's mask is built the first time it fills,
-and only for the one search.  The DFS takes candidates by lowest set bit,
-so it enumerates supersets in lexicographic candidate order (each set is
-visited once and runs are reproducible); greedy-restart runs seeded random
-greedy completions in turn, refusing any point on a full line, and keeps the
-best.  Both are anytime: the best arc so far survives budget exhaustion.
-Under node budgets runs are bit-deterministic for a fixed seed; under a
-wall-clock budget they are not.
+Points and lines share one index list (`_Plane.points`), and every set of
+either is one Python int with a bit per index.  A state is an ordered point
+list, the open candidates, and the line counts as two ints: `one`, the lines
+holding at least one chosen point, and `two`, those holding at least two.
+Adding point i with pencil mask P finds the lines it fills as `two & P`,
+then sets `two |= one & P` and `one |= P`; no per-line counter is raised,
+and the DFS hands the new ints to the child, so nothing is undone on return.
+The points of the filled lines leave the candidates in one `cands & ~kill`.
+Most kills come from the base's own two-point lines, which are the same at
+every node, so `kill` is the candidate's cached `base_kill` ORed with the
+masks of only those lines through it that reached two points in the search.
+Masks and base kills are built on first use and live for one search.  The
+DFS takes candidates by lowest set bit, so it enumerates supersets in
+lexicographic candidate order (each set is visited once and runs are
+reproducible); greedy-restart runs seeded random greedy completions in turn,
+refusing any point on a full line, and keeps the best.  Both are anytime:
+the best arc so far survives budget exhaustion.  Under node budgets runs are
+bit-deterministic for a fixed seed; under a wall-clock budget they are not.
 """
 
 import time
@@ -79,16 +84,6 @@ class _Plane:
 _plane = lru_cache(maxsize=None)(_Plane)
 
 
-def line_multiplicities(F: GF, points) -> list[int]:
-    """Per-line point counts, indexed like geometry.all_lines(F)."""
-    plane = _plane(F)
-    mult = [0] * len(plane.lines)
-    for p in points:
-        for li in plane.pencil(geometry.canonical(F, p)):
-            mult[li] += 1
-    return mult
-
-
 class _Budget:
     """Node and time limits and the target size of one search."""
 
@@ -116,18 +111,26 @@ class _Budget:
         return True
 
 
-class _LineMasks(dict):
-    """Line index -> the line's points as bits over point indices, built on
-    first use.  The points of a line are the pencil of the point with the
-    line's coordinates, since points and lines share one list."""
+class _Lazy(dict):
+    """A table whose entry for a key is `build(key)`, made on first lookup."""
 
-    def __init__(self, plane: _Plane):
+    def __init__(self, build):
         super().__init__()
-        self.plane = plane
+        self.build = build
 
-    def __missing__(self, li: int) -> int:
-        mask = self[li] = sum(1 << i for i in self.plane.pencil(self.plane.points[li]))
-        return mask
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _union(masks, bits: int) -> int:
+    """The OR of masks[b] over the set bits b of `bits`."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 STRATEGIES = ("dfs", "greedy-restart")
@@ -155,29 +158,32 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         raise ValueError(f"unknown strategy {strategy!r}")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
-    points, pencil = plane.points, plane.pencil
-    mult = line_multiplicities(F, base_pts)
-    if any(c > 3 for c in mult):
-        raise ValueError("base set has four points on a line")
+    points, pencil, index = plane.points, plane.pencil, plane.line_index
+    # points and lines share one index list, so masks[i] is both the lines
+    # through point i and the points on line i
+    masks = _Lazy(lambda i: sum(1 << li for li in pencil(points[i])))
 
-    masks = _LineMasks(plane)
-
-    def add(p, counts) -> int:
-        """Raise the counts of the lines through p; return the points of
-        the lines that just filled, which no longer extend the arc."""
-        kill = 0
-        for li in pencil(p):
-            counts[li] += 1
-            if counts[li] == 3:
-                kill |= masks[li]
-        return kill
-
-    dead = 0  # points on a line the base fills
-    for li, c in enumerate(mult):
-        if c == 3:
-            dead |= masks[li]
-    taken = sum(1 << plane.line_index[p] for p in base_pts)
+    base_one = base_two = base_three = 0  # lines holding >= 1, >= 2, >= 3 base points
+    for p in base_pts:
+        P = masks[index[p]]
+        if base_three & P:
+            raise ValueError("base set has four points on a line")
+        base_three |= base_two & P
+        base_two |= base_one & P
+        base_one |= P
+    dead = _union(masks, base_three)  # points on a line the base fills
+    taken = sum(1 << index[p] for p in base_pts)
     candidates = ((1 << len(points)) - 1) & ~(dead | taken)
+    # candidate i -> the points of the base's two-point lines through i
+    base_kill = _Lazy(lambda i: _union(masks, base_two & masks[i]))
+
+    def add(i, one, two):
+        """Add candidate i to the lines holding >= 1 and >= 2 chosen points;
+        return the points that no longer extend the arc and the new (one,
+        two).  `two` starts empty: the base's two-point lines through i are
+        in base_kill[i], and once i is added no candidate is left on them."""
+        P = masks[i]
+        return base_kill[i] | _union(masks, two & P), one | P, two | (one & P)
 
     budget = _Budget(max_nodes, max_seconds, target_size)
     best = list(base_pts)
@@ -190,7 +196,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
 
     done_restarts = prunes = 0
     if strategy == "dfs":
-        def dfs(chosen, cands, remaining):
+        def dfs(chosen, cands, remaining, one, two):
             nonlocal prunes
             while cands:
                 if len(chosen) + remaining <= len(best):
@@ -201,31 +207,30 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                 low = cands & -cands  # lowest set bit: lexicographic order
                 cands ^= low
                 remaining -= 1
-                p = points[low.bit_length() - 1]
-                chosen.append(p)
-                child = cands & ~add(p, mult)
+                i = low.bit_length() - 1
+                kill, child_one, child_two = add(i, one, two)
+                chosen.append(points[i])
+                child = cands & ~kill
                 record(chosen)
-                dfs(chosen, child, child.bit_count())
+                dfs(chosen, child, child.bit_count(), child_one, child_two)
                 chosen.pop()
-                for li in pencil(p):
-                    mult[li] -= 1
 
-        dfs(list(base_pts), candidates, candidates.bit_count())
+        dfs(list(base_pts), candidates, candidates.bit_count(), base_one, 0)
         del dfs  # it calls itself: drop the cycle so the masks go now, not at a later gc
     else:
         indices = [i for i in range(len(points)) if candidates >> i & 1]
         while done_restarts < restarts and not budget.done(best):
             order = list(indices)
             random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
-            local_mult = list(mult)
-            local_dead = dead
+            local_dead, local_one, local_two = dead, base_one, 0
             pts = list(base_pts)
             for i in order:
                 if not budget.spend(best):
                     break
                 if not local_dead >> i & 1:
                     pts.append(points[i])
-                    local_dead |= add(points[i], local_mult)
+                    kill, local_one, local_two = add(i, local_one, local_two)
+                    local_dead |= kill
             done_restarts += 1
             record(pts)
 

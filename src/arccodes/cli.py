@@ -18,6 +18,8 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 
+DEFAULT_OPOLY = "translation:h=1"  # the even constructions' o-polynomial
+
 
 def _field_from_args(args) -> GF:
     modulus = None
@@ -107,7 +109,7 @@ def cmd_construct(args) -> int:
         _reject_flag(args, "w", "--odd")
         if F.p != 2:
             raise ValueError(f"--even needs characteristic 2, got q={F.q}")
-        f = opoly.parse_opoly_descriptor(F, args.opoly)
+        f = opoly.parse_opoly_descriptor(F, DEFAULT_OPOLY if args.opoly is None else args.opoly)
         if args.v is not None:
             v = F.element_from_str(args.v)
         else:
@@ -117,6 +119,7 @@ def cmd_construct(args) -> int:
         chosen = {"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
     else:
         _reject_flag(args, "v", "--even")
+        _reject_flag(args, "opoly", "--even")
         if F.p == 2:
             raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
         if args.w is not None:
@@ -163,7 +166,7 @@ def cmd_analyze(args) -> int:
     }
     if G.k == 3:
         try:
-            data["lrc"] = lrc.lrc_report(G, dist)
+            data["lrc"] = lrc.lrc_report(G, profile=profile)
         except ValueError as exc:
             data["lrc"] = {"error": str(exc)}
     lines = [
@@ -191,10 +194,11 @@ def cmd_census(args) -> int:
     f = v = w = None
     if kind.startswith("even"):
         _reject_flag(args, "w", "--odd-B1/--odd-B2")
-        f = opoly.parse_opoly_descriptor(F, args.opoly)
+        f = opoly.parse_opoly_descriptor(F, DEFAULT_OPOLY if args.opoly is None else args.opoly)
         v = F.element_from_str(args.v) if args.v is not None else min(construct.valid_v_set(f))
     else:
         _reject_flag(args, "v", "--even-A1/--even-A2")
+        _reject_flag(args, "opoly", "--even-A1/--even-A2")
         w = F.element_from_str(args.w) if args.w is not None else min(construct.valid_w_set(F))
     result = construct.solution_count_census(kind, F, f=f, v=v, w=w)
     data = result.to_dict()
@@ -229,7 +233,7 @@ def cmd_bounds(args) -> int:
 def _base_points(F: GF, descriptor: str):
     kind, _, rest = descriptor.partition(":")
     if kind == "hyperoval":
-        f = opoly.parse_opoly_descriptor(F, rest or "translation:h=1")
+        f = opoly.parse_opoly_descriptor(F, rest or DEFAULT_OPOLY)
         return geometry.hyperoval_from_opoly(f)
     if kind == "oval":
         return geometry.standard_oval(F)
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub, powers=True)
     sub.add_argument("--even", action="store_true", help="hyperoval construction (q = 2^m)")
     sub.add_argument("--odd", action="store_true", help="oval construction (odd q)")
-    sub.add_argument("--opoly", default="translation:h=1")
+    sub.add_argument("--opoly", help=f"o-polynomial (even only); defaults to {DEFAULT_OPOLY}")
     sub.add_argument("--v", help="admissible v (even); defaults to the least")
     sub.add_argument("--w", help="admissible w (odd); defaults to the least")
     sub.add_argument("--order", choices=("powers", "canonical"), default="powers")
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub, powers=False)
     for kind in construct.CENSUS_KINDS:
         sub.add_argument(f"--{kind}", dest=kind.replace("-", "_"), action="store_true")
-    sub.add_argument("--opoly", default="translation:h=1")
+    sub.add_argument("--opoly", help=f"o-polynomial (even only); defaults to {DEFAULT_OPOLY}")
     sub.add_argument("--v")
     sub.add_argument("--w")
     sub.set_defaults(func=cmd_census)

@@ -115,7 +115,7 @@ def _poly_mul(p, a, b):
 def _poly_mod(p, a, mod):
     a = list(a)
     dm = len(mod) - 1
-    lead_inv = pow(mod[-1], p - 2, p)
+    lead_inv = 1 if mod[-1] == 1 else pow(mod[-1], p - 2, p)  # monic: no inverse
     while len(a) > dm:
         c = a[-1] % p
         if c:

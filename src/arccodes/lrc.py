@@ -16,7 +16,7 @@ max(n' - d + 1, 0) ("Singleton-relaxed"), which is all these codes need.
 import math
 from dataclasses import dataclass
 
-from .codes import GeneratorMatrix, WeightDistribution, classify, min_weight_supports
+from .codes import CodeProfile, GeneratorMatrix, WeightDistribution, classify, min_weight_supports
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,13 @@ def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
 
 
 def lrc_report(G: GeneratorMatrix,
-               distribution: WeightDistribution | None = None) -> dict:
+               distribution: WeightDistribution | None = None, *,
+               profile: CodeProfile | None = None) -> dict:
     """The flat JSON report: profile numbers, localities, and the four
-    optimality flags for the code and its dual."""
-    profile = classify(G, distribution)
+    optimality flags for the code and its dual.  A caller that has already
+    classified G passes its `profile`, and the code is not classified again."""
+    if profile is None:
+        profile = classify(G, distribution)
     loc = locality_report(G)
     out = {
         "n": profile.n,

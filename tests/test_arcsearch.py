@@ -12,7 +12,6 @@ from arccodes import arcsearch, geometry as geo
 from arccodes.arcsearch import (
     conclusion_matrix,
     extend_to_n3_arc,
-    line_multiplicities,
     verify_conclusion_matrix,
 )
 from arccodes.codes import GeneratorMatrix, classify
@@ -24,6 +23,16 @@ def _hyperoval(q_m):
     F = make_field(2, q_m)
     f = make_family_opoly(F, "translation", h=1)
     return F, geo.hyperoval_from_opoly(f)
+
+
+def line_multiplicities(F, points):
+    """Per-line point counts, indexed like geometry.all_lines(F)."""
+    plane = arcsearch._plane(F)
+    mult = [0] * len(plane.lines)
+    for p in points:
+        for li in plane.pencil(geo.canonical(F, p)):
+            mult[li] += 1
+    return mult
 
 
 def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=None,
@@ -126,6 +135,52 @@ def test_bitset_search_matches_list_rebuild_oracle():
                                max_nodes=max_nodes)
                 want = _list_rebuild_search(F, base, "greedy-restart", max_nodes, seed=seed)
                 assert got == want, (F.q, seed, max_nodes)
+
+
+def test_bitset_search_matches_list_rebuild_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def bases(draw):
+        """A point set with no four on a line whose first three points lie
+        on one line, so the search starts with a full line."""
+        F = field_from_order(draw(st.sampled_from([4, 5, 7, 8])))
+        plane = arcsearch._plane(F)
+        # points and lines share one list: the points on the line with a
+        # point's coordinates are that point's pencil
+        on_line = plane.pencil(draw(st.sampled_from(plane.points)))
+        picks = draw(st.lists(st.sampled_from(on_line), min_size=3, max_size=3, unique=True))
+        picks += draw(st.lists(st.integers(0, len(plane.points) - 1), max_size=12, unique=True))
+        base, mult = [], [0] * len(plane.lines)
+        for i in dict.fromkeys(picks):
+            through = plane.pencil(plane.points[i])
+            if all(mult[li] < 3 for li in through):
+                base.append(plane.points[i])
+                for li in through:
+                    mult[li] += 1
+        return F, base
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(bases(), st.integers(1, 500), st.integers(0, 99), st.integers(1, 8))
+    def check(case, max_nodes, seed, restarts):
+        F, base = case
+        assert max(line_multiplicities(F, base)) == 3
+        got = _outcome(F, base, strategy="dfs", max_nodes=max_nodes)
+        assert got == _list_rebuild_search(F, base, "dfs", max_nodes)
+        got = _outcome(F, base, strategy="greedy-restart", max_nodes=max_nodes, seed=seed,
+                       restarts=restarts)
+        assert got == _list_rebuild_search(F, base, "greedy-restart", max_nodes, seed=seed,
+                                           restarts=restarts)
+
+    check()
+
+
+def test_q32_dfs_pinned():
+    F, hyper = _hyperoval(5)
+    pts, stats = extend_to_n3_arc(F, hyper, strategy="dfs", max_nodes=10_000)
+    assert (stats.found_n, stats.nodes, stats.prunes) == (44, 10_000, 9363)
+    assert stats.budget_exhausted and geo.is_n3_arc(F, pts)
 
 
 def test_conclusion_matrix_profile():

@@ -108,6 +108,9 @@ def test_construct_errors(capsys):
     (["construct", "--even", "--q", "8", "--w", "3"], "--w applies to --odd only"),
     (["census", "--odd-B1", "--q", "11", "--v", "3"], "--v applies to --even-A1/--even-A2 only"),
     (["census", "--even-A1", "--q", "8", "--w", "3"], "--w applies to --odd-B1/--odd-B2 only"),
+    (["construct", "--odd", "--q", "11", "--opoly", "segre"], "--opoly applies to --even only"),
+    (["census", "--odd-B1", "--q", "11", "--opoly", "segre"],
+     "--opoly applies to --even-A1/--even-A2 only"),
 ])
 def test_flag_of_the_other_construction_rejected(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -166,6 +169,24 @@ def test_analyze_header_with_repeated_key(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and not out
     assert "error:" in err and "key 'mod' repeated" in err
+
+
+def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
+    from arccodes import codes, lrc
+
+    calls, real = [], codes.classify
+
+    def counted(G, distribution=None):
+        calls.append(G)
+        return real(G, distribution)
+
+    monkeypatch.setattr(codes, "classify", counted)
+    monkeypatch.setattr(lrc, "classify", counted)
+    path = tmp_path / "m.txt"
+    path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
+    code, data, _ = run_json(capsys, "analyze", str(path))
+    assert code == 0 and data["lrc"]["r_primal"] == 2
+    assert len(calls) == 1
 
 
 def test_analyze_missing_file(capsys):

@@ -45,15 +45,9 @@ from .construct import (
 )
 from .lrc import (
     locality_report,
-    singleton_like_check,
-    cm_bound_check,
     bound_verdict,
     lrc_report,
 )
-from .arcsearch import (
-    extend_to_n3_arc,
-    conclusion_matrix,
-    verify_conclusion_matrix,
-)
+from .arcsearch import extend_to_n3_arc
 
 __version__ = "0.1.0"

@@ -25,9 +25,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .field import GF, make_field
+from .field import GF
 from . import geometry
-from .codes import GeneratorMatrix, classify, CodeProfile, weight_distribution
 
 
 @dataclass
@@ -246,58 +245,3 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         arc=list(best),
     )
     return list(best), stats
-
-
-# ----------------------------------------------------------------------
-# Reference fixture: a 3x15 matrix over GF(8) whose columns are a (15,3)-arc
-# extending the translation hyperoval; the code is [15, 3, 12] near-MDS.
-# Its length 15 = 2q-1 exceeds q + floor(2*sqrt(q)) + 1 = 14, the longest
-# length reachable from elliptic curves over GF(8).
-# ----------------------------------------------------------------------
-
-_LENGTH15_ROWS = (
-    "g^5 g^3 g^1 g^6 g^4 g^2 1 0 1 0 1 0 g^5 g^1 g^2",
-    "g^6 g^5 g^4 g^3 g^2 g^1 1 0 0 1 1 g^5 0 g^3 1",
-    "1 1 1 1 1 1 1 1 0 0 0 1 1 1 1",
-)
-
-
-def conclusion_matrix() -> GeneratorMatrix:
-    F = make_field(2, 3)
-    rows = [[F.element_from_str(tok) for tok in row.split()] for row in _LENGTH15_ROWS]
-    return GeneratorMatrix(F, rows)
-
-
-@dataclass(frozen=True)
-class ConclusionReport:
-    profile: CodeProfile
-    n3_arc: bool
-    hyperoval_prefix: bool
-    exceeds_elliptic_bound: bool
-
-    def ok(self) -> bool:
-        return (
-            self.profile.category == "NMDS"
-            and (self.profile.n, self.profile.k, self.profile.d) == (15, 3, 12)
-            and self.n3_arc
-            and self.hyperoval_prefix
-            and self.exceeds_elliptic_bound
-        )
-
-
-def verify_conclusion_matrix() -> ConclusionReport:
-    """Check the embedded length-15 fixture end to end."""
-    G = conclusion_matrix()
-    F = G.field
-    dist = weight_distribution(G)
-    profile = classify(G, dist)
-    pts = G.column_points()
-    n3 = geometry.is_n3_arc(F, pts)
-    prefix = pts[:10]
-    hyper = (
-        len(set(prefix)) == 10
-        and geometry.is_arc(F, prefix)
-    )
-    q = F.q
-    elliptic_len = q + int(2 * q ** 0.5) + 1
-    return ConclusionReport(profile, n3, hyper, G.n > elliptic_len)

@@ -7,6 +7,7 @@ input, 3 verification mismatch, 4 budget exhausted.
 
 import argparse
 import json
+import math
 import sys
 
 from .field import GF, make_field, field_from_order
@@ -91,10 +92,25 @@ def cmd_opoly_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 
-def _reject_flag(args, flag: str, applies_to: str):
-    """Refuse a flag that the chosen construction would ignore."""
-    if getattr(args, flag) is not None:
-        raise ValueError(f"--{flag} applies to {applies_to} only")
+def _reject_flags(args, even: bool, even_only: str, odd_only: str):
+    """Refuse the flags of the construction that was not chosen."""
+    others = {"w": odd_only} if even else {"v": even_only, "opoly": even_only}
+    for flag, only in others.items():
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to {only} only")
+
+
+def _construction(F: GF, even: bool, opoly_text, v_text, w_text):
+    """Decode one construction: the o-polynomial (DEFAULT_OPOLY when none is
+    given) and v on the even side, or w on the odd side.  A v or w not
+    given is the least admissible one.  Returns (f, v, w), with None for
+    the other side's parameters."""
+    if not even:
+        w = F.element_from_str(w_text) if w_text is not None else min(construct.valid_w_set(F))
+        return None, None, w
+    f = opoly.parse_opoly_descriptor(F, DEFAULT_OPOLY if opoly_text is None else opoly_text)
+    v = F.element_from_str(v_text) if v_text is not None else min(construct.valid_v_set(f))
+    return f, v, None
 
 
 def _matrix_lines(G: codes.GeneratorMatrix, powers: bool):
@@ -105,27 +121,17 @@ def cmd_construct(args) -> int:
     F = _field_from_args(args)
     if args.even == args.odd:
         raise ValueError("exactly one of --even / --odd is required")
+    _reject_flags(args, args.even, "--even", "--odd")
+    if args.even and F.p != 2:
+        raise ValueError(f"--even needs characteristic 2, got q={F.q}")
+    if args.odd and F.p == 2:
+        raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
+    f, v, w = _construction(F, args.even, args.opoly, args.v, args.w)
     if args.even:
-        _reject_flag(args, "w", "--odd")
-        if F.p != 2:
-            raise ValueError(f"--even needs characteristic 2, got q={F.q}")
-        f = opoly.parse_opoly_descriptor(F, DEFAULT_OPOLY if args.opoly is None else args.opoly)
-        if args.v is not None:
-            v = F.element_from_str(args.v)
-        else:
-            v = min(construct.valid_v_set(f))
         G = construct.build_even_matrix(f, v, order=args.order)
         closed = construct.even_closed_form(F.q)
         chosen = {"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
     else:
-        _reject_flag(args, "v", "--even")
-        _reject_flag(args, "opoly", "--even")
-        if F.p == 2:
-            raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
-        if args.w is not None:
-            w = F.element_from_str(args.w)
-        else:
-            w = min(construct.valid_w_set(F))
         G = construct.build_odd_matrix(F, w, order=args.order)
         closed = construct.odd_closed_form(F.q)
         chosen = {"w": F.element_to_str(w, args.powers)}
@@ -191,15 +197,9 @@ def cmd_census(args) -> int:
         raise ValueError("exactly one of --even-A1/--even-A2/--odd-B1/--odd-B2")
     kind = kinds[0]
     F = _field_from_args(args)
-    f = v = w = None
-    if kind.startswith("even"):
-        _reject_flag(args, "w", "--odd-B1/--odd-B2")
-        f = opoly.parse_opoly_descriptor(F, DEFAULT_OPOLY if args.opoly is None else args.opoly)
-        v = F.element_from_str(args.v) if args.v is not None else min(construct.valid_v_set(f))
-    else:
-        _reject_flag(args, "v", "--even-A1/--even-A2")
-        _reject_flag(args, "opoly", "--even-A1/--even-A2")
-        w = F.element_from_str(args.w) if args.w is not None else min(construct.valid_w_set(F))
+    even = kind.startswith("even")
+    _reject_flags(args, even, "--even-A1/--even-A2", "--odd-B1/--odd-B2")
+    f, v, w = _construction(F, even, args.opoly, args.v, args.w)
     result = construct.solution_count_census(kind, F, f=f, v=v, w=w)
     data = result.to_dict()
     data["two_solution_pairs"] = result.pairs_with(2)
@@ -284,22 +284,36 @@ def cmd_verify_paper(args) -> int:
             failures += 1
 
     for golden in ALL_GOLDEN:
-        F = golden.field()
-        expected = golden.matrix()
-        if golden.kind == "even":
-            f = opoly.parse_opoly_descriptor(F, golden.opoly)
-            built = construct.build_even_matrix(f, F.element_from_str(golden.v_or_w))
-            closed = construct.even_closed_form(F.q)
+        F, G = golden.field(), golden.matrix()
+        n, q = G.n, F.q
+        expected = golden.weight_distribution()
+        if golden.kind == "fixture":
+            # the NMDS distribution that the pinned A_{n-3} determines
+            closed = codes.nmds_closed_form(n, 3, q, expected[n - 3])[0]
         else:
-            built = construct.build_odd_matrix(F, F.element_from_str(golden.v_or_w))
-            closed = construct.odd_closed_form(F.q)
-        report(f"{golden.name}: matrix reproduced", built == expected)
-        dist = codes.weight_distribution(built)
-        report(f"{golden.name}: weight distribution", dist == golden.weight_distribution())
+            even = golden.kind == "even"
+            f, v, w = _construction(F, even, golden.opoly, golden.v_or_w, golden.v_or_w)
+            if even:
+                built, closed = construct.build_even_matrix(f, v), construct.even_closed_form(q)
+            else:
+                built, closed = construct.build_odd_matrix(F, w), construct.odd_closed_form(q)
+            report(f"{golden.name}: matrix reproduced", built == G)
+            G = built
+        dist = codes.weight_distribution(G)
+        profile = codes.classify(G, dist)
+        report(f"{golden.name}: weight distribution", dist == expected)
         report(f"{golden.name}: closed form", dist == closed)
-        report(f"{golden.name}: NMDS", codes.classify(built, dist).category == "NMDS")
-    conclusion = arcsearch.verify_conclusion_matrix()
-    report("length-15 fixture over q=8: [15,3,12] NMDS (15,3)-arc", conclusion.ok())
+        report(f"{golden.name}: NMDS", profile.category == "NMDS")
+        if golden.kind == "fixture":
+            lines = G.line_profile()
+            bound = q + math.isqrt(4 * q) + 1  # q + floor(2 sqrt q) + 1
+            report(f"{golden.name}: [{n},3,{n - 3}]",
+                   (profile.n, profile.k, profile.d) == (n, 3, n - 3))
+            report(f"{golden.name}: ({n},3)-arc",
+                   not (lines.zeros or lines.repeated) and lines.max_line == 3)
+            report(f"{golden.name}: first q+2 = {q + 2} columns form an arc",
+                   geometry.is_arc(F, G.column_points()[:q + 2]))
+            report(f"{golden.name}: n = {n} > q + floor(2 sqrt q) + 1 = {bound}", n > bound)
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 

@@ -209,11 +209,11 @@ def projective_messages(F: GF, k: int):
                 break
 
 
-def weight_distribution(G: GeneratorMatrix, budget: int = ENUMERATION_BUDGET) -> WeightDistribution:
+def weight_distribution(G: GeneratorMatrix) -> WeightDistribution:
     """Exact counts A_0..A_n: from the line profile when k = 3, otherwise by
-    projective enumeration."""
+    projective enumeration under its default budget."""
     if G.k != 3:
-        return enumerated_weight_distribution(G, budget)
+        return enumerated_weight_distribution(G)
     q = G.field.q
     profile = G.line_profile()
     counts = [0] * (G.n + 1)

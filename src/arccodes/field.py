@@ -20,7 +20,8 @@ Set-up has one polynomial arithmetic over GF(p) (`_poly_mul`, `_poly_mod`,
 fields, g0 the least primitive root, and otherwise the tabulated Conway
 polynomial or the least irreducible modulo which x generates; the generator
 is the least index that generates, and the antilog table is the walk
-v <- v*g mod the modulus: q-1 polynomial products.
+v <- v*g mod the modulus: q-1 polynomial products, or for m = 1 q-1
+integer products mod p.
 
 Input is checked once, where it enters the library: `GF.add/sub/neg/mul/inv`
 check their operands and call the kernel, and the hot loops elsewhere check
@@ -298,16 +299,19 @@ class GF:
     def _build_log_tables(self):
         p, m, q, modulus = self.p, self.m, self.q, self.modulus
         self.generator = next(i for i in range(1, q) if _generates(p, _digits(p, m, i), modulus))
-        g = _digits(p, m, self.generator)
         n = q - 1
         exp = [1] * n
+        if m == 1:  # x*g mod p, the kernel's prime-field product
+            for i in range(1, n):
+                exp[i] = exp[i - 1] * self.generator % p
+        else:
+            g, v = _digits(p, m, self.generator), (1,)
+            for i in range(1, n):
+                v = _poly_mod(p, _poly_mul(p, g, v), modulus)
+                exp[i] = _index(p, v)
         log = [0] * q
-        v = (1,)
-        for i in range(n):
-            x = _index(p, v)
-            exp[i] = x
+        for i, x in enumerate(exp):
             log[x] = i
-            v = _poly_mod(p, _poly_mul(p, g, v), modulus)
         # exp runs twice round the group and then holds zeros, and log[0] is
         # the sentinel 2n: a sum of two logs indexes exp with no reduction,
         # and any sum with the sentinel in it reads a zero.
@@ -402,7 +406,7 @@ class GF:
 
     def primitive_element(self) -> int:
         """Least-index element of multiplicative order q-1."""
-        return self.generator if self.q > 2 else 1
+        return self.generator
 
     def elements(self, order: str = "canonical") -> list[int]:
         """All q elements.  'canonical' is 0..q-1; 'powers' is the reference

@@ -13,9 +13,9 @@ class Golden:
     name: str
     p: int
     m: int
-    kind: str          # "even" / "odd" / "fixture"
+    kind: str          # "even" / "odd" construction, or a "fixture" matrix
     opoly: str | None  # descriptor, even kind only
-    v_or_w: str | None
+    v_or_w: str | None  # constructed kinds only
     rows: tuple[str, ...]
     distribution: tuple[tuple[int, int], ...]  # nonzero (weight, count) pairs
 
@@ -68,4 +68,19 @@ GOLDEN_Q11_ODD = Golden(
     distribution=((13, 230), (14, 510), (15, 210), (16, 380)),
 )
 
-ALL_GOLDEN = (GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD)
+# The columns are a (15,3)-arc extending the translation hyperoval (its first
+# q+2 = 10 columns), and the code is [15,3,12] near-MDS.  Its length 15 = 2q-1
+# exceeds q + floor(2*sqrt(q)) + 1 = 14, the longest length reachable from
+# elliptic curves over GF(8).
+GOLDEN_Q8_LENGTH15 = Golden(
+    name="length-15 fixture over q=8",
+    p=2, m=3, kind="fixture", opoly=None, v_or_w=None,
+    rows=(
+        "g^5 g^3 g^1 g^6 g^4 g^2 1 0 1 0 1 0 g^5 g^1 g^2",
+        "g^6 g^5 g^4 g^3 g^2 g^1 1 0 0 1 1 g^5 0 g^3 1",
+        "1 1 1 1 1 1 1 1 0 0 0 1 1 1 1",
+    ),
+    distribution=((12, 189), (13, 168), (14, 42), (15, 112)),
+)
+
+ALL_GOLDEN = (GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD, GOLDEN_Q8_LENGTH15)

@@ -58,14 +58,6 @@ def singleton_like_bound(n: int, k: int, r: int) -> int:
     return n - k - math.ceil(k / r) + 2
 
 
-def singleton_like_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:
-    """(bound, d == bound).  d above the bound means inconsistent inputs."""
-    rhs = singleton_like_bound(n, k, r)
-    if d > rhs:
-        raise ValueError(f"d={d} exceeds the Singleton-like bound {rhs}; inconsistent inputs")
-    return rhs, d == rhs
-
-
 def cm_bound(n: int, d: int, r: int) -> int:
     """min over t >= 1 with n - t(r+1) >= 1 of t*r + max(n - t(r+1) - d + 1, 0).
     The objective falls by 1 per step up to t0 = floor((n-d+1)/(r+1)) and
@@ -78,11 +70,6 @@ def cm_bound(n: int, d: int, r: int) -> int:
         raise ValueError(f"no feasible t: n={n} too short for r={r}")
     t = min(max((n - d + 1) // (r + 1), 1), t_max)
     return t * r + max(n - t * (r + 1) - d + 1, 0)
-
-
-def cm_bound_check(n: int, k: int, d: int, r: int) -> tuple[int, bool]:
-    rhs = cm_bound(n, d, r)
-    return rhs, k == rhs
 
 
 @dataclass(frozen=True)
@@ -103,9 +90,13 @@ class BoundVerdict:
 
 
 def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
-    s_rhs, d_opt = singleton_like_check(n, k, d, r)
-    c_rhs, k_opt = cm_bound_check(n, k, d, r)
-    return BoundVerdict(d_opt, k_opt, s_rhs, c_rhs)
+    """Whether d meets the Singleton-like bound and k the CM bound.  d above
+    the Singleton-like bound means inconsistent inputs."""
+    s_rhs = singleton_like_bound(n, k, r)
+    if d > s_rhs:
+        raise ValueError(f"d={d} exceeds the Singleton-like bound {s_rhs}; inconsistent inputs")
+    c_rhs = cm_bound(n, d, r)
+    return BoundVerdict(d == s_rhs, k == c_rhs, s_rhs, c_rhs)
 
 
 def lrc_report(G: GeneratorMatrix,

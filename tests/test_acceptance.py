@@ -13,7 +13,7 @@ import pytest
 
 from arccodes.field import field_from_order, make_field
 from arccodes import geometry as geo
-from arccodes.arcsearch import extend_to_n3_arc, verify_conclusion_matrix
+from arccodes.arcsearch import extend_to_n3_arc
 from arccodes.codes import (
     GeneratorMatrix,
     classify,
@@ -32,7 +32,7 @@ from arccodes.construct import (
     valid_v_set,
     valid_w_set,
 )
-from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
+from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q8_LENGTH15, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
 from arccodes.lrc import lrc_report
 from arccodes.opoly import (
     evaluate,
@@ -251,10 +251,15 @@ def test_criterion_09_locality_and_bounds():
 
 def test_criterion_10_conclusion_and_search():
     def run():
-        rep = verify_conclusion_matrix()
-        assert rep.ok()
-        assert (rep.profile.n, rep.profile.k, rep.profile.d) == (15, 3, 12)
-        F = make_field(2, 3)
+        G = GOLDEN_Q8_LENGTH15.matrix()
+        F, pts = G.field, G.column_points()
+        dist = weight_distribution(G)
+        assert dist == GOLDEN_Q8_LENGTH15.weight_distribution()
+        assert dist == nmds_closed_form(15, 3, 8, dist[12])[0]
+        p = classify(G, dist)
+        assert (p.n, p.k, p.d, p.category) == (15, 3, 12, "NMDS")
+        assert geo.is_n3_arc(F, pts) and geo.is_arc(F, pts[:10])
+        assert G.n > 8 + 5 + 1  # q + floor(2 sqrt q) + 1
         f = make_family_opoly(F, "translation", h=1)
         hyper = geo.hyperoval_from_opoly(f)
         t0 = time.perf_counter()

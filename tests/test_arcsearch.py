@@ -9,12 +9,9 @@ import arccodes
 
 from arccodes.field import field_from_order, make_field
 from arccodes import arcsearch, geometry as geo
-from arccodes.arcsearch import (
-    conclusion_matrix,
-    extend_to_n3_arc,
-    verify_conclusion_matrix,
-)
+from arccodes.arcsearch import extend_to_n3_arc
 from arccodes.codes import GeneratorMatrix, classify
+from arccodes.fixtures import GOLDEN_Q8_LENGTH15
 from arccodes.construct import build_even_matrix, valid_v_set
 from arccodes.opoly import applicable_families, make_family_opoly
 
@@ -184,7 +181,7 @@ def test_q32_dfs_pinned():
 
 
 def test_conclusion_matrix_profile():
-    G = conclusion_matrix()
+    G = GOLDEN_Q8_LENGTH15.matrix()
     assert (G.k, G.n) == (3, 15)
     assert G.field.modulus == (1, 1, 0, 1)
     p = classify(G)
@@ -192,12 +189,14 @@ def test_conclusion_matrix_profile():
 
 
 def test_conclusion_report():
-    rep = verify_conclusion_matrix()
-    assert rep.ok()
-    assert rep.n3_arc and rep.hyperoval_prefix
+    G = GOLDEN_Q8_LENGTH15.matrix()
+    F, pts = G.field, G.column_points()
+    assert geo.is_n3_arc(F, pts)
+    # the first q+2 columns are the translation hyperoval the arc extends
+    hyper = geo.hyperoval_from_opoly(make_family_opoly(F, "translation", h=1))
+    assert set(pts[:10]) == set(hyper) and geo.is_arc(F, pts[:10])
     # 15 = 2q-1 beats the elliptic-curve length ceiling q + floor(2 sqrt q) + 1 = 14
-    assert rep.exceeds_elliptic_bound
-    assert conclusion_matrix().n == 2 * 8 - 1
+    assert G.n == 2 * 8 - 1 > 8 + 5 + 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -1,0 +1,64 @@
+"""The names and call shapes that the benchmark in perfbench/ uses.
+
+perfbench/ is kept unchanged between benchmark revisions, so a library
+change that drops or reshapes one of these breaks the benchmark without
+breaking any other test.  The tracer is loaded by path and is not changed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from arccodes import arcsearch, codes, construct, geometry, lrc, opoly
+from arccodes.fixtures import GOLDEN_Q4_EVEN
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module, attr", [
+    (module, attr) for module, funcs in _tracer().TRACED.items() for attr in funcs
+])
+def test_traced_function_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"arccodes.{module}"), attr))
+
+
+def test_sweep_call_shapes():
+    G = GOLDEN_Q4_EVEN.matrix()
+    dist = codes.weight_distribution(G)
+    profile = codes.classify(G, dist)
+    assert (profile.category, profile.d, profile.d_dual) == ("NMDS", 6, 3)
+    report = lrc.lrc_report(G, dist)
+    for key in ("supports", "r_primal", "r_dual",
+                "d_optimal", "k_optimal", "dual_d_optimal", "dual_k_optimal"):
+        assert key in report
+    rep = lrc.locality_report(G)
+    assert (rep.r_primal, rep.r_dual) == (2, 5)
+    assert [list(s) for s in rep.supports] == report["supports"]
+
+
+def test_search_call_shapes():
+    F = GOLDEN_Q4_EVEN.field()
+    base = geometry.hyperoval_from_opoly(opoly.make_family_opoly(F, "translation", h=1))
+    pts, stats = arcsearch.extend_to_n3_arc(F, base, strategy="dfs", max_nodes=50,
+                                            max_seconds=None, workers=1)
+    assert stats.found_n == len(pts) and stats.nodes <= 50
+    pts, stats = arcsearch.extend_to_n3_arc(F, base, strategy="greedy-restart", restarts=2,
+                                            seed=1, max_seconds=None, workers=1)
+    assert (stats.restarts, stats.found_n) == (2, len(pts))
+
+
+def test_construct_call_shapes():
+    f = opoly.make_family_opoly(GOLDEN_Q4_EVEN.field(), "translation", h=1)
+    v = min(construct.valid_v_set(f))
+    result = construct.solution_count_census("even-A1", f.field, f=f, v=v)
+    assert result.kind == "even-A1" and result.diagonal_ok and result.counts
+    assert construct.build_even_matrix(f, v).field is f.field

@@ -313,4 +313,4 @@ def test_verify_paper(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 13
+    assert out.count("PASS") == 19

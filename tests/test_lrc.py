@@ -8,10 +8,8 @@ from arccodes.fixtures import GOLDEN_Q4_EVEN
 from arccodes.lrc import (
     bound_verdict,
     cm_bound,
-    cm_bound_check,
     locality_report,
     lrc_report,
-    singleton_like_check,
 )
 from arccodes.opoly import make_family_opoly
 
@@ -39,29 +37,29 @@ def test_locality_report_mds_inconclusive():
 
 def test_singleton_like_check():
     for q in (4, 9, 11):
-        rhs, opt = singleton_like_check(q + 5, 3, q + 2, 2)
-        assert rhs == q + 2 and opt
+        v = bound_verdict(q + 5, 3, q + 2, 2)
+        assert v.singleton_like_rhs == q + 2 and v.d_optimal
     # r = k recovers the classical bound n-k+1
-    rhs, opt = singleton_like_check(10, 3, 8, 3)
-    assert rhs == 8 and opt
-    rhs, opt = singleton_like_check(10, 3, 6, 2)
-    assert rhs == 7 and not opt
+    v = bound_verdict(10, 3, 8, 3)
+    assert v.singleton_like_rhs == 8 and v.d_optimal
+    v = bound_verdict(10, 3, 6, 2)
+    assert v.singleton_like_rhs == 7 and not v.d_optimal
     with pytest.raises(ValueError):
-        singleton_like_check(10, 3, 9, 2)  # d above the bound
+        bound_verdict(10, 3, 9, 2)  # d above the bound
     with pytest.raises(ValueError):
-        singleton_like_check(10, 3, 6, 0)
+        bound_verdict(10, 3, 6, 0)
 
 
 def test_cm_bound_check():
     for q in (4, 9, 11):
-        rhs, opt = cm_bound_check(q + 5, 3, q + 2, 2)
-        assert rhs == 3 and opt
+        v = bound_verdict(q + 5, 3, q + 2, 2)
+        assert v.cm_rhs == 3 and v.k_optimal
         # dual parameters
-        rhs, opt = cm_bound_check(q + 5, q + 2, 3, q + 1)
-        assert rhs == q + 2 and opt
+        v = bound_verdict(q + 5, q + 2, 3, q + 1)
+        assert v.cm_rhs == q + 2 and v.k_optimal
     # d > n - (r+1) at t=1 leaves only the tr term
-    rhs, opt = cm_bound_check(6, 2, 5, 2)
-    assert rhs == 2 and opt
+    v = bound_verdict(6, 2, 5, 2)
+    assert v.cm_rhs == 2 and v.k_optimal
     assert cm_bound(9, 6, 2) == 3
     with pytest.raises(ValueError):
         cm_bound(3, 1, 3)  # no feasible t

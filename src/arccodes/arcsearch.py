@@ -148,7 +148,8 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
-    for name, value in (("max_nodes", max_nodes), ("restarts", restarts)):
+    for name, value in (("max_nodes", max_nodes), ("restarts", restarts),
+                        ("target_size", target_size)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     if max_seconds is not None and not max_seconds > 0:

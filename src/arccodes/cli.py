@@ -162,6 +162,13 @@ def _read_matrix(path: str) -> codes.GeneratorMatrix:
         return codes.GeneratorMatrix.from_text(fh.read())
 
 
+def _locality_line(rep: dict) -> str:
+    """The table line of an lrc_report: localities and the four flags."""
+    return (f"locality: ({rep['r_primal']}, {rep['r_dual']}); "
+            f"d-optimal={rep['d_optimal']} k-optimal={rep['k_optimal']} "
+            f"dual-d-optimal={rep['dual_d_optimal']} dual-k-optimal={rep['dual_k_optimal']}")
+
+
 def cmd_analyze(args) -> int:
     G = _read_matrix(args.matrix)
     dist = codes.weight_distribution(G)
@@ -180,12 +187,7 @@ def cmd_analyze(args) -> int:
         f"weights: {dist.to_pairs()}",
     ]
     if "lrc" in data and "error" not in data["lrc"]:
-        rep = data["lrc"]
-        lines.append(
-            f"locality: ({rep['r_primal']}, {rep['r_dual']}); "
-            f"d-optimal={rep['d_optimal']} k-optimal={rep['k_optimal']} "
-            f"dual-d-optimal={rep['dual_d_optimal']} dual-k-optimal={rep['dual_k_optimal']}"
-        )
+        lines.append(_locality_line(data["lrc"]))
     _emit(args, data, lines)
     return EXIT_OK
 
@@ -214,7 +216,7 @@ def cmd_census(args) -> int:
 def cmd_locality(args) -> int:
     G = _read_matrix(args.matrix)
     data = lrc.lrc_report(G)
-    _emit(args, data, [json.dumps(data, indent=2)])
+    _emit(args, data, [_locality_line(data)])
     return EXIT_OK
 
 

@@ -1,11 +1,18 @@
-"""Locality of dimension-3 near-MDS codes and LRC optimality verdicts.
+"""Exact localities of dimension-3 codes, and LRC optimality verdicts.
 
-The locality criterion works on the weight-3 dual supports (the collinear
-column triples): if their union covers every coordinate the code has
-locality k-1 = 2, and if their intersection is empty the dual has locality
-n-k-1.  When a criterion fails the corresponding locality is reported as
-None ("not established by this criterion") rather than searched for
-exhaustively.
+Locality is the minimum recovery-set size (Gopalan, Huang, Simitci and
+Yekhanin, IEEE Trans. IT 58(11), 2012).  The columns are nonzero, pairwise
+non-proportional and never 4 on a line, so both localities of coordinate i
+follow from the collinear column triples (the weight-3 dual supports).  t_i
+of them hold i.  The richest line missing column i holds m_i = 3 columns if
+a triple misses i, else 2: the columns span the plane, so not every pair of
+other columns is collinear with i.  Column i is in the span of two others
+exactly when a triple holds it, so r_i = 2 if t_i > 0, else 3 if the other
+columns span the plane (m_i < n-1); if they are collinear, i has no
+recovery set.  A dual coordinate is recovered from the rest of the support
+of a codeword nonzero at i; the q-1 codewords of a line vanish exactly on
+its columns, so the lightest has weight n - m_i and the dual's r_i is
+n - 1 - m_i.  A code's locality is the largest of its coordinates'.
 
 Optimality is judged against the Singleton-like bound
 d <= n - k - ceil(k/r) + 2 and the Cadambe-Mazumdar bound with the largest
@@ -21,35 +28,29 @@ from .codes import CodeProfile, GeneratorMatrix, WeightDistribution, classify, m
 
 @dataclass(frozen=True)
 class LocalityReport:
+    """`r_primal` is None when some coordinate has no recovery set;
+    `coordinates` holds each coordinate's (primal, dual) locality."""
     r_primal: int | None
-    r_dual: int | None
-    cover_ok: bool
-    disjoint_ok: bool
+    r_dual: int
     supports: tuple[tuple[int, int, int], ...]
-    remark: str = ""
+    coordinates: tuple[tuple[int | None, int], ...]
 
 
 def locality_report(G: GeneratorMatrix) -> LocalityReport:
-    """Apply the support-cover criterion to a dimension-3 code."""
+    """Exact per-coordinate localities of a dimension-3 code and its dual."""
     supports = tuple(min_weight_supports(G))
     n = G.n
-    if supports:
-        union = set().union(*map(set, supports))
-        inter = set(supports[0]).intersection(*map(set, supports[1:]))
-    else:
-        union, inter = set(), set()
-    cover_ok = union == set(range(n))
-    disjoint_ok = bool(supports) and not inter
-    r_primal = G.k - 1 if cover_ok else None
-    r_dual = n - G.k - 1 if disjoint_ok else None
-    if cover_ok:
-        remark = (
-            "locality <= 2 established by the cover criterion; >= 2 since the "
-            "dual distance 3 forces recovery sets of size >= 2"
-        )
-    else:
-        remark = "criterion inconclusive"
-    return LocalityReport(r_primal, r_dual, cover_ok, disjoint_ok, supports, remark)
+    t = [0] * n
+    for triple in supports:
+        for i in triple:
+            t[i] += 1
+    coordinates = []
+    for t_i in t:
+        m_i = 3 if len(supports) > t_i else 2
+        coordinates.append((2 if t_i else 3 if m_i < n - 1 else None, n - 1 - m_i))
+    primal = [r for r, _ in coordinates]
+    return LocalityReport(None if None in primal else max(primal),
+                          max(r for _, r in coordinates), supports, tuple(coordinates))
 
 
 def singleton_like_bound(n: int, k: int, r: int) -> int:
@@ -92,6 +93,8 @@ class BoundVerdict:
 def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
     """Whether d meets the Singleton-like bound and k the CM bound.  d above
     the Singleton-like bound means inconsistent inputs."""
+    if not 1 <= k <= n or d < 1:
+        raise ValueError(f"no [n={n}, k={k}, d={d}] code: need 1 <= k <= n and d >= 1")
     s_rhs = singleton_like_bound(n, k, r)
     if d > s_rhs:
         raise ValueError(f"d={d} exceeds the Singleton-like bound {s_rhs}; inconsistent inputs")
@@ -108,26 +111,18 @@ def lrc_report(G: GeneratorMatrix,
     if profile is None:
         profile = classify(G, distribution)
     loc = locality_report(G)
-    out = {
-        "n": profile.n,
-        "k": profile.k,
-        "d": profile.d,
-        "r_primal": loc.r_primal,
-        "r_dual": loc.r_dual,
-        "d_optimal": None,
-        "k_optimal": None,
-        "dual_d_optimal": None,
-        "dual_k_optimal": None,
-        "supports": [list(t) for t in loc.supports],
-        "remark": loc.remark,
-    }
+    out = {"n": profile.n, "k": profile.k, "d": profile.d,
+           "r_primal": loc.r_primal, "r_dual": loc.r_dual,
+           **dict.fromkeys(("d_optimal", "k_optimal", "dual_d_optimal", "dual_k_optimal")),
+           "supports": [list(t) for t in loc.supports],
+           "localities": [list(c) for c in loc.coordinates]}
     if loc.r_primal is not None:
         primal = bound_verdict(profile.n, profile.k, profile.d, loc.r_primal)
         out["d_optimal"] = primal.d_optimal
         out["k_optimal"] = primal.k_optimal
         out["singleton_like_rhs"] = primal.singleton_like_rhs
         out["cm_rhs"] = primal.cm_rhs
-    if loc.r_dual is not None and profile.d_dual is not None:
+    if profile.d_dual is not None:  # None: the dual is {0}
         dual = bound_verdict(profile.n, profile.n - profile.k, profile.d_dual, loc.r_dual)
         out["dual_d_optimal"] = dual.d_optimal
         out["dual_k_optimal"] = dual.k_optimal

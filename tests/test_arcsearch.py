@@ -265,6 +265,7 @@ def test_budget_exhaustion_flagged():
 @pytest.mark.parametrize("bad", [
     {"max_nodes": 0}, {"max_nodes": -3}, {"restarts": 0}, {"restarts": -3},
     {"max_seconds": 0}, {"max_seconds": -1.0}, {"workers": 2}, {"workers": 0},
+    {"target_size": 0}, {"target_size": -1},
 ])
 def test_bad_budgets_rejected(bad):
     F, hyper = _hyperoval(2)

@@ -2,7 +2,9 @@
 
 perfbench/ is kept unchanged between benchmark revisions, so a library
 change that drops or reshapes one of these breaks the benchmark without
-breaking any other test.  The tracer is loaded by path and is not changed.
+breaking any other test.  The tracer and the oracle are loaded by path and
+are not changed; the oracle's checks on the goldens are the ones a
+benchmark job runs, so a library change that would fail a job fails here.
 """
 
 import importlib
@@ -12,20 +14,23 @@ from pathlib import Path
 import pytest
 
 from arccodes import arcsearch, codes, construct, geometry, lrc, opoly
-from arccodes.fixtures import GOLDEN_Q4_EVEN
+from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+oracle = _load("oracle")
+
+
 @pytest.mark.parametrize("module, attr", [
-    (module, attr) for module, funcs in _tracer().TRACED.items() for attr in funcs
+    (module, attr) for module, funcs in _load("tracer").TRACED.items() for attr in funcs
 ])
 def test_traced_function_exists(module, attr):
     assert callable(getattr(importlib.import_module(f"arccodes.{module}"), attr))
@@ -43,6 +48,24 @@ def test_sweep_call_shapes():
     rep = lrc.locality_report(G)
     assert (rep.r_primal, rep.r_dual) == (2, 5)
     assert [list(s) for s in rep.supports] == report["supports"]
+
+
+@pytest.mark.parametrize("golden, closed_form", [
+    (GOLDEN_Q4_EVEN, construct.even_closed_form), (GOLDEN_Q9_ODD, construct.odd_closed_form),
+])
+def test_oracle_passes_the_goldens(golden, closed_form):
+    # the inputs of the sweep's check, built as worker.verify_code builds them
+    G = golden.matrix()
+    dist = codes.weight_distribution(G)
+    closed = closed_form(G.field.q)
+    report = lrc.lrc_report(G, dist)
+    K = oracle.field_of(G.field)
+    assert oracle.nmds_code_problems(K, G.columns(), dist.counts, closed.counts,
+                                     codes.classify(G, dist), report) == []
+    # the large-q locality job's check
+    rep = lrc.locality_report(G)
+    assert oracle.locality_problems(K.q, G.n, oracle.rich_lines(K, G.columns()),
+                                    rep.supports, (rep.r_primal, rep.r_dual)) == []
 
 
 def test_search_call_shapes():

@@ -212,6 +212,13 @@ def test_locality(tmp_path, capsys):
     assert code == 0
     assert data["r_primal"] == 2 and data["r_dual"] == 10
     assert len(data["supports"]) == 160 // 8
+    assert data["localities"] == [[2, 10]] * 14
+    # the table is the line `analyze` prints, not the JSON
+    code, out, _ = run(capsys, "locality", str(path))
+    line = ("locality: (2, 10); d-optimal=True k-optimal=True "
+            "dual-d-optimal=True dual-k-optimal=True")
+    assert code == 0 and out.splitlines() == [line]
+    assert line in run(capsys, "analyze", str(path))[1].splitlines()
 
 
 def test_bounds(capsys):
@@ -226,6 +233,17 @@ def test_bounds(capsys):
         "cm_rhs": 3,
         "cm_bound_model": "singleton-relaxed",
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--k", "-9", "--d", "0", "--r", "1"],
+    ["--n", "9", "--k", "0", "--d", "3", "--r", "2"],
+    ["--n", "9", "--k", "3", "--d", "-4", "--r", "2"],
+])
+def test_bounds_rejects_impossible_codes(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 2 and not out
+    assert "need 1 <= k <= n and d >= 1" in err
 
 
 def test_search(capsys):
@@ -280,7 +298,7 @@ def test_search_reports_weight_distribution(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-nodes", "0"), ("--max-nodes", "-3"), ("--restarts", "0"), ("--restarts", "-3"),
-    ("--max-seconds", "0"), ("--max-seconds", "-1"),
+    ("--max-seconds", "0"), ("--max-seconds", "-1"), ("--target", "-1"), ("--target", "0"),
 ])
 def test_search_rejects_bad_budgets(capsys, flag, value):
     code, out, err = run(capsys, "search", "--q", "4", "--strategy", "greedy-restart",

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from arccodes.field import make_field
+from arccodes.field import field_from_order, make_field
 from arccodes import geometry as geo
 from arccodes.codes import GeneratorMatrix
 from arccodes.construct import build_even_matrix, build_odd_matrix, valid_v_set
@@ -14,25 +16,102 @@ from arccodes.lrc import (
 from arccodes.opoly import make_family_opoly
 
 
+def _brute_localities(G):
+    """Each coordinate's (primal, dual) locality by definition, from all q^3
+    codewords.  Coordinate i is recovered from R when every codeword that
+    vanishes on R vanishes at i; None when no R does.  The dual's locality
+    at i is one less than the least weight of a codeword nonzero at i."""
+    F, n, cols = G.field, G.n, G.columns()
+    zero_sets = set()
+    for u in itertools.product(range(F.q), repeat=3):
+        if any(u):
+            zero_sets.add(frozenset(
+                j for j, c in enumerate(cols)
+                if not F.add(F.add(F.mul(u[0], c[0]), F.mul(u[1], c[1])), F.mul(u[2], c[2]))))
+    out = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        primal = next((size for size in range(1, n) for R in itertools.combinations(others, size)
+                       if not any(z.issuperset(R) and i not in z for z in zero_sets)), None)
+        dual = min(n - len(z) for z in zero_sets if i not in z) - 1
+        out.append((primal, dual))
+    return tuple(out)
+
+
 def test_locality_report_even_code():
     G = GOLDEN_Q4_EVEN.matrix()
     rep = locality_report(G)
     assert rep.r_primal == 2
     assert rep.r_dual == 9 - 4 == 4 + 1  # n-k-1 = q+1
-    assert rep.cover_ok and rep.disjoint_ok
+    assert rep.coordinates == ((2, 5),) * 9 == _brute_localities(G)
     assert len(rep.supports) == 10
     assert all(len(t) == 3 for t in rep.supports)
 
 
-def test_locality_report_mds_inconclusive():
-    F = make_field(2, 2)
-    f = make_family_opoly(F, "translation", h=1)
-    G = GeneratorMatrix.from_columns(F, geo.hyperoval_from_opoly(f))
+@pytest.mark.parametrize("q", [4, 7])
+def test_locality_report_mds(q):
+    # the [6,3,4] MDS code of six arc points: no collinear triple, yet every
+    # coordinate is recovered from 3 others, in the code and in its dual
+    F = field_from_order(q)
+    if q == 4:
+        pts = geo.hyperoval_from_opoly(make_family_opoly(F, "translation", h=1))
+    else:
+        pts = geo.standard_oval(F)[:6]
+    G = GeneratorMatrix.from_columns(F, pts)
     rep = locality_report(G)
     assert rep.supports == ()
-    assert rep.r_primal is None and rep.r_dual is None
-    assert not rep.cover_ok and not rep.disjoint_ok
-    assert "inconclusive" in rep.remark
+    assert (rep.r_primal, rep.r_dual) == (3, 3)
+    assert rep.coordinates == ((3, 3),) * 6 == _brute_localities(G)
+    out = lrc_report(G)
+    assert out["localities"] == [[3, 3]] * 6
+    assert all(out[flag] for flag in ("d_optimal", "k_optimal", "dual_d_optimal", "dual_k_optimal"))
+
+
+def test_locality_report_unrecoverable_coordinate():
+    # three points of the line z = 0 and one point off it: the lone point is
+    # not in the span of the others, so the code has no locality; its dual
+    # [4,1,3] has locality 1
+    F = make_field(3, 1)
+    G = GeneratorMatrix.from_columns(F, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    rep = locality_report(G)
+    assert (rep.r_primal, rep.r_dual) == (None, 1)
+    assert rep.coordinates == ((2, 1), (2, 1), (2, 1), (None, 0)) == _brute_localities(G)
+    out = lrc_report(G)
+    assert [out[f] for f in ("d_optimal", "k_optimal")] == [None, None]
+    assert out["dual_d_optimal"] is False and out["dual_k_optimal"] is True
+
+
+def test_locality_report_matches_brute_force():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def codes_without_four_collinear(draw):
+        F = field_from_order(draw(st.sampled_from([3, 4, 5, 7])))
+        n = draw(st.integers(3, 9))
+        chosen = []  # distinct points, never 4 on a line
+        for p in draw(st.lists(st.sampled_from(geo.all_points(F)), min_size=2 * n, max_size=20)):
+            if (len(chosen) < n and p not in chosen
+                    and geo.LineProfile(F, chosen + [p]).max_line <= 3):
+                chosen.append(p)
+        scales = draw(st.lists(st.integers(1, F.q - 1), min_size=len(chosen),
+                               max_size=len(chosen)))
+        try:
+            return GeneratorMatrix.from_columns(
+                F, [tuple(F.mul(s, e) for e in p) for s, p in zip(scales, chosen)])
+        except ValueError:  # fewer than 3 points, or 3 collinear ones spanning a line
+            hypothesis.reject()
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(codes_without_four_collinear())
+    def check(G):
+        rep = locality_report(G)
+        assert rep.coordinates == _brute_localities(G), G.rows
+        primal = [r for r, _ in rep.coordinates]
+        assert rep.r_primal == (None if None in primal else max(primal))
+        assert rep.r_dual == max(r for _, r in rep.coordinates)
+
+    check()
 
 
 def test_singleton_like_check():
@@ -48,6 +127,10 @@ def test_singleton_like_check():
         bound_verdict(10, 3, 9, 2)  # d above the bound
     with pytest.raises(ValueError):
         bound_verdict(10, 3, 6, 0)
+    # no code has k outside [1, n] or d below 1
+    for n, k, d, r in ((5, -9, 0, 1), (9, 0, 3, 2), (9, 3, -4, 2), (9, 10, 1, 2), (9, 3, 0, 2)):
+        with pytest.raises(ValueError, match="need 1 <= k <= n and d >= 1"):
+            bound_verdict(n, k, d, r)
 
 
 def test_cm_bound_check():

@@ -27,6 +27,7 @@ from .codes import (
     BudgetExceededError,
     weight_of,
     weight_distribution,
+    dual_weight_distribution,
     dual_matrix,
     classify,
     CodeProfile,
@@ -47,6 +48,8 @@ from .lrc import (
     locality_report,
     bound_verdict,
     lrc_report,
+    CodeReport,
+    code_report,
 )
 from .arcsearch import extend_to_n3_arc
 

@@ -135,24 +135,20 @@ def cmd_construct(args) -> int:
         G = construct.build_odd_matrix(F, w, order=args.order)
         closed = construct.odd_closed_form(F.q)
         chosen = {"w": F.element_to_str(w, args.powers)}
-    dist = codes.weight_distribution(G)
-    profile = codes.classify(G, dist)
-    match = dist == closed
+    rep = lrc.code_report(G)
+    match = rep.distribution == closed
     data = {
         **chosen,
         "matrix": _matrix_lines(G, args.powers),
-        "profile": profile.to_dict(),
-        "weight_distribution": dist.to_pairs(),
+        **rep.to_dict(),
         "closed_form": closed.to_pairs(),
         "closed_form_match": match,
     }
-    _emit(args, data, _matrix_lines(G, args.powers) + [
-        f"[{profile.n},{profile.k},{profile.d}] {profile.category}",
-        f"weights:     {dist.to_pairs()}",
+    _emit(args, data, _matrix_lines(G, args.powers) + _report_lines(rep, F.q) + [
         f"closed form: {closed.to_pairs()}",
         "MATCH" if match else "MISMATCH",
     ])
-    if profile.category != "NMDS" or not match:
+    if rep.profile.category != "NMDS" or not match:
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -169,26 +165,22 @@ def _locality_line(rep: dict) -> str:
             f"dual-d-optimal={rep['dual_d_optimal']} dual-k-optimal={rep['dual_k_optimal']}")
 
 
+def _report_lines(rep: lrc.CodeReport, q: int) -> list[str]:
+    """The table lines of a code report; the locality line for k = 3 only."""
+    p = rep.profile
+    lines = [f"[{p.n},{p.k},{p.d}] {p.category} over q={q}",
+             f"weights: {rep.distribution.to_pairs()}",
+             f"dual weights: {rep.dual_distribution.to_pairs()}"]
+    if rep.lrc is not None:
+        lines.append(f"locality: {rep.lrc['error']}" if "error" in rep.lrc
+                     else _locality_line(rep.lrc))
+    return lines
+
+
 def cmd_analyze(args) -> int:
     G = _read_matrix(args.matrix)
-    dist = codes.weight_distribution(G)
-    profile = codes.classify(G, dist)
-    data = {
-        "profile": profile.to_dict(),
-        "weight_distribution": dist.to_pairs(),
-    }
-    if G.k == 3:
-        try:
-            data["lrc"] = lrc.lrc_report(G, profile=profile)
-        except ValueError as exc:
-            data["lrc"] = {"error": str(exc)}
-    lines = [
-        f"[{profile.n},{profile.k},{profile.d}] {profile.category} over q={G.field.q}",
-        f"weights: {dist.to_pairs()}",
-    ]
-    if "lrc" in data and "error" not in data["lrc"]:
-        lines.append(_locality_line(data["lrc"]))
-    _emit(args, data, lines)
+    rep = lrc.code_report(G)
+    _emit(args, rep.to_dict(), _report_lines(rep, G.field.q))
     return EXIT_OK
 
 
@@ -214,9 +206,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    G = _read_matrix(args.matrix)
-    data = lrc.lrc_report(G)
-    _emit(args, data, [_locality_line(data)])
+    loc = lrc.code_report(_read_matrix(args.matrix)).lrc
+    if loc is None or "error" in loc:
+        raise ValueError(loc["error"] if loc else "locality reports are for k = 3")
+    _emit(args, loc, [_locality_line(loc)])
     return EXIT_OK
 
 
@@ -263,59 +256,57 @@ def cmd_search(args) -> int:
         f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "
         f"elapsed={stats.elapsed_ms}ms]",
     ]
-    if stats.found_n < 3:  # too short for a code of dimension 3
+    if len(codes.rref(F, pts)[1]) < 3:  # under 3 points, or all on one line: no code
         _emit(args, data, lines)
         return EXIT_BUDGET
     G = codes.GeneratorMatrix.from_columns(F, pts)
-    dist = codes.weight_distribution(G)
-    data["matrix"] = _matrix_lines(G, args.powers)
-    data["weight_distribution"] = dist.to_pairs()
-    _emit(args, data, lines + _matrix_lines(G, args.powers) + [f"weights: {dist.to_pairs()}"])
+    rep = lrc.code_report(G)
+    data.update(matrix=_matrix_lines(G, args.powers), **rep.to_dict())
+    _emit(args, data, lines + data["matrix"] + _report_lines(rep, F.q))
     if args.target is not None and stats.found_n < args.target:
         return EXIT_BUDGET
     return EXIT_OK
 
 
+def _golden_checks(golden):
+    """Yield (fact, holds) for each fact that verify-paper checks on a golden."""
+    F, G = golden.field(), golden.matrix()
+    n, q = G.n, F.q
+    expected = golden.pinned_distribution()
+    # the NMDS distributions that the pinned A_{n-3} determines
+    closed, nmds_dual = codes.nmds_closed_form(n, 3, q, expected[n - 3])
+    if golden.kind != "fixture":
+        even = golden.kind == "even"
+        f, v, w = _construction(F, even, golden.opoly, golden.v_or_w, golden.v_or_w)
+        built = construct.build_even_matrix(f, v) if even else construct.build_odd_matrix(F, w)
+        closed = (construct.even_closed_form if even else construct.odd_closed_form)(q)
+        yield "matrix reproduced", built == G
+        G = built
+    rep = lrc.code_report(G)
+    p, loc = rep.profile, rep.lrc
+    yield "weight distribution", rep.distribution == expected
+    yield "closed form", rep.distribution == closed
+    yield "NMDS", p.category == "NMDS"
+    yield "MacWilliams dual = NMDS dual formula", rep.dual_distribution == nmds_dual
+    if golden.kind != "fixture":
+        yield (f"locality (2, {q + 1}), all four bounds met",
+               (loc.get("r_primal"), loc.get("r_dual")) == (2, q + 1)
+               and all(loc.get(flag) is True for flag in lrc.FLAGS))
+        return
+    lines = G.line_profile()
+    bound = q + math.isqrt(4 * q) + 1  # q + floor(2 sqrt q) + 1
+    yield f"[{n},3,{n - 3}]", (p.n, p.k, p.d) == (n, 3, n - 3)
+    yield f"({n},3)-arc", not (lines.zeros or lines.repeated) and lines.max_line == 3
+    yield f"first q+2 = {q + 2} columns form an arc", geometry.is_arc(F, G.column_points()[:q + 2])
+    yield f"n = {n} > q + floor(2 sqrt q) + 1 = {bound}", n > bound
+
+
 def cmd_verify_paper(args) -> int:
     failures = 0
-
-    def report(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
     for golden in ALL_GOLDEN:
-        F, G = golden.field(), golden.matrix()
-        n, q = G.n, F.q
-        expected = golden.weight_distribution()
-        if golden.kind == "fixture":
-            # the NMDS distribution that the pinned A_{n-3} determines
-            closed = codes.nmds_closed_form(n, 3, q, expected[n - 3])[0]
-        else:
-            even = golden.kind == "even"
-            f, v, w = _construction(F, even, golden.opoly, golden.v_or_w, golden.v_or_w)
-            if even:
-                built, closed = construct.build_even_matrix(f, v), construct.even_closed_form(q)
-            else:
-                built, closed = construct.build_odd_matrix(F, w), construct.odd_closed_form(q)
-            report(f"{golden.name}: matrix reproduced", built == G)
-            G = built
-        dist = codes.weight_distribution(G)
-        profile = codes.classify(G, dist)
-        report(f"{golden.name}: weight distribution", dist == expected)
-        report(f"{golden.name}: closed form", dist == closed)
-        report(f"{golden.name}: NMDS", profile.category == "NMDS")
-        if golden.kind == "fixture":
-            lines = G.line_profile()
-            bound = q + math.isqrt(4 * q) + 1  # q + floor(2 sqrt q) + 1
-            report(f"{golden.name}: [{n},3,{n - 3}]",
-                   (profile.n, profile.k, profile.d) == (n, 3, n - 3))
-            report(f"{golden.name}: ({n},3)-arc",
-                   not (lines.zeros or lines.repeated) and lines.max_line == 3)
-            report(f"{golden.name}: first q+2 = {q + 2} columns form an arc",
-                   geometry.is_arc(F, G.column_points()[:q + 2]))
-            report(f"{golden.name}: n = {n} > q + floor(2 sqrt q) + 1 = {bound}", n > bound)
+        for fact, ok in _golden_checks(golden):
+            print(f"{'PASS' if ok else 'FAIL'}  {golden.name}: {fact}")
+            failures += not ok
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", choices=("powers", "canonical"), default="powers")
     sub.set_defaults(func=cmd_construct)
 
-    sub = subs.add_parser("analyze", help="profile + weights + locality of a matrix file")
+    sub = subs.add_parser("analyze", help="the code report of a matrix file")
     _add_output_args(sub, powers=False)
     sub.add_argument("matrix", help="matrix text file")
     sub.set_defaults(func=cmd_analyze)
@@ -397,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts: the dual weights of an [n, k] code run to about
+    # (n - k) log10(q) digits, past Python's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except codes.BudgetExceededError as exc:
@@ -405,6 +400,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ q-1 codewords u.G of a line u vanish exactly on its columns, so a line
 holding c nonzero columns gives q-1 codewords of weight n - z - c (z zero
 columns).  Other dimensions enumerate one message per projective class; that
 enumerator is also the test oracle for the profile.  For every k the dual
-distance comes from the weight distribution by the MacWilliams identities.
+distance, and on request the dual's whole weight distribution, come from the
+weight distribution by the MacWilliams identities.
 """
 
 import math
@@ -272,12 +273,10 @@ class CodeProfile:
         return asdict(self)
 
 
-def _dual_distance(distribution: WeightDistribution, q: int) -> int | None:
-    """d of the dual from the code's own weights (MacWilliams): the least
-    j >= 1 with sum_i A_i K_j(i) = q^k B_j nonzero.  The Krawtchouk values
-    K_j(i) follow the exact three-term recurrence in j, for the nonzero A_i
-    only; since d_dual <= k + 1 the loop stops after a few steps.  None only
-    when every B_j vanishes, i.e. n = k."""
+def _macwilliams_sums(distribution: WeightDistribution, q: int):
+    """Yield sum_i A_i K_j(i) = q^k B_j for j = 1..n (MacWilliams).  The
+    Krawtchouk values K_j(i) follow the exact three-term recurrence in j,
+    for the nonzero A_i only, so a caller may stop early."""
     n = distribution.n
     weights = [i for i, a in enumerate(distribution.counts) if a]
     counts = [distribution[i] for i in weights]
@@ -287,9 +286,22 @@ def _dual_distance(distribution: WeightDistribution, q: int) -> int | None:
             (((q - 1) * (n - j) + j - q * i) * kj - (q - 1) * (n - j + 1) * kp) // (j + 1)
             for i, kj, kp in zip(weights, cur, prev)
         ]
-        if sum(a * kj for a, kj in zip(counts, cur)):
-            return j + 1
-    return None
+        yield sum(a * kj for a, kj in zip(counts, cur))
+
+
+def _dual_distance(distribution: WeightDistribution, q: int) -> int | None:
+    """d of the dual from the code's own weights: the least j >= 1 with B_j
+    nonzero.  Since d_dual <= k + 1 the transform stops after a few steps.
+    None only when every B_j vanishes, i.e. n = k."""
+    return next((j for j, s in enumerate(_macwilliams_sums(distribution, q), 1) if s), None)
+
+
+def dual_weight_distribution(distribution: WeightDistribution, q: int,
+                             k: int) -> WeightDistribution:
+    """The dual's full weight distribution B_0..B_n from an [n, k] code's."""
+    qk = q ** k
+    return WeightDistribution([1] + [s // qk for s in _macwilliams_sums(distribution, q)],
+                              q, distribution.n - k)
 
 
 def classify(G: GeneratorMatrix, distribution: WeightDistribution | None = None) -> CodeProfile:

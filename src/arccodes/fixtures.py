@@ -28,7 +28,7 @@ class Golden:
             F, [[F.element_from_str(tok) for tok in row.split()] for row in self.rows]
         )
 
-    def weight_distribution(self) -> WeightDistribution:
+    def pinned_distribution(self) -> WeightDistribution:
         n = len(self.rows[0].split())
         return WeightDistribution.from_pairs(
             n, [[0, 1]] + [list(p) for p in self.distribution]

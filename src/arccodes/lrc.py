@@ -1,4 +1,5 @@
-"""Exact localities of dimension-3 codes, and LRC optimality verdicts.
+"""Exact localities of dimension-3 codes, LRC optimality verdicts, and the
+one report per code (`code_report`) that the code commands print.
 
 Locality is the minimum recovery-set size (Gopalan, Huang, Simitci and
 Yekhanin, IEEE Trans. IT 58(11), 2012).  The columns are nonzero, pairwise
@@ -23,7 +24,10 @@ max(n' - d + 1, 0) ("Singleton-relaxed"), which is all these codes need.
 import math
 from dataclasses import dataclass
 
-from .codes import CodeProfile, GeneratorMatrix, WeightDistribution, classify, min_weight_supports
+from .codes import (CodeProfile, GeneratorMatrix, WeightDistribution, classify,
+                    dual_weight_distribution, min_weight_supports, weight_distribution)
+
+FLAGS = ("d_optimal", "k_optimal", "dual_d_optimal", "dual_k_optimal")
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,16 @@ def singleton_like_bound(n: int, k: int, r: int) -> int:
 
 
 def cm_bound(n: int, d: int, r: int) -> int:
-    """min over t >= 1 with n - t(r+1) >= 1 of t*r + max(n - t(r+1) - d + 1, 0).
-    The objective falls by 1 per step up to t0 = floor((n-d+1)/(r+1)) and
-    is t*r, at least its value at t0, from t0+1 on; so t0 clamped to the
-    feasible range attains the minimum."""
+    """min over t >= 1 with t(r+1) <= n of t*r + max(n - t(r+1) - d + 1, 0).
+    t(r+1) = n is admitted, with k_opt(0, d) = 0: it is sound because there
+    d >= 1 and the Singleton-like bound k + ceil(k/r) <= n - d + 2 <=
+    t(r+1) + 1 already rule out k = tr + 1 (whose left side is t(r+1) + 2),
+    so k <= tr.  The objective falls by 1 per step up to t0 =
+    floor((n-d+1)/(r+1)) and is t*r, at least its value at t0, from t0+1
+    on; so t0 clamped to the feasible range attains the minimum."""
     if r < 1:
         raise ValueError("locality r must be >= 1")
-    t_max = (n - 1) // (r + 1)
+    t_max = n // (r + 1)
     if t_max < 1:
         raise ValueError(f"no feasible t: n={n} too short for r={r}")
     t = min(max((n - d + 1) // (r + 1), 1), t_max)
@@ -113,7 +120,7 @@ def lrc_report(G: GeneratorMatrix,
     loc = locality_report(G)
     out = {"n": profile.n, "k": profile.k, "d": profile.d,
            "r_primal": loc.r_primal, "r_dual": loc.r_dual,
-           **dict.fromkeys(("d_optimal", "k_optimal", "dual_d_optimal", "dual_k_optimal")),
+           **dict.fromkeys(FLAGS),
            "supports": [list(t) for t in loc.supports],
            "localities": [list(c) for c in loc.coordinates]}
     if loc.r_primal is not None:
@@ -129,3 +136,34 @@ def lrc_report(G: GeneratorMatrix,
         out["dual_singleton_like_rhs"] = dual.singleton_like_rhs
         out["dual_cm_rhs"] = dual.cm_rhs
     return out
+
+
+@dataclass(frozen=True)
+class CodeReport:
+    """Everything the library reports about one code, as every command
+    prints it.  `lrc` is lrc_report's dict for k = 3 ({"error": ...} when the columns
+    admit none: zero, repeated or 4 on a line) and None otherwise."""
+    distribution: WeightDistribution
+    dual_distribution: WeightDistribution
+    profile: CodeProfile
+    lrc: dict | None
+
+    def to_dict(self):
+        out = {"profile": self.profile.to_dict(),
+               "weight_distribution": self.distribution.to_pairs(),
+               "dual_weight_distribution": self.dual_distribution.to_pairs()}
+        return out if self.lrc is None else {**out, "lrc": self.lrc}
+
+
+def code_report(G: GeneratorMatrix) -> CodeReport:
+    """The weights, the MacWilliams dual weights, the profile and, for
+    k = 3, the localities and LRC verdicts of the code generated by G."""
+    dist = weight_distribution(G)
+    profile = classify(G, dist)
+    rep = None
+    if G.k == 3:
+        try:
+            rep = lrc_report(G, profile=profile)
+        except ValueError as exc:
+            rep = {"error": str(exc)}
+    return CodeReport(dist, dual_weight_distribution(dist, G.field.q, G.k), profile, rep)

@@ -18,6 +18,7 @@ from arccodes.codes import (
     GeneratorMatrix,
     classify,
     dual_matrix,
+    dual_weight_distribution,
     min_weight_pairing_check,
     min_weight_supports,
     nmds_closed_form,
@@ -64,7 +65,7 @@ def _check_golden(golden, build):
     G = build(F)
     assert G == golden.matrix(), "matrix is not bit-exact"
     dist = weight_distribution(G)
-    assert dist == golden.weight_distribution()
+    assert dist == golden.pinned_distribution()
     closed = even_closed_form(F.q) if golden.kind == "even" else odd_closed_form(F.q)
     assert dist == closed
     assert classify(G, dist).category == "NMDS"
@@ -218,6 +219,8 @@ def test_criterion_08_nmds_formula_oracle():
             a_min = dist[n - 3]
             primal, dual = nmds_closed_form(n, 3, q, a_min)
             assert primal == dist, f"q={q} {built.label}: primal formula"
+            assert dual_weight_distribution(dist, q, 3) == dual, \
+                f"q={q} {built.label}: MacWilliams dual"
             triples = min_weight_supports(G)
             assert dual[3] == (q - 1) * len(triples), f"q={q} {built.label}: dual seed"
             assert sum(dual.counts) == q ** (n - 3)
@@ -254,7 +257,7 @@ def test_criterion_10_conclusion_and_search():
         G = GOLDEN_Q8_LENGTH15.matrix()
         F, pts = G.field, G.column_points()
         dist = weight_distribution(G)
-        assert dist == GOLDEN_Q8_LENGTH15.weight_distribution()
+        assert dist == GOLDEN_Q8_LENGTH15.pinned_distribution()
         assert dist == nmds_closed_form(15, 3, 8, dist[12])[0]
         p = classify(G, dist)
         assert (p.n, p.k, p.d, p.category) == (15, 3, 12, "NMDS")

@@ -82,7 +82,9 @@ def test_construct_even_json(capsys):
     code, out, _ = run(capsys, "construct", "--even", "--q", "4",
                        "--opoly", "translation:h=1", "--v", "g^1")
     assert code == 0
-    assert "weights:     [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]" in out
+    lines = out.splitlines()
+    assert "weights: [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]" in lines
+    assert "closed form: [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]" in lines
     assert "enumerated" not in out
 
 
@@ -171,7 +173,8 @@ def test_analyze_header_with_repeated_key(tmp_path, capsys):
     assert "error:" in err and "key 'mod' repeated" in err
 
 
-def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["construct", "analyze", "locality", "search"])
+def test_analyze_classifies_once(tmp_path, capsys, monkeypatch, command):
     from arccodes import codes, lrc
 
     calls, real = [], codes.classify
@@ -184,9 +187,19 @@ def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lrc, "classify", counted)
     path = tmp_path / "m.txt"
     path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
-    code, data, _ = run_json(capsys, "analyze", str(path))
-    assert code == 0 and data["lrc"]["r_primal"] == 2
-    assert len(calls) == 1
+    q, argv = {"construct": (9, ["--odd", "--q", "9", "--w", "g^5"]),
+               "analyze": (9, [str(path)]), "locality": (9, [str(path)]),
+               "search": (4, ["--q", "4", "--target", "9"])}[command]
+    code, data, _ = run_json(capsys, command, *argv)
+    assert code == 0 and len(calls) == 1
+    rep = data if command == "locality" else data["lrc"]
+    assert rep["r_primal"] == 2 and all(rep[flag] is True for flag in lrc.FLAGS)
+    if command != "locality":  # one code report, with the dual weights beside the primal
+        assert {"profile", "weight_distribution", "dual_weight_distribution", "lrc"} <= set(data)
+        n = data["profile"]["n"]
+        dist = codes.WeightDistribution.from_pairs(n, data["weight_distribution"])
+        dual = nmds_closed_form(n, 3, q, dist[n - 3])[1]
+        assert data["dual_weight_distribution"] == dual.to_pairs()
 
 
 def test_analyze_missing_file(capsys):
@@ -221,6 +234,49 @@ def test_locality(tmp_path, capsys):
     assert line in run(capsys, "analyze", str(path))[1].splitlines()
 
 
+def test_locality_of_a_frame(tmp_path, capsys):
+    # a [4,3,2] code: locality 3 fills the length, n = r + 1
+    path = tmp_path / "frame.txt"
+    path.write_text("q=5 p=5 m=1 mod=0,1\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
+    code, out, err = run(capsys, "locality", str(path))
+    assert code == 0 and not err
+    assert out.splitlines() == ["locality: (3, 1); d-optimal=True k-optimal=True "
+                                "dual-d-optimal=True dual-k-optimal=True"]
+    code, data, _ = run_json(capsys, "bounds", "--n", "4", "--k", "3", "--d", "2", "--r", "3")
+    assert code == 0 and (data["cm_rhs"], data["k_optimal"]) == (3, True)
+
+
+def test_locality_without_a_report(tmp_path, capsys):
+    path = tmp_path / "dual.txt"
+    path.write_text(dual_matrix(GOLDEN_Q4_EVEN.matrix()).to_text())
+    code, out, err = run(capsys, "locality", str(path))
+    assert code == 2 and not out and "locality reports are for k = 3" in err
+    path.write_text("q=5 p=5 m=1 mod=0,1\n1 2 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, err = run(capsys, "locality", str(path))
+    assert code == 2 and not out and "pairwise non-proportional" in err
+    code, data, _ = run_json(capsys, "analyze", str(path))
+    assert code == 0 and "pairwise non-proportional" in data["lrc"]["error"]
+
+
+def test_dual_counts_past_the_int_to_str_limit(tmp_path, capsys):
+    """e1, e2, e3 each 310 times over GF(65521): the dual counts of this
+    [930,3] code run to about 4,480 digits, past Python's default limit on
+    int-to-str conversion, and both formats still print them."""
+    reps = 310
+    rows = [" ".join("1" if j // reps == i else "0" for j in range(3 * reps)) for i in range(3)]
+    path = tmp_path / "long.txt"
+    path.write_text("q=65521 p=65521 m=1 mod=0,1\n" + "\n".join(rows) + "\n")
+    limit = sys.get_int_max_str_digits()
+    code, table, _ = run(capsys, "analyze", str(path))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    dual = json.loads(out, parse_int=str)["dual_weight_distribution"]
+    assert max(len(c) for _, c in dual) > limit
+    pairs = ", ".join(f"[{w}, {c}]" for w, c in dual)
+    assert f"dual weights: [{pairs}]" in table.splitlines()
+
+
 def test_bounds(capsys):
     code, data, _ = run_json(
         capsys, "bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2",
@@ -233,6 +289,9 @@ def test_bounds(capsys):
         "cm_rhs": 3,
         "cm_bound_model": "singleton-relaxed",
     }
+    # d = 1 with (r+1) | n: t = n/(r+1) = 2 is feasible, so cm_rhs = t*r = 4
+    code, data, _ = run_json(capsys, "bounds", "--n", "6", "--k", "4", "--d", "1", "--r", "2")
+    assert code == 0 and (data["cm_rhs"], data["k_optimal"]) == (4, True)
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,6 +333,17 @@ def test_search_too_short_for_a_code(capsys):
     assert len(out.splitlines()) == 1 and out.startswith("found (2,3)-arc in PG(2,4) [nodes=1 ")
 
 
+def test_search_ending_on_a_line(capsys):
+    # three collinear base points meet the target but span no plane: no code
+    argv = ("search", "--q", "3", "--base", "points:1:0:0;0:1:0;1:1:0", "--target", "3")
+    code, data, err = run_json(capsys, *argv)
+    assert code == 4 and not err
+    assert data["found_n"] == 3 and "matrix" not in data and "profile" not in data
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and not err
+    assert len(out.splitlines()) == 1 and out.startswith("found (3,3)-arc in PG(2,3) ")
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(arccodes.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-m", "arccodes", "field-info", "--q", "9"],
@@ -292,8 +362,12 @@ def test_search_reports_weight_distribution(capsys):
     assert pairs[1][0] == 12
     primal, _ = nmds_closed_form(15, 3, 8, pairs[1][1])
     assert pairs == primal.to_pairs() == [[0, 1], [12, 189], [13, 168], [14, 42], [15, 112]]
+    assert data["dual_weight_distribution"] == nmds_closed_form(15, 3, 8, 189)[1].to_pairs()
     code, out, _ = run(capsys, "search", "--q", "8", "--target", "15")
-    assert code == 0 and out.rstrip().splitlines()[-1] == f"weights: {pairs}"
+    lines = out.rstrip().splitlines()
+    assert code == 0 and lines[-4:-1] == ["[15,3,12] NMDS over q=8", f"weights: {pairs}",
+                                          f"dual weights: {data['dual_weight_distribution']}"]
+    assert lines[-1].startswith("locality: (2, 11); ")
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -331,4 +405,8 @@ def test_verify_paper(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 19
+    assert out.count("PASS") == 26
+    facts = [line.split(": ")[-1] for line in out.splitlines()]
+    assert [f for f in facts if f.startswith("locality")] == [
+        f"locality (2, {q + 1}), all four bounds met" for q in (4, 9, 11)]
+    assert facts.count("MacWilliams dual = NMDS dual formula") == 4

@@ -11,6 +11,7 @@ from arccodes.codes import (
     WeightDistribution,
     classify,
     dual_matrix,
+    dual_weight_distribution,
     enumerated_weight_distribution,
     min_weight_pairing_check,
     min_weight_supports,
@@ -371,5 +372,9 @@ def test_dual_distance_matches_column_ranks_for_any_k():
     @hypothesis.given(matrices())
     def check(G):
         assert classify(G).d_dual == _brute_dual_distance(G), G.rows
+        if G.n > G.k:
+            dist = enumerated_weight_distribution(G)
+            assert dual_weight_distribution(dist, G.field.q, G.k) == \
+                enumerated_weight_distribution(dual_matrix(G)), G.rows
 
     check()

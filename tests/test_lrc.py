@@ -4,10 +4,11 @@ import pytest
 
 from arccodes.field import field_from_order, make_field
 from arccodes import geometry as geo
-from arccodes.codes import GeneratorMatrix
+from arccodes.codes import GeneratorMatrix, classify
 from arccodes.construct import build_even_matrix, build_odd_matrix, valid_v_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN
 from arccodes.lrc import (
+    FLAGS,
     bound_verdict,
     cm_bound,
     locality_report,
@@ -152,7 +153,7 @@ def test_cm_bound_check():
 def _cm_bound_by_scan(n, d, r):
     """The Cadambe-Mazumdar minimum by trying every feasible t; None if none."""
     vals = [t * r + max(n - t * (r + 1) - d + 1, 0)
-            for t in range(1, n) if n - t * (r + 1) >= 1]
+            for t in range(1, n) if n - t * (r + 1) >= 0]
     return min(vals, default=None)
 
 
@@ -166,6 +167,45 @@ def test_cm_bound_matches_scan():
                         cm_bound(n, d, r)
                 else:
                     assert cm_bound(n, d, r) == expected, (n, d, r)
+
+
+def _frame():
+    F = make_field(5, 1)
+    return GeneratorMatrix(F, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+
+
+def test_frame_has_full_length_locality():
+    # n = r + 1: the one feasible t fills the length, k_opt(0, d) = 0
+    rep = lrc_report(_frame())
+    assert (rep["n"], rep["k"], rep["d"], rep["r_primal"], rep["r_dual"]) == (4, 3, 2, 3, 1)
+    assert rep["localities"] == [[3, 1]] * 4
+    assert all(rep[flag] is True for flag in FLAGS)
+    assert (rep["cm_rhs"], rep["dual_cm_rhs"]) == (3, 1)
+    assert cm_bound(4, 2, 3) == 3
+
+
+def test_bounds_hold_on_every_small_code_of_pg2_3():
+    """Every set of 4 or 5 points of PG(2,3) that spans the plane, with no 4
+    collinear: the report exists, and k and d of the code and of its dual
+    are within the bounds that judge them."""
+    F = make_field(3, 1)
+    points, seen = geo.all_points(F), 0
+    for n in (4, 5):
+        for cols in itertools.combinations(points, n):
+            try:
+                G = GeneratorMatrix.from_columns(F, cols)
+            except ValueError:  # collinear
+                continue
+            if G.line_profile().max_line >= 4:
+                continue
+            profile = classify(G)
+            rep = lrc_report(G, profile=profile)
+            seen += 1
+            if rep["r_primal"] is not None:  # else a coordinate has no recovery set
+                assert 3 <= rep["cm_rhs"] and profile.d <= rep["singleton_like_rhs"], cols
+            assert n - 3 <= rep["dual_cm_rhs"], cols
+            assert profile.d_dual <= rep["dual_singleton_like_rhs"], cols
+    assert seen == 1872
 
 
 def test_bound_verdict_fields():

@@ -31,6 +31,7 @@ outside [0, q) at such a check.
 """
 
 import math
+import re
 from functools import lru_cache
 from operator import index, xor
 from typing import Callable, NamedTuple
@@ -429,12 +430,15 @@ class GF:
         return f"g^{self._log[x]}"
 
     def element_from_str(self, token: str) -> int:
+        """An element from its text: an index, `g` or `g^e`, in ASCII digits
+        (e may be negative); anything else raises ValueError naming it."""
         token = token.strip()
         if token == "g":
             return self.primitive_element()
+        if not re.fullmatch(r"(g\^-?)?[0-9]+", token):
+            raise ValueError(f"bad field element {token!r}: expected an index, g or g^e")
         if token.startswith("g^"):
-            e = int(token[2:])
-            return self._exp[e % (self.q - 1)]
+            return self._exp[int(token[2:]) % (self.q - 1)]
         return self.check(int(token))
 
     def descriptor(self) -> str:

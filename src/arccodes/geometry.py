@@ -9,7 +9,8 @@ identical, so incidence is symmetric under duality.
 
 Field elements are checked once, where they enter (`canonical` for
 `LineProfile`'s columns); the per-pair work then runs on the field's
-unchecked kernel through `join`.
+unchecked kernel: one slope per pair in `LineProfile`, one `join` per
+pencil line in the arc search.
 """
 
 from .field import GF, Kernel
@@ -66,8 +67,8 @@ def line_through(F: GF, p1, p2) -> Triple:
 def join(K: Kernel, p1, p2) -> Triple:
     """line_through on the unchecked kernel K, for points whose coordinates
     the caller has checked.  The canonical form (last nonzero coordinate 1)
-    is taken inline rather than through normalize: this is the per-pair step
-    of LineProfile and of the arc-search pencils."""
+    is taken inline rather than through normalize: this is the per-line step
+    of the arc-search pencils."""
     mul, sub = K.mul, K.sub
     a1, a2, a3 = p1
     b1, b2, b3 = p2
@@ -104,21 +105,26 @@ class LineProfile:
     lists, sorted, the column indices of each line through two or more
     points that holds three or more columns.
 
-    The pairs (i, j), i < j, of the m distinct points are visited in order.
-    `first` maps each line through two or more points to its first pair,
-    stored as the int i*m + j; as i ascends, that pair holds the line's two
-    lowest points.  A line hit by a second pair gets a member set, seeded
-    with the first pair; each later pair adds its j (its i is already in).
-    So only lines through three or more points keep their members.  Point i
+    No line is built.  Each of the m distinct points P_i in turn is a pivot
+    with two independent linear forms L1, L2 vanishing on it (x - a z and
+    y - b z for (a,b,1); z and x - a y for (a,1,0); z and y for (1,0,0)),
+    and each later point P_j gets the slope L1(P_j)/L2(P_j), or q where
+    L2(P_j) = 0: two later points share a slope exactly when they lie on one
+    line through P_i.  A class {j1 < j2 < ...} of equal slopes is the line
+    {i, j1, j2, ...}.  A line through points p_0 < p_1 < ... shows again at
+    each later pivot p_t, as the class starting at p_(t+1); so a recorded
+    line puts its pairs (p_t, p_(t+1)), t >= 1, in `covered`, a class whose
+    (i, j1) is covered is skipped, and each line is recorded once.  Point i
     pairs with m-1 others and a line through i and k points accounts for
     k-1 of them, so i lies on (m-1) - sum(k-2) lines holding another point,
-    the sum over the member sets that contain i.  With no repeated point
-    the other lines of `first` hold two columns each and are only counted;
-    otherwise one walk over `first` counts their columns.
+    the sum over the lines of three or more points through i.  With no
+    repeated point only pivots with a repeated slope are grouped, and the
+    two-point lines are counted as C(m,2) - sum C(k,2); otherwise every
+    pivot is grouped and each two-point line counts its own columns.
     """
 
     def __init__(self, F: GF, columns):
-        q, K = F.q, F.kernel
+        q, sub, mul, inv = F.q, F.kernel.sub, F.kernel.mul, F.kernel.inv
         groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
         for idx, col in enumerate(columns):
             groups.setdefault(canonical(F, col) if any(col) else None, []).append(idx)
@@ -126,37 +132,40 @@ class LineProfile:
         pts, cols_at = list(groups), list(groups.values())
         m = len(pts)
         self.repeated = any(len(g) > 1 for g in cols_at)
-        first: dict[Triple, int] = {}  # line -> i*m + j of its first pair
-        members: dict[Triple, set[int]] = {}  # lines through 3+ points
-        for i, p in enumerate(pts):
-            base = i * m
-            for j in range(i + 1, m):
-                line = join(K, p, pts[j])
-                f = first.setdefault(line, base + j)
-                if f != base + j:
-                    if line in members:
-                        members[line].add(j)
-                    else:
-                        members[line] = {*divmod(f, m), j}
         through = [m - 1] * m  # lines through each point holding another
         counts: dict[int, int] = {}
         rich = []
-        for pset in members.values():
-            for i in pset:
-                through[i] -= len(pset) - 2
-            cols = tuple(sorted(c for i in pset for c in cols_at[i]))
-            counts[len(cols)] = counts.get(len(cols), 0) + 1
-            rich.append(cols)
-        if self.repeated:
-            for line, f in first.items():
-                if line not in members:
-                    i, j = divmod(f, m)
-                    cols = cols_at[i] + cols_at[j]
-                    counts[len(cols)] = counts.get(len(cols), 0) + 1
-                    if len(cols) >= 3:
-                        rich.append(tuple(sorted(cols)))
-        else:
-            counts[2] = len(first) - len(members)
+        covered: set[tuple[int, int]] = set()
+        two_point_lines = m * (m - 1) // 2
+        for i, (a, b, c) in enumerate(pts):
+            later = pts[i + 1:]
+            if c:  # (x - a z) / (y - b z), with z in {0, 1}
+                slopes = [(mul(sub(x, a), inv(v)) if (v := sub(y, b)) else q) if z
+                          else (mul(x, inv(y)) if y else q) for x, y, z in later]
+            elif b:  # z / (x - a y)
+                slopes = [mul(z, inv(v)) if (v := sub(x, mul(a, y))) else q
+                          for x, y, z in later]
+            else:  # z / y
+                slopes = [mul(z, inv(y)) if y else q for _, y, z in later]
+            if not self.repeated and len(set(slopes)) == len(slopes):
+                continue
+            classes: dict[int, list[int]] = {}
+            for j, s in enumerate(slopes, i + 1):
+                classes.setdefault(s, []).append(j)
+            for js in classes.values():
+                if (len(js) < 2 and not self.repeated) or (i, js[0]) in covered:
+                    continue
+                covered.update(zip(js, js[1:]))
+                if (k := len(js) + 1) > 2:
+                    two_point_lines -= k * (k - 1) // 2
+                    for t in (i, *js):
+                        through[t] -= k - 2
+                cols = sorted(col for t in (i, *js) for col in cols_at[t])
+                counts[len(cols)] = counts.get(len(cols), 0) + 1
+                if len(cols) >= 3:
+                    rich.append(tuple(cols))
+        if not self.repeated:
+            counts[2] = two_point_lines
         self.rich: tuple[tuple[int, ...], ...] = tuple(sorted(rich))
         for i, g in enumerate(cols_at):
             counts[len(g)] = counts.get(len(g), 0) + q + 1 - through[i]

@@ -54,3 +54,13 @@ def odd_sweep() -> tuple[BuiltCode, ...]:
             G = construct.build_odd_matrix(F, w)
             out.append(_built(q, f"w={w}", G))
     return tuple(out)
+
+
+def paper_code(q: int) -> codes.GeneratorMatrix:
+    """The paper's code over GF(q) for the least admissible v (translation
+    h=1 o-polynomial) or w."""
+    F = field_from_order(q)
+    if F.p == 2:
+        f = opoly.make_family_opoly(F, "translation", h=1)
+        return construct.build_even_matrix(f, min(construct.valid_v_set(f)))
+    return construct.build_odd_matrix(F, min(construct.valid_w_set(F)))

@@ -15,6 +15,7 @@ import pytest
 
 from arccodes import arcsearch, codes, construct, geometry, lrc, opoly
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
+from conftest import paper_code
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,6 +67,19 @@ def test_oracle_passes_the_goldens(golden, closed_form):
     rep = lrc.locality_report(G)
     assert oracle.locality_problems(K.q, G.n, oracle.rich_lines(K, G.columns()),
                                     rep.supports, (rep.r_primal, rep.r_dual)) == []
+
+
+@pytest.mark.parametrize("q", [61, 64])
+def test_oracle_passes_the_large_q_checks(q):
+    # the enumerate and locality jobs' checks, on an odd prime and an even field
+    G = paper_code(q)
+    K = oracle.field_of(G.field)
+    lines = oracle.rich_lines(K, G.columns())
+    assert list(codes.weight_distribution(G).counts) == \
+        oracle.distribution_from_lines(K.q, G.n, lines)
+    rep = lrc.locality_report(G)
+    assert oracle.locality_problems(K.q, G.n, lines, rep.supports,
+                                    (rep.r_primal, rep.r_dual)) == []
 
 
 def test_search_call_shapes():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -76,6 +77,25 @@ def test_matrix_text_round_trip(q4_code):
         GeneratorMatrix.from_text("mod=2,2,1\n1 0\n0 1\n")
     with pytest.raises(ValueError, match="token 'junk'"):
         GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1 junk\n1 0 0\n0 1 0\n0 0 1\n")
+
+
+BAD_ELEMENT_TOKENS = ("1_0", "+3", "\u0663", "g^", "x", "g^--1", "g^1_0", "-1", "0x1")
+
+
+@pytest.mark.parametrize("token", BAD_ELEMENT_TOKENS)
+def test_matrix_text_refuses_a_bad_element(token):
+    text = f"q=9 p=3 m=2 mod=2,2,1\n1 0 0\n0 1 {token}\n0 0 1\n"
+    with pytest.raises(ValueError, match=re.escape(f"bad field element {token!r}")):
+        GeneratorMatrix.from_text(text)
+
+
+def test_matrix_text_reads_digits_and_powers():
+    F = make_field(3, 2)
+    G = GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1\n1 0 g^-1\n0 g^9 g\n")
+    g = F.primitive_element()
+    assert G.rows == ((1, 0, F.inv(g)), (0, g, g))
+    with pytest.raises(ValueError, match="9 is not an element index"):
+        GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1\n1 0 9\n0 1 0\n")
 
 
 def test_weight_of(q4_code):

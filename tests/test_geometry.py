@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from arccodes.field import make_field, field_from_order
-from arccodes import construct, geometry as geo
+from arccodes import geometry as geo
 from arccodes.opoly import make_custom_opoly, make_family_opoly
+from conftest import paper_code
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -223,7 +225,7 @@ def _random_columns(rng, F, size):
     return cols
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32])
 def test_line_profile_matches_pairwise_on_random_columns(q):
     rng = random.Random(1000 + q)
     F = field_from_order(q)
@@ -245,6 +247,43 @@ def test_line_profile_matches_pairwise_on_a_full_line(q):
     _assert_profile_matches_pairwise(F, on[:4] + off[:2] + [on[0], (0, 0, 0)])
 
 
+def _scaled(F, s, point):
+    return tuple(F.mul(s, e) for e in point)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_line_profile_matches_pairwise_from_points_at_infinity(q):
+    """Each pivot form: rich lines whose lowest column is (1,0,0) or
+    (a,1,0), the line z = 0 holding three or more columns, repeated and
+    scaled columns at infinity, and columns listed infinity first."""
+    F = field_from_order(q)
+    rng = random.Random(q)
+    g, a, c = F.primitive_element(), rng.randrange(q), rng.randrange(1, q)
+    pts = geo.all_points(F)
+    infinity = [p for p in pts if p[2] == 0]  # (x,1,0) and (1,0,0): the line z = 0
+    affine = [p for p in pts if p[2] == 1]
+    on_y_c = [(t, c, 1) for t in range(q)]  # y = c z, through (1,0,0)
+    on_x_ay_c = [(F.add(F.mul(a, y), c), y, 1) for y in range(q)]  # x = a y + c z, through (a,1,0)
+    cases = {
+        "(1,0,0) lowest": [(1, 0, 0)] + on_y_c[:3] + affine[-3:] + on_y_c[3:],
+        "(a,1,0) lowest": [(a, 1, 0)] + on_x_ay_c[1:4] + affine[:2] + on_x_ay_c[4:],
+        "both lowest": [(1, 0, 0), (a, 1, 0)] + on_y_c[:2] + on_x_ay_c[:2] + affine[::q],
+        "z = 0": infinity[:3] + affine[::2] + infinity[3:],
+        "repeated at infinity": [(a, 1, 0), _scaled(F, g, (a, 1, 0)), (1, 0, 0), (g, 0, 0),
+                                 (1, 0, 0), (0, 0, 0), (F.add(a, 1), 1, 0)] + on_x_ay_c[:3],
+        "infinity first": infinity + rng.sample(affine, q + 2),
+        "whole plane, infinity first": infinity + affine,
+        "scaled, shuffled": rng.sample([_scaled(F, rng.randrange(1, q), p)
+                                        for p in infinity + on_y_c + on_x_ay_c], 2 * q + 3),
+    }
+    for cols in cases.values():
+        _assert_profile_matches_pairwise(F, cols)
+    for name in ("(1,0,0) lowest", "(a,1,0) lowest"):  # its line holds q or q+1 columns
+        assert any(ln[0] == 0 and len(ln) >= q for ln in geo.LineProfile(F, cases[name]).rich)
+    assert geo.LineProfile(F, cases["z = 0"]).max_line >= q + 1
+    assert geo.LineProfile(F, cases["whole plane, infinity first"]).counts == {q + 1: q * q + q + 1}
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_line_profile_matches_pairwise_on_the_whole_plane(q):
     F = field_from_order(q)
@@ -255,13 +294,8 @@ def test_line_profile_matches_pairwise_on_the_whole_plane(q):
 
 @pytest.mark.parametrize("q", [64, 243, 256])
 def test_line_profile_matches_pairwise_on_a_paper_code(q):
-    F = field_from_order(q)
-    if F.p == 2:
-        f = make_family_opoly(F, "translation", h=1)
-        G = construct.build_even_matrix(f, min(construct.valid_v_set(f)))
-    else:
-        G = construct.build_odd_matrix(F, min(construct.valid_w_set(F)))
-    _assert_profile_matches_pairwise(F, G.columns())
+    G = paper_code(q)
+    _assert_profile_matches_pairwise(G.field, G.columns())
 
 
 def test_line_profile_property():
@@ -306,3 +340,7 @@ def test_point_text_forms():
     assert geo.point_from_str(F, "g^6:g^1:1") == (5, 2, 1)
     with pytest.raises(ValueError):
         geo.point_from_str(F, "1:2")
+    assert geo.point_from_str(F, " 7 : g^-1 :1") == geo.canonical(F, (7, F.inv(2), 1))
+    for token in ("1_0", "+3", "\u0663", "g^", "x", "g^+2", "2.0"):
+        with pytest.raises(ValueError, match=re.escape(f"bad field element {token!r}")):
+            geo.point_from_str(F, f"1:{token}:1")

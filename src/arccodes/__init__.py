@@ -12,8 +12,6 @@ from .opoly import (
 )
 from .geometry import (
     all_points,
-    all_lines,
-    incident,
     line_through,
     line_intersection_profile,
     is_arc,
@@ -25,15 +23,12 @@ from .codes import (
     GeneratorMatrix,
     WeightDistribution,
     BudgetExceededError,
-    weight_of,
     weight_distribution,
     dual_weight_distribution,
-    dual_matrix,
     classify,
     CodeProfile,
     nmds_closed_form,
     min_weight_supports,
-    min_weight_pairing_check,
 )
 from .construct import (
     valid_v_set,

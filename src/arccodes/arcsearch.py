@@ -60,9 +60,8 @@ class _Plane:
 
     def __init__(self, F: GF):
         self.F = F
-        self.lines = geometry.all_lines(F)
+        self.points = self.lines = geometry.all_points(F)
         self.line_index = {u: i for i, u in enumerate(self.lines)}
-        self.points = self.lines  # geometry.all_lines is all_points
         # the q+1 points of each coordinate line X_i = 0
         self.axes = [[p for p in self.points if p[i] == 0] for i in range(3)]
         self._pencils: dict[tuple, tuple[int, ...]] = {}

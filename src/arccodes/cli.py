@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from .field import GF, make_field, field_from_order
+from .field import GF, make_field, field_from_order, parse_int
 from . import opoly, geometry, codes, construct, lrc, arcsearch
 from .fixtures import ALL_GOLDEN
 
@@ -25,7 +25,7 @@ DEFAULT_OPOLY = "translation:h=1"  # the even constructions' o-polynomial
 def _field_from_args(args) -> GF:
     modulus = None
     if args.modulus is not None:
-        modulus = [int(c) for c in args.modulus.split(",")]
+        modulus = [parse_int(c) for c in args.modulus.split(",")]
     if args.q is not None:
         if args.p is not None or args.m is not None:
             raise ValueError("give either --q or --p/--m, not both")
@@ -297,7 +297,7 @@ def _golden_checks(golden):
     bound = q + math.isqrt(4 * q) + 1  # q + floor(2 sqrt q) + 1
     yield f"[{n},3,{n - 3}]", (p.n, p.k, p.d) == (n, 3, n - 3)
     yield f"({n},3)-arc", not (lines.zeros or lines.repeated) and lines.max_line == 3
-    yield f"first q+2 = {q + 2} columns form an arc", geometry.is_arc(F, G.column_points()[:q + 2])
+    yield f"first q+2 = {q + 2} columns form an arc", geometry.is_arc(F, G.columns()[:q + 2])
     yield f"n = {n} > q + floor(2 sqrt q) + 1 = {bound}", n > bound
 
 

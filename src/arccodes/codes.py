@@ -1,21 +1,26 @@
-"""Linear-code analytics over GF(q): weight distributions, duals,
-Singleton-defect classification, the near-MDS closed-form weight formulas,
-and minimum-weight support structure for dimension-3 arc codes.
+"""Linear-code analytics over GF(q): weight distributions and their
+MacWilliams transforms, Singleton-defect classification, the near-MDS
+closed-form weight formulas, and the minimum-weight supports of
+dimension-3 arc codes.
 
 In dimension 3 the weights and supports are read off the line profile of the
 columns (geometry.LineProfile, built once per matrix from column pairs): the
 q-1 codewords u.G of a line u vanish exactly on its columns, so a line
 holding c nonzero columns gives q-1 codewords of weight n - z - c (z zero
-columns).  Other dimensions enumerate one message per projective class; that
-enumerator is also the test oracle for the profile.  For every k the dual
-distance, and on request the dual's whole weight distribution, come from the
-weight distribution by the MacWilliams identities.
+columns).  With no four columns on a line, a line holding three is both the
+zero set of q-1 minimum-weight codewords and the support of weight-3 dual
+codewords, so the NMDS pairing of the two is an identity of the profile.
+Other dimensions enumerate one message per projective class; that
+enumerator is also the test oracle for the profile.  No dual generator
+matrix is built: for every k the dual distance, and on request the dual's
+whole weight distribution, come from the weight distribution by the
+MacWilliams identities.
 """
 
 import math
 from dataclasses import asdict, dataclass
 
-from .field import GF, parse_descriptor, parse_key_values
+from .field import GF, parse_descriptor, parse_int, parse_key_values
 from . import geometry
 
 ENUMERATION_BUDGET = 2 ** 32
@@ -61,12 +66,6 @@ class GeneratorMatrix:
             self._line_profile = geometry.LineProfile(self.field, self._columns)
         return self._line_profile
 
-    def column_points(self):
-        """Columns as canonical projective points (k = 3 only)."""
-        if self.k != 3:
-            raise ValueError("column points are defined for k = 3")
-        return [geometry.canonical(self.field, c) for c in self._columns]
-
     def __eq__(self, other):
         return (
             isinstance(other, GeneratorMatrix)
@@ -97,7 +96,7 @@ class GeneratorMatrix:
         F = parse_descriptor(
             f"p={head['p']} m={head['m']} mod={head['mod']}"
         )
-        if "q" in head and int(head["q"]) != F.q:
+        if "q" in head and parse_int(head["q"]) != F.q:
             raise ValueError(f"header q={head['q']} disagrees with p^m={F.q}")
         rows = [[F.element_from_str(tok) for tok in ln.split()] for ln in lines[1:]]
         return cls(F, rows)
@@ -168,30 +167,6 @@ class WeightDistribution:
         return f"WeightDistribution({self.to_pairs()})"
 
 
-def _zero_coordinates(F: GF, cols, u) -> list[int]:
-    """The coordinates where the codeword u.G vanishes, on F.kernel: the
-    callers pass checked columns and a checked or generated message."""
-    add, mul = F.kernel.add, F.kernel.mul
-    zeros = []
-    for j, col in enumerate(cols):
-        acc = 0
-        for ui, e in zip(u, col):
-            if ui and e:
-                acc = add(acc, mul(ui, e))
-        if not acc:
-            zeros.append(j)
-    return zeros
-
-
-def weight_of(G: GeneratorMatrix, message) -> int:
-    """Hamming weight of the codeword message . G."""
-    F = G.field
-    message = [F.as_element(u) for u in message]
-    if len(message) != G.k:
-        raise ValueError(f"message length {len(message)} != k={G.k}")
-    return G.n - len(_zero_coordinates(F, G.columns(), message))
-
-
 def projective_messages(F: GF, k: int):
     """One representative per projective class: first nonzero coordinate 1."""
     q = F.q
@@ -235,28 +210,19 @@ def enumerated_weight_distribution(G: GeneratorMatrix,
     if work > budget:
         raise BudgetExceededError(f"(q^k-1)/(q-1)*n = {work} column evaluations "
                                   f"exceed the enumeration budget {budget}")
+    add, mul = F.kernel.add, F.kernel.mul  # the columns were checked on entry
     counts = [0] * (G.n + 1)
     counts[0] = 1
     for u in projective_messages(F, G.k):
-        counts[G.n - len(_zero_coordinates(F, G.columns(), u))] += q - 1
+        weight = 0
+        for col in G.columns():
+            acc = 0
+            for ui, e in zip(u, col):
+                if ui and e:
+                    acc = add(acc, mul(ui, e))
+            weight += acc != 0
+        counts[weight] += q - 1
     return WeightDistribution(counts, q, G.k)
-
-
-def dual_matrix(G: GeneratorMatrix) -> GeneratorMatrix:
-    """A generator matrix of the dual code (null space basis, G . H^T = 0)."""
-    F = G.field
-    if G.n == G.k:
-        raise ValueError("the dual of a full [n, n] code is zero-dimensional")
-    R, pivots = rref(F, G.rows)
-    free = [j for j in range(G.n) if j not in pivots]
-    rows = []
-    for j in free:
-        h = [0] * G.n
-        h[j] = 1
-        for i, pc in enumerate(pivots):
-            h[pc] = F.neg(R[i][j])
-        rows.append(h)
-    return GeneratorMatrix(F, rows)
 
 
 @dataclass(frozen=True)
@@ -371,42 +337,3 @@ def min_weight_supports(G: GeneratorMatrix) -> list[tuple[int, int, int]]:
     if profile.max_line >= 4:
         raise ValueError(f"four collinear columns: {list(max(profile.rich, key=len))}")
     return list(profile.rich)
-
-
-@dataclass(frozen=True)
-class PairingVerdict:
-    ok: bool
-    min_weight_count: int
-    dual_min_weight_count: int
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def min_weight_pairing_check(G: GeneratorMatrix,
-                             distribution: WeightDistribution | None = None) -> PairingVerdict:
-    """For an NMDS code of dimension 3: every minimum-weight codeword has
-    exactly one projective class of weight-3 dual codeword with disjoint
-    support, and both codes have the same number of minimum-weight words."""
-    F = G.field
-    if distribution is None:
-        distribution = weight_distribution(G)
-    profile = classify(G, distribution)
-    if profile.category != "NMDS":
-        raise ValueError(f"pairing check needs an NMDS code, got {profile.category}")
-    d = profile.d
-    triples = set(min_weight_supports(G))
-    a_min = distribution[d]
-    a_min_dual = (F.q - 1) * len(triples)
-    if a_min != a_min_dual:
-        return PairingVerdict(False, a_min, a_min_dual,
-                              "minimum-weight counts differ between code and dual")
-    for u in projective_messages(F, 3):
-        zeros = tuple(_zero_coordinates(F, G.columns(), u))
-        if len(zeros) == G.n - d and zeros not in triples:
-            return PairingVerdict(
-                False, a_min, a_min_dual,
-                f"no disjoint dual support for codeword class {u}"
-            )
-    return PairingVerdict(True, a_min, a_min_dual)

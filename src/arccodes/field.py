@@ -487,13 +487,21 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
+def parse_int(token: str) -> int:
+    """An integer from its text, in ASCII digits with an optional minus sign
+    (int() would also take '+3', '1_0' and non-ASCII digits); anything else
+    raises ValueError naming the token."""
+    token = token.strip()
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"bad integer {token!r}: expected ASCII digits")
+    return int(token)
+
+
 def parse_descriptor(text: str) -> GF:
     """Parse 'p=2 m=3 mod=1,1,0,1' back into a field."""
     parts = parse_key_values(text)
     try:
-        p = int(parts["p"])
-        m = int(parts["m"])
-        mod = [int(c) for c in parts["mod"].split(",")]
-    except (KeyError, ValueError) as exc:
+        p, m, mod = parts["p"], parts["m"], parts["mod"]
+    except KeyError as exc:
         raise ValueError(f"bad field descriptor {text!r}") from exc
-    return make_field(p, m, mod)
+    return make_field(parse_int(p), parse_int(m), [parse_int(c) for c in mod.split(",")])

@@ -19,22 +19,17 @@ from .opoly import OPolynomial, is_o_polynomial, value_table
 Triple = tuple[int, int, int]
 
 
-def normalize(F: GF, vector) -> tuple[int, ...]:
-    """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
-    t = tuple(F.as_element(c) for c in vector)
+def canonical(F: GF, triple) -> Triple:
+    """The canonical form of a homogeneous triple: last nonzero coordinate 1."""
+    if len(t := tuple(triple)) != 3:
+        raise ValueError(f"expected a homogeneous triple, got {triple!r}")
+    t = tuple(F.as_element(c) for c in t)
     inv, mul = F.kernel.inv, F.kernel.mul
     for c in reversed(t):
         if c:
             s = inv(c)
             return tuple(mul(s, e) for e in t)
     raise ValueError("the zero vector has no projective point")
-
-
-def canonical(F: GF, triple) -> Triple:
-    """The canonical form of a homogeneous triple: last nonzero coordinate 1."""
-    if len(t := tuple(triple)) != 3:
-        raise ValueError(f"expected a homogeneous triple, got {triple!r}")
-    return normalize(F, t)
 
 
 def all_points(F: GF) -> list[Triple]:
@@ -44,17 +39,6 @@ def all_points(F: GF) -> list[Triple]:
     pts.append((1, 0, 0))
     pts.sort()
     return pts
-
-
-# Lines use the same canonical representation.
-all_lines = all_points
-
-
-def incident(F: GF, point, line) -> bool:
-    a = F.mul(point[0], line[0])
-    b = F.mul(point[1], line[1])
-    c = F.mul(point[2], line[2])
-    return F.add(F.add(a, b), c) == 0
 
 
 def line_through(F: GF, p1, p2) -> Triple:
@@ -67,7 +51,7 @@ def line_through(F: GF, p1, p2) -> Triple:
 def join(K: Kernel, p1, p2) -> Triple:
     """line_through on the unchecked kernel K, for points whose coordinates
     the caller has checked.  The canonical form (last nonzero coordinate 1)
-    is taken inline rather than through normalize: this is the per-line step
+    is taken inline rather than through canonical: this is the per-line step
     of the arc-search pencils."""
     mul, sub = K.mul, K.sub
     a1, a2, a3 = p1

@@ -109,14 +109,11 @@ def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
     return BoundVerdict(d == s_rhs, k == c_rhs, s_rhs, c_rhs)
 
 
-def lrc_report(G: GeneratorMatrix,
-               distribution: WeightDistribution | None = None, *,
-               profile: CodeProfile | None = None) -> dict:
+def lrc_report(G: GeneratorMatrix, distribution: WeightDistribution | None = None) -> dict:
     """The flat JSON report: profile numbers, localities, and the four
-    optimality flags for the code and its dual.  A caller that has already
-    classified G passes its `profile`, and the code is not classified again."""
-    if profile is None:
-        profile = classify(G, distribution)
+    optimality flags for the code and its dual.  Pass the weight distribution
+    to reuse it; classifying from it takes a few MacWilliams steps."""
+    profile = classify(G, distribution)
     loc = locality_report(G)
     out = {"n": profile.n, "k": profile.k, "d": profile.d,
            "r_primal": loc.r_primal, "r_dual": loc.r_dual,
@@ -163,7 +160,7 @@ def code_report(G: GeneratorMatrix) -> CodeReport:
     rep = None
     if G.k == 3:
         try:
-            rep = lrc_report(G, profile=profile)
+            rep = lrc_report(G, dist)
         except ValueError as exc:
             rep = {"error": str(exc)}
     return CodeReport(dist, dual_weight_distribution(dist, G.field.q, G.k), profile, rep)

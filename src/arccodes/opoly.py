@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd
 
-from .field import GF, make_field
+from .field import GF, make_field, parse_int
 
 FAMILIES = (
     "translation",
@@ -47,12 +47,6 @@ class OPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
 
     def descriptor(self, powers: bool = False) -> str:
         if self.family == "custom":
@@ -337,10 +331,7 @@ def parse_opoly_descriptor(F: GF, text: str) -> OPolynomial:
             key = key.strip()
             if key in params:
                 raise ValueError(f"o-polynomial parameter {key!r} repeated in {text!r}")
-            if key == "a":
-                params[key] = F.element_from_str(value)
-            else:
-                params[key] = int(value)
+            params[key] = F.element_from_str(value) if key == "a" else parse_int(value)
     return make_family_opoly(F, family, **params)
 
 

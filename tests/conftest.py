@@ -1,13 +1,17 @@
-"""Shared sweep builders.  The constructed-code sweeps are expensive enough
-(q up to 32, every family, every admissible v/w) that the acceptance
-criteria share one cached build.  Each distribution is read from the line
-profile; for q <= 16 it is also checked against projective enumeration."""
+"""Shared sweep builders and brute-force oracles.  The constructed-code
+sweeps are expensive enough (q up to 32, every family, every admissible v/w)
+that the acceptance criteria share one cached build.  Each distribution is
+read from the line profile; for q <= 16 it is also checked against
+projective enumeration.  The oracles (`incident`, `dual_matrix`,
+`enumerated_zero_sets`) recompute by definition what the library reads off
+the line profile or the MacWilliams identities."""
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from arccodes.field import GF, field_from_order
 from arccodes import codes, construct, opoly
+from arccodes.codes import GeneratorMatrix, projective_messages, rref
 
 EVEN_SWEEP_Q = (4, 8, 16, 32)
 ODD_SWEEP_Q = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
@@ -64,3 +68,45 @@ def paper_code(q: int) -> codes.GeneratorMatrix:
         f = opoly.make_family_opoly(F, "translation", h=1)
         return construct.build_even_matrix(f, min(construct.valid_v_set(f)))
     return construct.build_odd_matrix(F, min(construct.valid_w_set(F)))
+
+
+def incident(F: GF, point, line) -> bool:
+    """Whether the point lies on the line: the dot product vanishes."""
+    a = F.mul(point[0], line[0])
+    b = F.mul(point[1], line[1])
+    c = F.mul(point[2], line[2])
+    return F.add(F.add(a, b), c) == 0
+
+
+def dual_matrix(G: GeneratorMatrix) -> GeneratorMatrix:
+    """A generator matrix of the dual code (null space basis, G . H^T = 0)."""
+    F = G.field
+    if G.n == G.k:
+        raise ValueError("the dual of a full [n, n] code is zero-dimensional")
+    R, pivots = rref(F, G.rows)
+    free = [j for j in range(G.n) if j not in pivots]
+    rows = []
+    for j in free:
+        h = [0] * G.n
+        h[j] = 1
+        for i, pc in enumerate(pivots):
+            h[pc] = F.neg(R[i][j])
+        rows.append(h)
+    return GeneratorMatrix(F, rows)
+
+
+def enumerated_zero_sets(G: GeneratorMatrix) -> set[tuple[int, ...]]:
+    """Zero sets of the codewords u.G of a dimension-3 code, one per
+    projective message: the column sets on one line."""
+    F = G.field
+    zero_sets = set()
+    for u in projective_messages(F, 3):
+        zeros = []
+        for j, col in enumerate(G.columns()):
+            acc = 0
+            for ui, e in zip(u, col):
+                acc = F.add(acc, F.mul(ui, e))
+            if not acc:
+                zeros.append(j)
+        zero_sets.add(tuple(zeros))
+    return zero_sets

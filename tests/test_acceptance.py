@@ -15,11 +15,8 @@ from arccodes.field import field_from_order, make_field
 from arccodes import geometry as geo
 from arccodes.arcsearch import extend_to_n3_arc
 from arccodes.codes import (
-    GeneratorMatrix,
     classify,
-    dual_matrix,
     dual_weight_distribution,
-    min_weight_pairing_check,
     min_weight_supports,
     nmds_closed_form,
     weight_distribution,
@@ -43,7 +40,8 @@ from arccodes.opoly import (
     make_family_opoly,
 )
 
-from conftest import EVEN_SWEEP_Q, ODD_SWEEP_Q, even_sweep, odd_sweep
+from conftest import (EVEN_SWEEP_Q, ODD_SWEEP_Q, dual_matrix, enumerated_zero_sets, even_sweep,
+                      odd_sweep)
 
 
 def _criterion(num, name, fn, limit=None):
@@ -232,9 +230,13 @@ def test_criterion_08_nmds_formula_oracle():
                 # the dual is small enough to enumerate outright
                 assert dual == weight_distribution(H)
         for built in [b for b in codes_small if b.q <= 9]:
-            verdict = min_weight_pairing_check(built.G, built.dist)
-            assert verdict.ok, f"q={built.q} {built.label}: {verdict.detail}"
-            assert verdict.min_weight_count == verdict.dual_min_weight_count
+            # each minimum-weight zero set is a weight-3 dual support and back,
+            # and the two codes have equally many minimum-weight words
+            G, n = built.G, built.G.n
+            triples = min_weight_supports(G)
+            zero_sets = {z for z in enumerated_zero_sets(G) if len(z) == 3}
+            assert zero_sets == set(triples), f"q={built.q} {built.label}: pairing"
+            assert built.dist[n - 3] == (built.q - 1) * len(triples), built.label
 
     _criterion(8, "closed-form oracle, NMDS duals q <= 16; disjoint-support pairing q <= 9", run)
 
@@ -255,7 +257,7 @@ def test_criterion_09_locality_and_bounds():
 def test_criterion_10_conclusion_and_search():
     def run():
         G = GOLDEN_Q8_LENGTH15.matrix()
-        F, pts = G.field, G.column_points()
+        F, pts = G.field, G.columns()
         dist = weight_distribution(G)
         assert dist == GOLDEN_Q8_LENGTH15.pinned_distribution()
         assert dist == nmds_closed_form(15, 3, 8, dist[12])[0]

@@ -14,6 +14,7 @@ from arccodes.codes import GeneratorMatrix, classify
 from arccodes.fixtures import GOLDEN_Q8_LENGTH15
 from arccodes.construct import build_even_matrix, valid_v_set
 from arccodes.opoly import applicable_families, make_family_opoly
+from conftest import incident
 
 
 def _hyperoval(q_m):
@@ -23,7 +24,7 @@ def _hyperoval(q_m):
 
 
 def line_multiplicities(F, points):
-    """Per-line point counts, indexed like geometry.all_lines(F)."""
+    """Per-line point counts, indexed like geometry.all_points(F)."""
     plane = arcsearch._plane(F)
     mult = [0] * len(plane.lines)
     for p in points:
@@ -97,7 +98,7 @@ def _oracle_bases():
     F = make_field(2, 2)
     f = make_family_opoly(F, "translation", h=1)
     yield F, geo.hyperoval_from_opoly(f)
-    yield F, build_even_matrix(f, min(valid_v_set(f))).column_points()
+    yield F, build_even_matrix(f, min(valid_v_set(f))).columns()
     for m in (3, 4, 5):
         F = make_field(2, m)
         families = applicable_families(F)
@@ -190,7 +191,7 @@ def test_conclusion_matrix_profile():
 
 def test_conclusion_report():
     G = GOLDEN_Q8_LENGTH15.matrix()
-    F, pts = G.field, G.column_points()
+    F, pts = G.field, G.columns()
     assert geo.is_n3_arc(F, pts)
     # the first q+2 columns are the translation hyperoval the arc extends
     hyper = geo.hyperoval_from_opoly(make_family_opoly(F, "translation", h=1))
@@ -204,7 +205,7 @@ def test_pencils_match_incidence_scan(q):
     F = field_from_order(q)
     plane = arcsearch._Plane(F)
     for point in plane.points:
-        scan = tuple(i for i, u in enumerate(plane.lines) if geo.incident(F, point, u))
+        scan = tuple(i for i, u in enumerate(plane.lines) if incident(F, point, u))
         assert len(scan) == q + 1
         assert plane.pencil(point) == scan
 
@@ -244,7 +245,7 @@ def test_base_already_n3_arc_is_kept():
     F = make_field(2, 2)
     f = make_family_opoly(F, "translation", h=1)
     G = build_even_matrix(f, min(valid_v_set(f)))
-    base = G.column_points()
+    base = G.columns()
     pts, stats = extend_to_n3_arc(F, base, strategy="dfs")
     assert stats.found_n >= 9
     assert set(base) <= set(pts)

@@ -7,8 +7,9 @@ import pytest
 
 import arccodes
 from arccodes.cli import main
-from arccodes.codes import dual_matrix, nmds_closed_form
+from arccodes.codes import nmds_closed_form
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
+from conftest import dual_matrix
 
 
 def run(capsys, *argv):
@@ -68,6 +69,22 @@ def test_opoly_check(capsys):
     assert code == 3 and "FAIL" in out
     code, _, _ = run(capsys, "opoly-check", "--q", "4", "--opoly", "segre")
     assert code == 2  # inapplicable family
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["field-info", "--q", "9", "--modulus", "2,2,1_0"], "bad integer '1_0'"),
+    (["field-info", "--q", "9", "--modulus", ","], "bad integer ''"),
+    (["opoly-check", "--q", "8", "--opoly", "translation:h=\u0663"], "bad integer '\u0663'"),
+    (["opoly-check", "--q", "16", "--opoly", "adelaide:t=+5"], "bad integer '+5'"),
+    (["opoly-check", "--q", "16", "--opoly", "adelaide:t=-5"], None),
+    (["field-info", "--q", "9", "--modulus", "2,2,1"], None),
+])
+def test_integers_in_text_are_ascii_digits(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    if error is None:
+        assert code == 0 and out and not err
+    else:
+        assert code == 2 and not out and f"error: {error}" in err
 
 
 def test_construct_even_json(capsys):
@@ -175,16 +192,18 @@ def test_analyze_header_with_repeated_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["construct", "analyze", "locality", "search"])
 def test_analyze_classifies_once(tmp_path, capsys, monkeypatch, command):
+    """Each code command computes the weight distribution once; classify and
+    lrc_report work from it."""
     from arccodes import codes, lrc
 
-    calls, real = [], codes.classify
+    calls, real = [], codes.weight_distribution
 
-    def counted(G, distribution=None):
+    def counted(G):
         calls.append(G)
-        return real(G, distribution)
+        return real(G)
 
-    monkeypatch.setattr(codes, "classify", counted)
-    monkeypatch.setattr(lrc, "classify", counted)
+    monkeypatch.setattr(codes, "weight_distribution", counted)
+    monkeypatch.setattr(lrc, "weight_distribution", counted)
     path = tmp_path / "m.txt"
     path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
     q, argv = {"construct": (9, ["--odd", "--q", "9", "--w", "g^5"]),

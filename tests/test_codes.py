@@ -11,20 +11,18 @@ from arccodes.codes import (
     GeneratorMatrix,
     WeightDistribution,
     classify,
-    dual_matrix,
     dual_weight_distribution,
     enumerated_weight_distribution,
-    min_weight_pairing_check,
     min_weight_supports,
     nmds_closed_form,
     projective_messages,
     rref,
     weight_distribution,
-    weight_of,
 )
 from arccodes.construct import build_odd_matrix, valid_w_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from arccodes.opoly import make_family_opoly
+from conftest import dual_matrix, enumerated_zero_sets
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +75,11 @@ def test_matrix_text_round_trip(q4_code):
         GeneratorMatrix.from_text("mod=2,2,1\n1 0\n0 1\n")
     with pytest.raises(ValueError, match="token 'junk'"):
         GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1 junk\n1 0 0\n0 1 0\n0 0 1\n")
+    for head, token in (("q=+9 p=3 m=2 mod=2,2,1", "+9"), ("q=9 p=\u0663 m=2 mod=2,2,1", "\u0663"),
+                        ("q=9 p=3 m=2 mod=2,2,1_0", "1_0"),
+                        ("q=+9 p=\u0663 m=2 mod=2,2,1_0", "\u0663")):
+        with pytest.raises(ValueError, match=re.escape(f"bad integer {token!r}")):
+            GeneratorMatrix.from_text(head + "\n1 0 0\n0 1 0\n0 0 1\n")
 
 
 BAD_ELEMENT_TOKENS = ("1_0", "+3", "\u0663", "g^", "x", "g^--1", "g^1_0", "-1", "0x1")
@@ -96,35 +99,6 @@ def test_matrix_text_reads_digits_and_powers():
     assert G.rows == ((1, 0, F.inv(g)), (0, g, g))
     with pytest.raises(ValueError, match="9 is not an element index"):
         GeneratorMatrix.from_text("q=9 p=3 m=2 mod=2,2,1\n1 0 9\n0 1 0\n")
-
-
-def test_weight_of(q4_code):
-    assert weight_of(q4_code, [0, 0, 0]) == 0
-    # u = (0,0,1) cuts the three columns with vanishing last row entry
-    assert weight_of(q4_code, [0, 0, 1]) == 9 - 3 == 6
-    with pytest.raises(ValueError):
-        weight_of(q4_code, [0, 0])
-    for bad in (1.9, 1.0, "1", 4):
-        with pytest.raises(ValueError, match="not an element index"):
-            weight_of(q4_code, [bad, 0, 0])
-
-
-def _even_code(q_m):
-    F = make_field(2, q_m)
-    f = make_family_opoly(F, "translation", h=1)
-    from arccodes.construct import build_even_matrix, valid_v_set
-    return build_even_matrix(f, min(valid_v_set(f)))
-
-
-def test_weight_equals_n_minus_incidences(q4_code, q9_code):
-    # the hyperplane through u carries exactly n - wt(uG) of the column points
-    for G in (q4_code, q9_code, _even_code(3), _even_code(4)):
-        F = G.field
-        pts = G.column_points()
-        for u in projective_messages(F, 3):
-            line = geo.canonical(F, u)
-            on_line = sum(1 for p in pts if geo.incident(F, p, line))
-            assert weight_of(G, u) == G.n - on_line
 
 
 def test_projective_message_count():
@@ -262,22 +236,6 @@ def test_min_weight_supports_errors():
         min_weight_supports(dup)  # proportional columns 0 and 3
 
 
-def test_min_weight_pairing(q4_code, q9_code):
-    verdict = min_weight_pairing_check(q4_code)
-    assert verdict.ok and verdict.min_weight_count == 30
-    verdict9 = min_weight_pairing_check(q9_code)
-    assert verdict9.ok
-    assert verdict9.min_weight_count == verdict9.dual_min_weight_count == 160
-
-
-def test_min_weight_pairing_rejects_mds():
-    F = make_field(2, 2)
-    f = make_family_opoly(F, "translation", h=1)
-    G = GeneratorMatrix.from_columns(F, geo.hyperoval_from_opoly(f))
-    with pytest.raises(ValueError):
-        min_weight_pairing_check(G)
-
-
 def test_weight_distribution_invariant_under_column_order():
     F = make_field(3, 2)
     w = min(valid_w_set(F))
@@ -328,22 +286,6 @@ def _brute_dual_distance(G):
     return None
 
 
-def _enumerated_supports(G):
-    """Zero sets of the codewords u.G: the column sets on one line."""
-    F = G.field
-    zero_sets = set()
-    for u in projective_messages(F, 3):
-        zeros = []
-        for j, col in enumerate(G.columns()):
-            acc = 0
-            for ui, e in zip(u, col):
-                acc = F.add(acc, F.mul(ui, e))
-            if not acc:
-                zeros.append(j)
-        zero_sets.add(tuple(zeros))
-    return zero_sets
-
-
 def test_line_profile_matches_enumeration():
     rng = random.Random(20220817)
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
@@ -352,8 +294,8 @@ def test_line_profile_matches_enumeration():
             G = _random_k3_matrix(rng, F)
             assert weight_distribution(G) == enumerated_weight_distribution(G), G.columns()
             assert classify(G).d_dual == _brute_dual_distance(G), G.columns()
-            zero_sets = _enumerated_supports(G)
-            points = {geo.normalize(F, c) for c in G.columns() if any(c)}
+            zero_sets = enumerated_zero_sets(G)
+            points = {geo.canonical(F, c) for c in G.columns() if any(c)}
             if len(points) < G.n or any(len(z) >= 4 for z in zero_sets):
                 with pytest.raises(ValueError):
                     min_weight_supports(G)

@@ -6,21 +6,19 @@ import pytest
 from arccodes.field import make_field, field_from_order
 from arccodes import geometry as geo
 from arccodes.opoly import make_custom_opoly, make_family_opoly
-from conftest import paper_code
+from conftest import incident, paper_code
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_plane_counts(q):
     F = field_from_order(q)
     pts = geo.all_points(F)
-    lines = geo.all_lines(F)
     assert len(pts) == q * q + q + 1
     assert len(set(pts)) == len(pts)
     assert pts == sorted(pts)
-    assert lines == pts  # self-dual representation
-    # every line carries q+1 points
-    for u in lines[:5]:
-        assert sum(1 for p in pts if geo.incident(F, p, u)) == q + 1
+    # every line carries q+1 points; lines share the points' canonical form
+    for u in pts[:5]:
+        assert sum(1 for p in pts if incident(F, p, u)) == q + 1
 
 
 def test_canonicalization():
@@ -44,12 +42,12 @@ def test_canonical_refuses_non_integer_coordinates():
 
 def test_incidence_basics():
     F2 = make_field(2, 1)
-    assert geo.incident(F2, (1, 0, 0), (0, 0, 1))
-    assert not geo.incident(F2, (1, 1, 1), (1, 1, 1))  # 1+1+1 = 1 in GF(2)
+    assert incident(F2, (1, 0, 0), (0, 0, 1))
+    assert not incident(F2, (1, 1, 1), (1, 1, 1))  # 1+1+1 = 1 in GF(2)
     F = make_field(2, 2)
     p1, p2 = (3, 2, 1), (1, 1, 1)
     u = geo.line_through(F, p1, p2)
-    assert geo.incident(F, p1, u) and geo.incident(F, p2, u)
+    assert incident(F, p1, u) and incident(F, p2, u)
 
 
 def test_line_through_basics():
@@ -83,7 +81,7 @@ def test_duality_symmetry():
     pts = geo.all_points(F)
     for p in pts[:8]:
         for u in pts[:8]:
-            assert geo.incident(F, p, u) == geo.incident(F, u, p)
+            assert incident(F, p, u) == incident(F, u, p)
 
 
 def test_hyperoval_gf4():
@@ -137,8 +135,8 @@ def test_oval_gf11_profile():
 def _scanned_profile(F, points):
     """Columns per line by testing every point against every line."""
     profile = {}
-    for u in geo.all_lines(F):
-        c = sum(1 for p in points if geo.incident(F, p, u))
+    for u in geo.all_points(F):
+        c = sum(1 for p in points if incident(F, p, u))
         profile[c] = profile.get(c, 0) + 1
     return profile
 
@@ -238,9 +236,9 @@ def test_line_profile_matches_pairwise_on_random_columns(q):
 def test_line_profile_matches_pairwise_on_a_full_line(q):
     F = field_from_order(q)
     pts = geo.all_points(F)
-    line = geo.all_lines(F)[q]
-    on = [p for p in pts if geo.incident(F, p, line)]
-    off = [p for p in pts if not geo.incident(F, p, line)]
+    line = geo.all_points(F)[q]
+    on = [p for p in pts if incident(F, p, line)]
+    off = [p for p in pts if not incident(F, p, line)]
     assert len(on) == q + 1
     _assert_profile_matches_pairwise(F, on)
     _assert_profile_matches_pairwise(F, off[:3] + on + off[-2:])

@@ -4,13 +4,14 @@ import pytest
 
 from arccodes.field import field_from_order, make_field
 from arccodes import geometry as geo
-from arccodes.codes import GeneratorMatrix, classify
+from arccodes.codes import GeneratorMatrix, classify, weight_distribution
 from arccodes.construct import build_even_matrix, build_odd_matrix, valid_v_set
-from arccodes.fixtures import GOLDEN_Q4_EVEN
+from arccodes.fixtures import ALL_GOLDEN, GOLDEN_Q4_EVEN
 from arccodes.lrc import (
     FLAGS,
     bound_verdict,
     cm_bound,
+    code_report,
     locality_report,
     lrc_report,
 )
@@ -174,6 +175,11 @@ def _frame():
     return GeneratorMatrix(F, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
 
 
+@pytest.mark.parametrize("G", [g.matrix() for g in ALL_GOLDEN] + [_frame()])
+def test_lrc_report_from_a_distribution_matches_the_code_report(G):
+    assert lrc_report(G, weight_distribution(G)) == code_report(G).lrc
+
+
 def test_frame_has_full_length_locality():
     # n = r + 1: the one feasible t fills the length, k_opt(0, d) = 0
     rep = lrc_report(_frame())
@@ -199,7 +205,7 @@ def test_bounds_hold_on_every_small_code_of_pg2_3():
             if G.line_profile().max_line >= 4:
                 continue
             profile = classify(G)
-            rep = lrc_report(G, profile=profile)
+            rep = lrc_report(G)
             seen += 1
             if rep["r_primal"] is not None:  # else a coordinate has no recovery set
                 assert 3 <= rep["cm_rhs"] and profile.d <= rep["singleton_like_rhs"], cols

@@ -140,7 +140,7 @@ def test_interpolation_reconstructs_values():
 def test_subiaco_interpolated_form_matches_pointwise():
     F = make_field(2, 4)
     f = make_family_opoly(F, "subiaco")
-    a = f.param("a")
+    a = dict(f.params)["a"]
     assert F.trace(F.inv(a)) == 1
     assert f.degree < F.q
     assert make_family_opoly(F, "subiaco", a=a) == f
@@ -154,7 +154,7 @@ def test_subiaco_interpolated_form_matches_pointwise():
 def test_adelaide_q16():
     F = make_field(2, 4)
     f = make_family_opoly(F, "adelaide")
-    assert f.param("t") == 5
+    assert dict(f.params)["t"] == 5
     assert is_o_polynomial(f).ok
     with pytest.raises(ValueError):
         make_family_opoly(F, "adelaide", t=7)  # not +-(q-1)/3 mod q+1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .field import GF
 from .codes import GeneratorMatrix, WeightDistribution
 from .geometry import hyperoval_from_opoly, standard_oval
-from .opoly import OPolynomial, is_o_polynomial, linear_shift_image, value_table
+from .opoly import OPolynomial, is_o_polynomial, linear_shift_image
 
 CENSUS_KINDS = ("even-A1", "even-A2", "odd-B1", "odd-B2")
 
@@ -145,19 +145,19 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
     if kind not in CENSUS_KINDS:
         raise ValueError(f"unknown census kind {kind!r}")
     q = F.q
-    add, sub, mul, inv = F.kernel  # v and w are checked by the admissible sets
+    add, sub, mul, inv = F.kernel
     if kind.startswith("even"):
         if f is None or v is None:
             raise ValueError(f"{kind} needs an o-polynomial and v")
         if f.field != F:
             raise ValueError(f"the o-polynomial is over {f.field!r}, not {F!r}")
-        if v not in valid_v_set(f):
+        if F.check(v) not in valid_v_set(f):
             raise ValueError(f"v={v} is not admissible")
-        a, shift, diagonal = value_table(f), v, 1
+        a, shift, diagonal = f.values, v, 1
     else:
         if w is None:
             raise ValueError(f"{kind} needs w")
-        if w not in valid_w_set(F):
+        if F.check(w) not in valid_w_set(F):
             raise ValueError(f"w={w} is not admissible")
         a, shift, diagonal = [mul(x, x) for x in range(q)], w, sub(0, 1)
     b = range(q)

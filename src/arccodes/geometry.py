@@ -14,7 +14,7 @@ pencil line in the arc search.
 """
 
 from .field import GF, Kernel
-from .opoly import OPolynomial, is_o_polynomial, value_table
+from .opoly import OPolynomial, is_o_polynomial
 
 Triple = tuple[int, int, int]
 
@@ -23,13 +23,22 @@ def canonical(F: GF, triple) -> Triple:
     """The canonical form of a homogeneous triple: last nonzero coordinate 1."""
     if len(t := tuple(triple)) != 3:
         raise ValueError(f"expected a homogeneous triple, got {triple!r}")
-    t = tuple(F.as_element(c) for c in t)
-    inv, mul = F.kernel.inv, F.kernel.mul
-    for c in reversed(t):
-        if c:
-            s = inv(c)
-            return tuple(mul(s, e) for e in t)
-    raise ValueError("the zero vector has no projective point")
+    if (point := _scaled(F.kernel, *map(F.as_element, t))) is None:
+        raise ValueError("the zero vector has no projective point")
+    return point
+
+
+def _scaled(K: Kernel, x: int, y: int, z: int) -> Triple | None:
+    """(x, y, z) scaled on the unchecked kernel K so that its last nonzero
+    coordinate is 1, or None for the zero vector."""
+    if z:
+        s = K.inv(z)
+        return K.mul(s, x), K.mul(s, y), 1
+    if y:
+        return K.mul(K.inv(y), x), 1, 0
+    if x:
+        return 1, 0, 0
+    return None
 
 
 def all_points(F: GF) -> list[Triple]:
@@ -50,23 +59,15 @@ def line_through(F: GF, p1, p2) -> Triple:
 
 def join(K: Kernel, p1, p2) -> Triple:
     """line_through on the unchecked kernel K, for points whose coordinates
-    the caller has checked.  The canonical form (last nonzero coordinate 1)
-    is taken inline rather than through canonical: this is the per-line step
-    of the arc-search pencils."""
+    the caller has checked: the per-line step of the arc-search pencils."""
     mul, sub = K.mul, K.sub
     a1, a2, a3 = p1
     b1, b2, b3 = p2
-    x = sub(mul(a2, b3), mul(a3, b2))
-    y = sub(mul(a3, b1), mul(a1, b3))
-    z = sub(mul(a1, b2), mul(a2, b1))
-    if z:
-        s = K.inv(z)
-        return mul(s, x), mul(s, y), 1
-    if y:
-        return mul(K.inv(y), x), 1, 0
-    if x:
-        return 1, 0, 0
-    raise ValueError(f"points {p1} and {p2} coincide projectively")
+    line = _scaled(K, sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
+                   sub(mul(a1, b2), mul(a2, b1)))
+    if line is None:
+        raise ValueError(f"points {p1} and {p2} coincide projectively")
+    return line
 
 
 def validate_point_set(F: GF, points) -> list[Triple]:
@@ -186,7 +187,7 @@ def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
             f"not an o-polynomial (failed {verdict.condition}"
             + (f" at a={verdict.witness})" if verdict.witness is not None else ")")
         )
-    tab = value_table(f)
+    tab = f.values
     pts = [(tab[c], c, 1) for c in f.field.elements(order)]
     pts.append((1, 0, 0))
     pts.append((0, 1, 0))

@@ -7,28 +7,21 @@ hyperoval {(f(c), c, 1)} + {(1,0,0), (0,1,0)} exactly when f permutes GF(q)
 and, for every a, the quotient map x -> (f(x+a)+f(a)) * x^(q-2) also
 permutes GF(q).  Equivalently (given f(0)=0): x -> f(x) + u*x is 2-to-1 for
 every nonzero u.
+
+Every later step reads only the values of f, so an o-polynomial carries its
+value table, `values`: one Horner pass over GF(q) on the field's unchecked
+kernel, built on first use and kept with the polynomial.  The coefficients
+are checked when the polynomial is built.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from math import gcd
+from operator import index
 
 from .field import GF, make_field, parse_int
-
-FAMILIES = (
-    "translation",
-    "segre",
-    "glynn1",
-    "glynn2",
-    "glynn3",
-    "cherowitzo",
-    "payne",
-    "subiaco",
-    "adelaide",
-    "custom",
-)
 
 
 @dataclass(frozen=True)
@@ -47,6 +40,18 @@ class OPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """f(x) for every x in GF(q), indexed by x; not part of equality."""
+        add, mul = self.field.kernel.add, self.field.kernel.mul
+        out = []
+        for x in range(self.field.q):
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = add(mul(acc, x), c)
+            out.append(acc)
+        return tuple(out)
 
     def descriptor(self, powers: bool = False) -> str:
         if self.family == "custom":
@@ -74,21 +79,8 @@ class Verdict:
 
 
 def evaluate(f: OPolynomial, x: int) -> int:
-    """Horner evaluation of f at x."""
-    return _horner(f, f.field.check(x))
-
-
-def _horner(f: OPolynomial, x: int) -> int:
-    add, mul = f.field.kernel.add, f.field.kernel.mul
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
-def value_table(f: OPolynomial) -> list[int]:
-    """f(x) for every x in GF(q), indexed by x."""
-    return [_horner(f, x) for x in range(f.field.q)]
+    """f(x), for an x checked against f's field."""
+    return f.values[f.field.check(x)]
 
 
 def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
@@ -104,33 +96,33 @@ def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
 
 
 def interpolate(F: GF, values) -> tuple[int, ...]:
-    """Newton interpolation through (x, values[x]) for all x in GF(q).
+    """The reduced polynomial through (x, values[x]) for all x in GF(q).
 
+    c_0 = f(0) and c_k = -sum_a f(a) a^(q-1-k) for k >= 1, with 0^0 = 1, so
+    a = 0 counts for k = q-1 alone and the other terms run over a = g^i.
     Returns dense coefficients low-to-high (degree < q, trailing zeros
     stripped, constant 0 kept as a single coefficient).
     """
     q = F.q
     if len(values) != q:
         raise ValueError("need one value per field element")
-    coef = list(values)
-    for j in range(1, q):
-        for i in range(q - 1, j - 1, -1):
-            num = F.sub(coef[i], coef[i - 1])
-            den = F.sub(i, i - j)
-            coef[i] = F.mul(num, F.inv(den))
-    poly = [coef[q - 1]]
-    for i in range(q - 2, -1, -1):
-        # poly = poly * (x - x_i) + coef[i]
-        nxt = [0] * (len(poly) + 1)
-        neg_xi = F.neg(i)
-        for d, c in enumerate(poly):
-            nxt[d + 1] = F.add(nxt[d + 1], c)
-            nxt[d] = F.add(nxt[d], F.mul(c, neg_xi))
-        nxt[0] = F.add(nxt[0], coef[i])
-        poly = nxt
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+    values = [F.check(y) for y in values]
+    add, sub, mul = F.kernel.add, F.kernel.sub, F.kernel.mul
+    n, g = q - 1, F.primitive_element()
+    powers = [1]  # powers[i] = g^i, i < n
+    for _ in range(n - 1):
+        powers.append(mul(powers[-1], g))
+    at_powers = [values[a] for a in powers]
+    coeffs = [values[0]]
+    for k in range(1, q):
+        e = n - k
+        acc = values[0] if e == 0 else 0
+        for i, y in enumerate(at_powers):
+            acc = add(acc, mul(y, powers[i * e % n]))
+        coeffs.append(sub(0, acc))
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _inv0(F: GF, x: int) -> int:
@@ -155,34 +147,21 @@ def _subiaco_values(F: GF, a: int) -> list[int]:
 
 def _default_subiaco_a(F: GF) -> int:
     for a in range(1, F.q):
-        if F.trace(F.inv(a)) != 1:
-            continue
-        if F.m % 4 == 2 and F.pow(a, 4) == a:
-            continue
-        return a
+        if F.trace(F.inv(a)) == 1 and not (F.m % 4 == 2 and F.pow(a, 4) == a):
+            return a
     raise ValueError(f"no admissible parameter a for the subiaco family at q={F.q}")
 
 
 def _adelaide_values(F: GF, beta_power: int, t: int) -> list[int]:
     q = F.q
     E = make_field(2, 2 * F.m)
-    # Embed GF(q) into GF(q^2) through the least root of F's modulus.
-    root = None
-    for cand in range(E.q):
-        acc = 0
-        for c in reversed(F.modulus):
-            acc = E.add(E.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise AssertionError("modulus has no root in the quadratic extension")
-    embed = []
-    for x in range(q):
-        acc = 0
-        for i in reversed(range(F.m)):
-            acc = E.add(E.mul(acc, root), (x >> i) & 1)
-        embed.append(acc)
+    # Embed GF(q) into GF(q^2) through the least root of F's modulus (one
+    # exists: the modulus is irreducible of degree m, and m divides 2m).
+    # Index x has bit i for x^i, so it maps to the sum of root^i over its bits.
+    exps = [i for i, c in enumerate(F.modulus) if c]
+    root = next(z for z in range(E.q) if not reduce(E.add, (E.pow(z, i) for i in exps)))
+    powers = [E.pow(root, i) for i in range(F.m)]
+    embed = [reduce(E.add, (r for i, r in enumerate(powers) if x >> i & 1), 0) for x in range(q)]
     unembed = {img: x for x, img in enumerate(embed)}
 
     gamma = E.pow(E.primitive_element(), q - 1)  # order q+1
@@ -216,6 +195,14 @@ def _adelaide_values(F: GF, beta_power: int, t: int) -> list[int]:
     return out
 
 
+def _int_param(family: str, key: str, value) -> int:
+    """An integer parameter, converted as operator.index converts (no truncation)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{family}: parameter {key}={value!r} is not an integer") from None
+
+
 def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
     """Build one of the named o-polynomial families over GF(2^m).
 
@@ -224,15 +211,14 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
     """
     if F.p != 2:
         raise ValueError("o-polynomials live in even characteristic")
-    m = F.m
-    q = F.q
+    m, q = F.m, F.q
 
     def need(cond, msg):
         if not cond:
             raise ValueError(f"{family}: {msg}")
 
     if family == "translation":
-        h = int(params.pop("h", 1))
+        h = _int_param(family, "h", params.pop("h", 1))
         need(not params, f"unknown parameters {sorted(params)}")
         need(h >= 1, "h must be >= 1")
         need(gcd(h, m) == 1, f"gcd(h={h}, m={m}) != 1")
@@ -262,9 +248,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
         half = 2 ** (m - 1)
-        return _monomial_opoly(
-            F, family, (), [(half + 2) // 3, half, (5 * half - 2) // 3]
-        )
+        return _monomial_opoly(F, family, (), [(half + 2) // 3, half, (5 * half - 2) // 3])
     if family == "subiaco":
         need(m >= 2, "needs m >= 2")
         a = params.pop("a", None)
@@ -277,15 +261,12 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         return OPolynomial(F, family, (("a", a),), coeffs)
     if family == "adelaide":
         need(m % 2 == 0 and m >= 4, "needs even m >= 4")
-        beta_power = int(params.pop("beta_power", 1))
+        beta_power = _int_param(family, "beta_power", params.pop("beta_power", 1))
         t = params.pop("t", None)
         need(not params, f"unknown parameters {sorted(params)}")
-        t = (q - 1) // 3 if t is None else int(t)
-        r = t % (q + 1)
-        need(
-            r == (q - 1) // 3 % (q + 1) or (-r) % (q + 1) == (q - 1) // 3 % (q + 1),
-            f"exponent t={t} must be +-(q-1)/3 mod q+1",
-        )
+        third = (q - 1) // 3  # 0 < third < q+1, so -third mod q+1 is q+1-third
+        t = third if t is None else _int_param(family, "t", t)
+        need(t % (q + 1) in (third, q + 1 - third), f"exponent t={t} must be +-(q-1)/3 mod q+1")
         coeffs = interpolate(F, _adelaide_values(F, beta_power, t))
         f = OPolynomial(F, family, (("beta_power", beta_power), ("t", t)), coeffs)
         verdict = is_o_polynomial(f)
@@ -335,6 +316,7 @@ def parse_opoly_descriptor(F: GF, text: str) -> OPolynomial:
     return make_family_opoly(F, family, **params)
 
 
+@lru_cache(maxsize=4096)
 def is_o_polynomial(f: OPolynomial) -> Verdict:
     """Full check of the hyperoval criterion.
 
@@ -343,16 +325,10 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
     failure the verdict carries the first failing condition and, for the
     quotient condition, the witness a.
     """
-    return _is_o_polynomial_cached(f.field, f.coeffs)
-
-
-@lru_cache(maxsize=4096)
-def _is_o_polynomial_cached(F: GF, coeffs: tuple[int, ...]) -> Verdict:
+    F = f.field
     if F.p != 2:
         raise ValueError("o-polynomials live in even characteristic")
-    q = F.q
-    f = OPolynomial(F, "custom", (), coeffs)
-    tab = value_table(f)
+    q, tab = F.q, f.values
     if len(set(tab)) != q:
         return Verdict(False, "permutation")
     if tab[0] != 0:
@@ -380,7 +356,7 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     F = f.field
     if F.p != 2:
         raise ValueError("2-to-1 criterion lives in even characteristic")
-    tab = value_table(f)
+    tab = f.values
     if tab[0] != 0:
         raise ValueError("2-to-1 criterion requires f(0) = 0")
     add, mul, xs = F.kernel.add, F.kernel.mul, range(F.q)
@@ -393,7 +369,7 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
 
 def linear_shift_image(f: OPolynomial) -> frozenset[int]:
     """The image of x -> f(x) + x; size q/2 for a valid o-polynomial."""
-    return frozenset(map(f.field.kernel.add, value_table(f), range(f.field.q)))
+    return frozenset(map(f.field.kernel.add, f.values, range(f.field.q)))
 
 
 def applicable_families(F: GF) -> list[OPolynomial]:

@@ -195,6 +195,20 @@ def test_census_argument_validation():
         solution_count_census("even-A1", F4, f=f)  # missing v
 
 
+def test_census_checks_v_and_w_as_elements():
+    # 7.0 in {7, 10} holds, so set membership alone would let the floats in
+    F11, F4 = make_field(11), make_field(2, 2)
+    f = make_family_opoly(F4, "translation", h=1)
+    for kind in ("odd-B1", "odd-B2"):
+        for w in (7.0, "7", 11):
+            with pytest.raises(ValueError, match="not an element index"):
+                solution_count_census(kind, F11, w=w)
+    for kind in ("even-A1", "even-A2"):
+        for v in (2.0, "2", 4):
+            with pytest.raises(ValueError, match="not an element index"):
+                solution_count_census(kind, F4, f=f, v=v)
+
+
 def test_census_rejects_opolynomial_over_another_field():
     # x^3 + x^2 + 1 and the default x^3 + x + 1 give two different GF(8)s;
     # read in the wrong one, f's values give 1-root pairs, which no hyperoval has.

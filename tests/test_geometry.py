@@ -76,6 +76,23 @@ def test_line_through_checks_its_points(q):
             geo.line_through(F, p1, p2)
 
 
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_join_and_canonical_share_one_form(q):
+    F = field_from_order(q)
+    pts = geo.all_points(F)
+    assert [geo.canonical(F, p) for p in pts] == pts
+    for p1 in pts[::3]:
+        for p2 in pts:
+            if p1 == p2:
+                continue
+            cross = (F.sub(F.mul(p1[1], p2[2]), F.mul(p1[2], p2[1])),
+                     F.sub(F.mul(p1[2], p2[0]), F.mul(p1[0], p2[2])),
+                     F.sub(F.mul(p1[0], p2[1]), F.mul(p1[1], p2[0])))
+            assert geo.join(F.kernel, p1, p2) == geo.canonical(F, cross)
+    with pytest.raises(ValueError, match="the zero vector has no projective point"):
+        geo.canonical(F, (0, 0, 0))
+
+
 def test_duality_symmetry():
     F = make_field(2, 2)
     pts = geo.all_points(F)

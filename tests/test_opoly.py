@@ -13,7 +13,6 @@ from arccodes.opoly import (
     make_custom_opoly,
     make_family_opoly,
     parse_opoly_descriptor,
-    value_table,
 )
 
 
@@ -74,7 +73,7 @@ def test_builtin_families_validate(q):
     fams = applicable_families(F)
     assert fams, "at least the translation family applies"
     for f in fams:
-        tab = value_table(f)
+        tab = f.values
         assert tab[0] == 0 and tab[1] == 1
         assert is_o_polynomial(f).ok, f.descriptor()
         assert is_two_to_one_with_linear(f).ok, f.descriptor()
@@ -128,13 +127,44 @@ def test_descriptor_repeated_parameter_rejected():
 
 
 def test_interpolation_reconstructs_values():
-    F = make_field(2, 3)
     rng = random.Random(7)
-    values = [rng.randrange(F.q) for _ in range(F.q)]
-    coeffs = interpolate(F, values)
-    assert len(coeffs) <= F.q
-    f = make_custom_opoly(F, coeffs)
-    assert value_table(f) == values
+    for q in (7, 8, 9, 16, 25):
+        F = field_from_order(q)
+        for values in ([0] * q, list(range(q)),
+                       *([rng.randrange(q) for _ in range(q)] for _ in range(5))):
+            coeffs = interpolate(F, values)
+            assert len(coeffs) <= q
+            assert coeffs == (0,) or coeffs[-1] != 0
+            assert make_custom_opoly(F, coeffs).values == tuple(values), (q, values)
+
+
+def test_interpolation_checks_each_value():
+    F = make_field(2, 3)
+    with pytest.raises(ValueError, match="one value per field element"):
+        interpolate(F, [0] * 7)
+    for bad in (8, -1, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an element index"):
+            interpolate(F, [0] * 7 + [bad])
+
+
+def test_interpolated_families_pinned_at_q16():
+    F = make_field(2, 4)
+    assert make_family_opoly(F, "subiaco").coeffs == (
+        0, 0, 15, 0, 13, 0, 14, 0, 1, 0, 14, 0, 13, 0, 15)
+    assert make_family_opoly(F, "adelaide").coeffs == (
+        0, 0, 9, 0, 10, 0, 8, 0, 1, 0, 8, 0, 10, 0, 9)
+
+
+def test_values_built_once_and_outside_equality():
+    F = make_field(2, 4)
+    f = make_family_opoly(F, "subiaco")
+    assert f.values is f.values
+    assert [evaluate(f, x) for x in range(F.q)] == list(f.values)
+    g = make_family_opoly(F, "subiaco")
+    assert g == f and hash(g) == hash(f)
+    assert "values" not in repr(f)
+    with pytest.raises(ValueError, match="not an element index"):
+        evaluate(f, F.q)
 
 
 def test_subiaco_interpolated_form_matches_pointwise():
@@ -149,6 +179,21 @@ def test_subiaco_interpolated_form_matches_pointwise():
             make_family_opoly(F, "subiaco", a=bad)
     with pytest.raises(ValueError, match="not an element index"):
         make_custom_opoly(F, [0, 0, 1.0])
+
+
+def test_integer_parameters_converted_as_index():
+    F = make_field(2, 4)
+    for family, key, bad in (("translation", "h", 1.9), ("translation", "h", "3"),
+                             ("adelaide", "t", 5.7), ("adelaide", "t", "5"),
+                             ("adelaide", "beta_power", 1.0),
+                             ("adelaide", "beta_power", "1")):
+        with pytest.raises(ValueError, match=f"parameter {key}=.* is not an integer"):
+            make_family_opoly(F, family, **{key: bad})
+    assert make_family_opoly(F, "translation", h=1).descriptor() == "translation:h=1"
+    assert make_family_opoly(F, "translation", h=True) == make_family_opoly(F, "translation", h=1)
+    assert dict(make_family_opoly(F, "adelaide", t=-5).params)["t"] == -5
+    assert parse_opoly_descriptor(F, "translation:h=3").descriptor() == "translation:h=3"
+    assert parse_opoly_descriptor(F, "adelaide:t=-5") == make_family_opoly(F, "adelaide", t=-5)
 
 
 def test_adelaide_q16():

@@ -4,11 +4,12 @@ closed-form weight formulas, and the minimum-weight supports of
 dimension-3 arc codes.
 
 In dimension 3 the weights and supports are read off the line profile of the
-columns (geometry.LineProfile, built once per matrix from column pairs): the
-q-1 codewords u.G of a line u vanish exactly on its columns, so a line
-holding c nonzero columns gives q-1 codewords of weight n - z - c (z zero
-columns).  With no four columns on a line, a line holding three is both the
-zero set of q-1 minimum-weight codewords and the support of weight-3 dual
+columns (geometry.LineProfile, built once per matrix from column pairs; for a
+constructed code, only the pairs with an added column): the q-1 codewords
+u.G of a line u vanish exactly on its columns, so a line holding c nonzero
+columns gives q-1 codewords of weight n - z - c (z zero columns).  With no
+four columns on a line, a line holding three is both the zero set of q-1
+minimum-weight codewords and the support of weight-3 dual
 codewords, so the NMDS pairing of the two is an identity of the profile.
 Other dimensions enumerate one message per projective class; that
 enumerator is also the test oracle for the profile.  No dual generator
@@ -49,10 +50,15 @@ class GeneratorMatrix:
             raise ValueError(f"rank {len(pivots)} below row count {self.k}")
         self._columns = tuple(zip(*self.rows))
         self._line_profile = None
+        self._arc_base = 0
 
     @classmethod
-    def from_columns(cls, field: GF, columns) -> "GeneratorMatrix":
-        return cls(field, list(zip(*columns)))
+    def from_columns(cls, field: GF, columns, _arc_base: int = 0) -> "GeneratorMatrix":
+        """`_arc_base=k`, for the constructors alone, vouches that the first k
+        columns are a k-arc; the line profile is then seeded with it."""
+        G = cls(field, list(zip(*columns)))
+        G._arc_base = _arc_base
+        return G
 
     def columns(self):
         return self._columns
@@ -63,7 +69,8 @@ class GeneratorMatrix:
         if self.k != 3:
             raise ValueError("the line profile is defined for k = 3")
         if self._line_profile is None:
-            self._line_profile = geometry.LineProfile(self.field, self._columns)
+            self._line_profile = geometry.LineProfile(self.field, self._columns,
+                                                      _arc_base=self._arc_base)
         return self._line_profile
 
     def __eq__(self, other):

@@ -10,7 +10,8 @@ Odd q: take the conic columns (a^2, a, 1) plus (1,0,0), then append
 
 Both column sets are (q+5, 3)-arcs, and the weight distributions admit
 closed forms that the line-profile counts (and, at small q, brute-force
-enumeration) reproduce exactly.
+enumeration) reproduce exactly.  The base is a certified arc, so each matrix
+is built with its length, and its line profile pivots on the added columns.
 """
 
 from collections import Counter
@@ -57,7 +58,7 @@ def build_even_matrix(f: OPolynomial, v: int, order: str = "powers") -> Generato
     if v not in valid_v_set(f):
         raise ValueError(f"v={v} lies in the image of x -> f(x)+x; not admissible")
     cols = hyperoval_from_opoly(f, order) + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
-    return GeneratorMatrix.from_columns(F, cols)
+    return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 2)
 
 
 def build_odd_matrix(F: GF, w: int, order: str = "powers") -> GeneratorMatrix:
@@ -67,7 +68,7 @@ def build_odd_matrix(F: GF, w: int, order: str = "powers") -> GeneratorMatrix:
     if w not in valid_w_set(F):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
     cols = standard_oval(F, order) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
-    return GeneratorMatrix.from_columns(F, cols)
+    return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 1)
 
 
 def even_closed_form(q: int) -> WeightDistribution:

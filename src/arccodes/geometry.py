@@ -9,8 +9,9 @@ identical, so incidence is symmetric under duality.
 
 Field elements are checked once, where they enter (`canonical` for
 `LineProfile`'s columns); the per-pair work then runs on the field's
-unchecked kernel: one slope per pair in `LineProfile`, one `join` per
-pencil line in the arc search.
+unchecked kernel: one slope per pair in `LineProfile` (per pair with an
+added point, for a construction seeded with its certified arc base), one
+`join` per pencil line in the arc search.
 """
 
 from .field import GF, Kernel
@@ -79,7 +80,8 @@ def validate_point_set(F: GF, points) -> list[Triple]:
 
 class LineProfile:
     """How many of a set of columns each line of PG(2,q) holds, found from
-    the pairs of distinct column points in O(n^2) field operations.
+    the pairs of distinct column points in O(n^2) field operations, or in
+    O(n) per added point for a construction seeded with its arc base.
 
     Zero columns are counted apart (`zeros`); the others are grouped by
     canonical point, with multiplicity.  A line through two or more points
@@ -106,9 +108,18 @@ class LineProfile:
     repeated point only pivots with a repeated slope are grouped, and the
     two-point lines are counted as C(m,2) - sum C(k,2); otherwise every
     pivot is grouped and each two-point line counts its own columns.
+
+    `_arc_base=k`, passed by the constructors alone, vouches that the first
+    k columns are a k-arc: `hyperoval_from_opoly` and `standard_oval` give
+    the certificates.  Then every line of three or more points holds one of
+    the added points after the base, and is found at its lowest point if
+    those come first.  So the added points are moved to the front and only
+    they pivot, each against every later point; the counts above need only
+    the lines of three or more points.  The columns must then be nonzero and
+    projectively distinct, or ValueError is raised.
     """
 
-    def __init__(self, F: GF, columns):
+    def __init__(self, F: GF, columns, _arc_base: int = 0):
         q, sub, mul, inv = F.q, F.kernel.sub, F.kernel.mul, F.kernel.inv
         groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
         for idx, col in enumerate(columns):
@@ -117,12 +128,17 @@ class LineProfile:
         pts, cols_at = list(groups), list(groups.values())
         m = len(pts)
         self.repeated = any(len(g) > 1 for g in cols_at)
+        if _arc_base:  # the added points first
+            if self.zeros or self.repeated:
+                raise ValueError("an arc-seeded profile needs distinct nonzero columns")
+            pts = pts[_arc_base:] + pts[:_arc_base]
+            cols_at = cols_at[_arc_base:] + cols_at[:_arc_base]
         through = [m - 1] * m  # lines through each point holding another
         counts: dict[int, int] = {}
         rich = []
         covered: set[tuple[int, int]] = set()
         two_point_lines = m * (m - 1) // 2
-        for i, (a, b, c) in enumerate(pts):
+        for i, (a, b, c) in enumerate(pts[:m - _arc_base]):
             later = pts[i + 1:]
             if c:  # (x - a z) / (y - b z), with z in {0, 1}
                 slopes = [(mul(sub(x, a), inv(v)) if (v := sub(y, b)) else q) if z
@@ -180,7 +196,8 @@ def is_n3_arc(F: GF, points) -> bool:
 
 def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
     """The q+2 points {(f(c), c, 1)} + {(1,0,0), (0,1,0)}, columns ordered by
-    the requested element enumeration."""
+    the requested element enumeration: a hyperoval, as is_o_polynomial(f)
+    certifies here."""
     verdict = is_o_polynomial(f)
     if not verdict:
         raise ValueError(
@@ -195,7 +212,9 @@ def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
 
 
 def standard_oval(F: GF, order: str = "powers") -> list[Triple]:
-    """The q+1 points {(x^2, x, 1)} + {(1,0,0)} over odd q."""
+    """The q+1 points {(x^2, x, 1)} + {(1,0,0)} over odd q.  They are an arc:
+    a line ax+by+cz=0 meets {(t^2,t,1)} in the roots of at^2+bt+c, at most
+    two, and holds (1,0,0) only when a=0, which leaves at most one root."""
     if F.p == 2:
         raise ValueError("the standard oval needs odd characteristic")
     pts = [(F.mul(x, x), x, 1) for x in F.elements(order)]

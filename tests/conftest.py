@@ -70,6 +70,24 @@ def paper_code(q: int) -> codes.GeneratorMatrix:
     return construct.build_odd_matrix(F, min(construct.valid_w_set(F)))
 
 
+@lru_cache(maxsize=None)
+def paper_codes(q: int) -> tuple[tuple[str, codes.GeneratorMatrix], ...]:
+    """(label, matrix) for every paper code over GF(q) in both column
+    orders: every applicable family and admissible v, or every admissible w."""
+    F = field_from_order(q)
+    out = []
+    for order in ("powers", "canonical"):
+        if F.p == 2:
+            for f in opoly.applicable_families(F):
+                for v in sorted(construct.valid_v_set(f)):
+                    out.append((f"{f.descriptor()} v={v} {order}",
+                                construct.build_even_matrix(f, v, order)))
+        else:
+            for w in sorted(construct.valid_w_set(F)):
+                out.append((f"w={w} {order}", construct.build_odd_matrix(F, w, order)))
+    return tuple(out)
+
+
 def incident(F: GF, point, line) -> bool:
     """Whether the point lies on the line: the dot product vanishes."""
     a = F.mul(point[0], line[0])

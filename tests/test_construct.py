@@ -1,6 +1,6 @@
 import pytest
 
-from arccodes.field import make_field, field_from_order
+from arccodes.field import make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
 from arccodes.codes import (
     classify,
@@ -20,6 +20,7 @@ from arccodes.construct import (
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
 from arccodes.opoly import applicable_families, evaluate, make_custom_opoly, make_family_opoly
+from conftest import paper_codes
 
 
 def test_valid_v_set_gf4():
@@ -159,6 +160,28 @@ def test_proof_triples_present():
     G11 = build_odd_matrix(F11, 7)
     triples11 = set(min_weight_supports(G11))
     assert (11, 12, 13) in triples11
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_even_codes_have_collinear_added_points(q):
+    """T, the number of lines holding three columns, gives A_(q+2) = (q-1)T.
+    Each added point lies on (q+2)/2 secants of the hyperoval and no two
+    share one, so T = 3(q+2)/2, plus 1 for the line of the three added
+    points, which every paper code has."""
+    for label, G in paper_codes(q):
+        rich = G.line_profile().rich
+        assert (q + 2, q + 3, q + 4) in rich, label
+        assert len(rich) == (3 * q + 8) // 2 == even_closed_form(q)[q + 2] // (q - 1), label
+
+
+@pytest.mark.parametrize("q", [q for q in range(5, 62, 2) if len(prime_factors(q)) == 1])
+def test_odd_codes_rich_line_count(q):
+    """T for the odd construction, which odd_closed_form's A_(q+2) branches
+    on q mod 4 for."""
+    for label, G in paper_codes(q):
+        T = len(G.line_profile().rich)
+        assert T == (2 * q + 2 if q % 4 == 1 else 2 * q + 1), label
+        assert T == odd_closed_form(q)[q + 2] // (q - 1), label
 
 
 def test_census_even_gf4():

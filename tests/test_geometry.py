@@ -3,10 +3,11 @@ import re
 
 import pytest
 
-from arccodes.field import make_field, field_from_order
+from arccodes.field import make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
-from arccodes.opoly import make_custom_opoly, make_family_opoly
-from conftest import incident, paper_code
+from arccodes.construct import even_closed_form, odd_closed_form
+from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
+from conftest import incident, paper_code, paper_codes
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -215,9 +216,12 @@ def _pairwise_profile(F, columns):
             "repeated": any(m > 1 for m in mult), "max_line": max(counts)}
 
 
+def _profile_fields(lp):
+    return {f: getattr(lp, f) for f in PROFILE_FIELDS}
+
+
 def _assert_profile_matches_pairwise(F, columns):
-    lp = geo.LineProfile(F, columns)
-    assert {f: getattr(lp, f) for f in PROFILE_FIELDS} == _pairwise_profile(F, columns), \
+    assert _profile_fields(geo.LineProfile(F, columns)) == _pairwise_profile(F, columns), \
         (F.q, columns)
 
 
@@ -311,6 +315,81 @@ def test_line_profile_matches_pairwise_on_the_whole_plane(q):
 def test_line_profile_matches_pairwise_on_a_paper_code(q):
     G = paper_code(q)
     _assert_profile_matches_pairwise(G.field, G.columns())
+
+
+EVEN_PAPER_Q = (4, 8, 16, 32, 64)
+ODD_PAPER_Q = tuple(q for q in range(5, 62, 2) if len(prime_factors(q)) == 1)
+
+
+@pytest.mark.parametrize("q", EVEN_PAPER_Q + ODD_PAPER_Q)
+def test_seeded_profile_matches_full_profile(q):
+    """A constructor's profile, pivoting on the added columns of a certified
+    arc base, against the profile from every pair of the same columns, and
+    its counts against the closed-form weights: a line holding c columns
+    is the zero set of q-1 codewords of weight q+5-c."""
+    closed = even_closed_form(q) if q % 2 == 0 else odd_closed_form(q)
+    closed_counts = {q + 5 - w: a // (q - 1) for w, a in closed.to_pairs() if w}
+    for label, G in paper_codes(q):
+        assert G._arc_base in (q + 1, q + 2)
+        seeded = G.line_profile()
+        assert _profile_fields(seeded) == _profile_fields(geo.LineProfile(G.field, G.columns())), label
+        assert seeded.counts == closed_counts, label
+
+
+def _arc_base(F):
+    """The constructors' base: the regular hyperoval, or the conic."""
+    if F.p == 2:
+        return geo.hyperoval_from_opoly(make_family_opoly(F, "translation", h=1))
+    return geo.standard_oval(F)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_seeded_profile_with_many_added_points(q):
+    """Every point off the base on a line, so four or more columns on it
+    (two of them base points on a secant), plus random others: the seeded
+    profile against the pairwise oracle, added columns scaled and shuffled."""
+    F = field_from_order(q)
+    rng = random.Random(q)
+    base = _arc_base(F)
+    off = [p for p in geo.all_points(F) if p not in base]
+    for _ in range(6):
+        line = rng.choice(geo.all_points(F))
+        on = [p for p in off if incident(F, p, line)]
+        added = on + rng.sample([p for p in off if p not in on], rng.randrange(0, 6))
+        added = [_scaled(F, rng.randrange(1, q), p) for p in rng.sample(added, len(added))]
+        lp = geo.LineProfile(F, base + added, _arc_base=len(base))
+        assert _profile_fields(lp) == _pairwise_profile(F, base + added), (q, added)
+
+
+@pytest.mark.parametrize("bad", ["zero", "added repeats added", "added repeats base"])
+def test_seeded_profile_rejects_bad_added_columns(bad):
+    F = make_field(2, 3)
+    base = _arc_base(F)
+    g = F.primitive_element()
+    added = {"zero": [(1, 1, 0), (0, 0, 0)],
+             "added repeats added": [(1, 1, 0), (0, 1, 1), (g, g, 0)],
+             "added repeats base": [(1, 1, 0), _scaled(F, g, base[3])]}[bad]
+    with pytest.raises(ValueError, match="arc-seeded profile needs distinct nonzero columns"):
+        geo.LineProfile(F, base + added, _arc_base=len(base))
+    geo.LineProfile(F, base + added)  # the pairwise profile takes them
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 126) if len(prime_factors(q)) == 1
+                               and (q % 2 or q <= 64)])
+def test_paper_bases_are_arcs_with_closed_form_counts(q):
+    """The certificates the seeded profile rests on, checked by the pairwise
+    profile: the conic at every odd q <= 125 (see standard_oval), and the
+    hyperoval of every applicable family at even q <= 64."""
+    F = field_from_order(q)
+    bases = ([geo.hyperoval_from_opoly(f) for f in applicable_families(F)] if F.p == 2
+             else [geo.standard_oval(F)])
+    for base in bases:
+        k = len(base)
+        lp = geo.LineProfile(F, base)
+        assert lp.max_line == 2 and lp.rich == ()
+        assert lp.counts == {c: t for c, t in {
+            0: q * q + q + 1 - k * (k - 1) // 2 - k * (q + 2 - k),
+            1: k * (q + 2 - k), 2: k * (k - 1) // 2}.items() if t}
 
 
 def test_line_profile_property():

@@ -11,13 +11,15 @@ The points of the filled lines leave the candidates in one `cands & ~kill`.
 Most kills come from the base's own two-point lines, which are the same at
 every node, so `kill` is the candidate's cached `base_kill` ORed with the
 masks of only those lines through it that reached two points in the search.
-Masks and base kills are built on first use and live for one search.  The
-DFS takes candidates by lowest set bit, so it enumerates supersets in
-lexicographic candidate order (each set is visited once and runs are
-reproducible); greedy-restart runs seeded random greedy completions in turn,
-refusing any point on a full line, and keeps the best.  Both are anytime:
-the best arc so far survives budget exhaustion.  Under node budgets runs are
-bit-deterministic for a fixed seed; under a wall-clock budget they are not.
+Both are built on first use: a pencil mask by q+1 joins on the field's
+kernel, kept with the field's cached plane for every later search, and a
+base kill for one search only.  The DFS takes candidates by lowest set bit,
+so it enumerates supersets in lexicographic candidate order (each set is
+visited once and runs are reproducible); greedy-restart runs seeded random
+greedy completions in turn, refusing any point on a full line, and keeps
+the best.  Both are anytime: the best arc so far survives budget
+exhaustion.  Under node budgets runs are bit-deterministic for a fixed
+seed; under a wall-clock budget they are not.
 """
 
 import time
@@ -56,27 +58,22 @@ class SearchStats:
 
 
 class _Plane:
-    """Cached incidence scaffolding for one field."""
+    """The points of one field's plane and, built on first use, masks[i]:
+    the lines through point i as a bitset.  Points and lines share one
+    index list, so masks[i] is also the set of points on line i."""
 
     def __init__(self, F: GF):
-        self.F = F
-        self.points = self.lines = geometry.all_points(F)
-        self.line_index = {u: i for i, u in enumerate(self.lines)}
+        self.points = points = geometry.all_points(F)
+        self.index = index = {u: i for i, u in enumerate(points)}
+        K = F.kernel
         # the q+1 points of each coordinate line X_i = 0
-        self.axes = [[p for p in self.points if p[i] == 0] for i in range(3)]
-        self._pencils: dict[tuple, tuple[int, ...]] = {}
+        axes = [[p for p in points if p[i] == 0] for i in range(3)]
 
-    def pencil(self, point) -> tuple[int, ...]:
-        """Indices of the q+1 lines through a canonical, checked point, sorted:
-        the lines joining it to the points of a coordinate line X_i = 0 that
-        misses it, on the field's unchecked kernel."""
-        cached = self._pencils.get(point)
-        if cached is None:
-            K, index = self.F.kernel, self.line_index
-            axis = self.axes[next(i for i, c in enumerate(point) if c)]
-            cached = tuple(sorted(index[geometry.join(K, point, r)] for r in axis))
-            self._pencils[point] = cached
-        return cached
+        def mask(i):  # join point i to the points of a coordinate line missing it
+            p = points[i]
+            axis = axes[next(j for j, c in enumerate(p) if c)]
+            return sum(1 << index[geometry.join(K, p, r)] for r in axis)
+        self.masks = _Lazy(mask)
 
 
 _plane = lru_cache(maxsize=None)(_Plane)
@@ -157,10 +154,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         raise ValueError(f"unknown strategy {strategy!r}")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
-    points, pencil, index = plane.points, plane.pencil, plane.line_index
-    # points and lines share one index list, so masks[i] is both the lines
-    # through point i and the points on line i
-    masks = _Lazy(lambda i: sum(1 << li for li in pencil(points[i])))
+    points, index, masks = plane.points, plane.index, plane.masks
 
     base_one = base_two = base_three = 0  # lines holding >= 1, >= 2, >= 3 base points
     for p in base_pts:
@@ -215,7 +209,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                 chosen.pop()
 
         dfs(list(base_pts), candidates, candidates.bit_count(), base_one, 0)
-        del dfs  # it calls itself: drop the cycle so the masks go now, not at a later gc
+        del dfs  # it calls itself: drop the cycle so base_kill goes now, not at a later gc
     else:
         indices = [i for i in range(len(points)) if candidates >> i & 1]
         while done_restarts < restarts and not budget.done(best):

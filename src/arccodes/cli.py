@@ -35,10 +35,18 @@ def _field_from_args(args) -> GF:
     raise ValueError("a field is required: --q Q or --p P --m M")
 
 
+def _integer(text: str) -> int:
+    """An integer flag, read as `parse_int` reads text integers."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:  # argparse reports it and exits with code 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_field_args(sub):
-    sub.add_argument("--q", type=int, help="field order (prime power)")
-    sub.add_argument("--p", type=int, help="characteristic")
-    sub.add_argument("--m", type=int, help="extension degree")
+    sub.add_argument("--q", type=_integer, help="field order (prime power)")
+    sub.add_argument("--p", type=_integer, help="characteristic")
+    sub.add_argument("--m", type=_integer, help="extension degree")
     sub.add_argument("--modulus", help="modulus coefficients, low-to-high, e.g. 1,1,0,1")
 
 
@@ -137,17 +145,19 @@ def cmd_construct(args) -> int:
         chosen = {"w": F.element_to_str(w, args.powers)}
     rep = lrc.code_report(G)
     match = rep.distribution == closed
+    matrix = _matrix_lines(G, args.powers)
     data = {
         **chosen,
-        "matrix": _matrix_lines(G, args.powers),
+        "matrix": matrix,
         **rep.to_dict(),
         "closed_form": closed.to_pairs(),
         "closed_form_match": match,
     }
-    _emit(args, data, _matrix_lines(G, args.powers) + _report_lines(rep, F.q) + [
-        f"closed form: {closed.to_pairs()}",
+    table = [] if args.format == "json" else matrix + _report_lines(rep, F.q) + [
+        f"closed form: {data['closed_form']}",
         "MATCH" if match else "MISMATCH",
-    ])
+    ]
+    _emit(args, data, table)
     if rep.profile.category != "NMDS" or not match:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("bounds", help="locality bound verdicts for given parameters")
     _add_output_args(sub, powers=False)
     for name in ("n", "k", "d", "r"):
-        sub.add_argument(f"--{name}", type=int, required=True)
+        sub.add_argument(f"--{name}", type=_integer, required=True)
     sub.set_defaults(func=cmd_bounds)
 
     sub = subs.add_parser("search", help="extend an arc to a larger (n,3)-arc")
@@ -371,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--base", default="hyperoval:translation:h=1",
                      help="hyperoval[:opoly-descriptor], oval, or points:x:y:z;...")
     sub.add_argument("--strategy", choices=arcsearch.STRATEGIES, default="dfs")
-    sub.add_argument("--max-nodes", type=int)
+    sub.add_argument("--max-nodes", type=_integer)
     sub.add_argument("--max-seconds", type=float, default=60.0,
                      help="time budget (default 60; the best arc so far survives)")
-    sub.add_argument("--target", type=int)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--restarts", type=int, default=64)
+    sub.add_argument("--target", type=_integer)
+    sub.add_argument("--seed", type=_integer, default=0)
+    sub.add_argument("--restarts", type=_integer, default=64)
     sub.set_defaults(func=cmd_search)
 
     sub = subs.add_parser("verify-paper", help="run all built-in golden fixtures")

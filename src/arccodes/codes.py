@@ -20,6 +20,7 @@ MacWilliams identities.
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import product
 
 from .field import GF, parse_descriptor, parse_int, parse_key_values
 from . import geometry
@@ -176,20 +177,9 @@ class WeightDistribution:
 
 def projective_messages(F: GF, k: int):
     """One representative per projective class: first nonzero coordinate 1."""
-    q = F.q
     for lead in range(k):
-        tail = [0] * (k - lead - 1)
-        while True:
-            yield (0,) * lead + (1,) + tuple(tail)
-            i = len(tail) - 1
-            while i >= 0:
-                tail[i] += 1
-                if tail[i] < q:
-                    break
-                tail[i] = 0
-                i -= 1
-            if i < 0:
-                break
+        for tail in product(range(F.q), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def weight_distribution(G: GeneratorMatrix) -> WeightDistribution:

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -23,12 +24,28 @@ def _hyperoval(q_m):
     return F, geo.hyperoval_from_opoly(f)
 
 
+@lru_cache(maxsize=None)
+def _pencils(F):
+    """Point -> indices of the lines through it, ascending, by the incidence
+    test of every point with every line.  Points and lines share one index
+    list and incidence is symmetric, so each pair i <= j is tested once."""
+    points = geo.all_points(F)
+    through = [[] for _ in points]
+    for i, p in enumerate(points):
+        for j in range(i, len(points)):
+            if incident(F, p, points[j]):
+                through[i].append(j)
+                if j != i:
+                    through[j].append(i)
+    return {p: tuple(t) for p, t in zip(points, through)}
+
+
 def line_multiplicities(F, points):
     """Per-line point counts, indexed like geometry.all_points(F)."""
-    plane = arcsearch._plane(F)
-    mult = [0] * len(plane.lines)
+    pencils = _pencils(F)
+    mult = [0] * len(pencils)
     for p in points:
-        for li in plane.pencil(geo.canonical(F, p)):
+        for li in pencils[geo.canonical(F, p)]:
             mult[li] += 1
     return mult
 
@@ -39,12 +56,11 @@ def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=No
     node re-tests the pencil of each remaining candidate against the line
     counts.  Returns (points, nodes, restarts, prunes, budget_exhausted)."""
     base_pts = geo.validate_point_set(F, base)
-    plane = arcsearch._plane(F)
-    pencil = plane.pencil
+    pencils = _pencils(F)
     mult = line_multiplicities(F, base_pts)
     chosen_set = set(base_pts)
-    candidates = [p for p in plane.points
-                  if p not in chosen_set and all(mult[li] <= 2 for li in pencil(p))]
+    candidates = [p for p in pencils
+                  if p not in chosen_set and all(mult[li] <= 2 for li in pencils[p])]
     budget = arcsearch._Budget(max_nodes, None, target_size)
     best = list(base_pts)
 
@@ -63,13 +79,13 @@ def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=No
                     return
                 if not budget.spend(best):
                     return
-                for li in pencil(p):
+                for li in pencils[p]:
                     mult[li] += 1
                 chosen.append(p)
                 record(chosen)
-                dfs(chosen, [r for r in cands[i + 1:] if all(mult[li] <= 2 for li in pencil(r))])
+                dfs(chosen, [r for r in cands[i + 1:] if all(mult[li] <= 2 for li in pencils[r])])
                 chosen.pop()
-                for li in pencil(p):
+                for li in pencils[p]:
                     mult[li] -= 1
 
         dfs(list(base_pts), candidates)
@@ -82,9 +98,9 @@ def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=No
             for p in order:
                 if not budget.spend(best):
                     break
-                if all(local_mult[li] <= 2 for li in pencil(p)):
+                if all(local_mult[li] <= 2 for li in pencils[p]):
                     pts.append(p)
-                    for li in pencil(p):
+                    for li in pencils[p]:
                         local_mult[li] += 1
             done_restarts += 1
             record(pts)
@@ -144,17 +160,18 @@ def test_bitset_search_matches_list_rebuild_property():
         """A point set with no four on a line whose first three points lie
         on one line, so the search starts with a full line."""
         F = field_from_order(draw(st.sampled_from([4, 5, 7, 8])))
-        plane = arcsearch._plane(F)
+        pencils = _pencils(F)
+        points = list(pencils)
         # points and lines share one list: the points on the line with a
         # point's coordinates are that point's pencil
-        on_line = plane.pencil(draw(st.sampled_from(plane.points)))
+        on_line = pencils[draw(st.sampled_from(points))]
         picks = draw(st.lists(st.sampled_from(on_line), min_size=3, max_size=3, unique=True))
-        picks += draw(st.lists(st.integers(0, len(plane.points) - 1), max_size=12, unique=True))
-        base, mult = [], [0] * len(plane.lines)
+        picks += draw(st.lists(st.integers(0, len(points) - 1), max_size=12, unique=True))
+        base, mult = [], [0] * len(points)
         for i in dict.fromkeys(picks):
-            through = plane.pencil(plane.points[i])
+            through = pencils[points[i]]
             if all(mult[li] < 3 for li in through):
-                base.append(plane.points[i])
+                base.append(points[i])
                 for li in through:
                     mult[li] += 1
         return F, base
@@ -203,11 +220,11 @@ def test_conclusion_report():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_pencils_match_incidence_scan(q):
     F = field_from_order(q)
-    plane = arcsearch._Plane(F)
-    for point in plane.points:
-        scan = tuple(i for i, u in enumerate(plane.lines) if incident(F, point, u))
+    plane, pencils = arcsearch._Plane(F), _pencils(F)
+    assert plane.points == list(pencils)
+    for i, scan in enumerate(pencils.values()):
         assert len(scan) == q + 1
-        assert plane.pencil(point) == scan
+        assert plane.masks[i] == sum(1 << li for li in scan)
 
 
 def test_line_multiplicities_match_recount():

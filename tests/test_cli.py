@@ -78,9 +78,27 @@ def test_opoly_check(capsys):
     (["opoly-check", "--q", "16", "--opoly", "adelaide:t=+5"], "bad integer '+5'"),
     (["opoly-check", "--q", "16", "--opoly", "adelaide:t=-5"], None),
     (["field-info", "--q", "9", "--modulus", "2,2,1"], None),
+    (["field-info", "--q", "7", "--modulus", "1,+1,1"], "bad integer '+1'"),
+    # integer flags: argparse refuses them before any subcommand runs
+    (["field-info", "--q", "\u0667"], "argument --q: bad integer '\u0667'"),
+    (["field-info", "--q", "+7"], "argument --q: bad integer '+7'"),
+    (["field-info", "--q", "1_1"], "argument --q: bad integer '1_1'"),
+    (["field-info", "--p", "+7"], "argument --p: bad integer '+7'"),
+    (["field-info", "--p", "7", "--m", "\u0661"], "argument --m: bad integer '\u0661'"),
+    (["search", "--q", "4", "--max-nodes", "1_0"], "argument --max-nodes: bad integer '1_0'"),
+    (["search", "--q", "4", "--target", "+9"], "argument --target: bad integer '+9'"),
+    (["search", "--q", "4", "--seed", "0x1"], "argument --seed: bad integer '0x1'"),
+    (["search", "--q", "4", "--restarts", "2.0"], "argument --restarts: bad integer '2.0'"),
+    (["search", "--q", "4", "--max-nodes", "20", "--seed", "-1", "--restarts", "2"], None),
+    (["bounds", "--n", "+9", "--k", "3", "--d", "6", "--r", "2"], "argument --n: bad integer '+9'"),
+    (["bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2_0"], "argument --r: bad integer '2_0'"),
+    (["bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2"], None),
 ])
 def test_integers_in_text_are_ascii_digits(capsys, argv, error):
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse's exit on a bad flag value
+        code, (out, err) = exc.code, capsys.readouterr()
     if error is None:
         assert code == 0 and out and not err
     else:

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -107,6 +107,17 @@ def test_projective_message_count():
     assert len(msgs) == 4 ** 2 + 4 + 1
     assert len(set(msgs)) == len(msgs)
     assert all(next(x for x in u if x) == 1 for u in msgs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_projective_message_order(q, k):
+    """The leading 1 moves right block by block, and each block runs through
+    its tail lexicographically: the vectors whose first nonzero entry is 1,
+    in product order, stably sorted by the place of that 1."""
+    normalised = [u for u in product(range(q), repeat=k) if next((x for x in u if x), 0) == 1]
+    assert list(projective_messages(field_from_order(q), k)) == sorted(
+        normalised, key=lambda u: u.index(1))
 
 
 def test_weight_distribution_golden(q4_code):

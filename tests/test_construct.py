@@ -118,7 +118,7 @@ def test_closed_form_odd():
 
 @pytest.mark.parametrize("q", [64, 128, 256, 243, 251, 521])
 def test_closed_form_large_q(q):
-    # XOR addition (even q), Zech logarithms (3^5) and residues mod p (251, 521)
+    # XOR addition (even q) and Zech logarithms (3^5, and the primes 251, 521)
     F = field_from_order(q)
     if F.p == 2:
         f = make_family_opoly(F, "translation", h=1)

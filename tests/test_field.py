@@ -122,10 +122,10 @@ def _schoolbook(F, a, b):
     return sum(prod[i] % p * p ** i for i in range(m))
 
 
-# Every addition rule (XOR, residues mod p, Zech logarithms) and both product
-# rules (a*b mod p, log tables), public and kernel, at small and large q,
-# with odd q on both sides of 512.
-@pytest.mark.parametrize("q", [8, 256, 5, 509, 521, 65521, 9, 25, 27, 243, 529, 729])
+# Both addition rules (XOR, Zech logarithms) and the log-table product, public
+# and kernel, at small and large q, in prime fields and extensions, with odd q
+# on both sides of 512.
+@pytest.mark.parametrize("q", [2, 8, 256, 3, 5, 7, 509, 521, 65521, 9, 25, 27, 243, 529, 729])
 def test_addition_matches_digitwise_oracle(q):
     F = field_from_order(q)
     K = F.kernel
@@ -190,7 +190,7 @@ def test_out_of_range_elements_rejected():
 
 @pytest.mark.parametrize("q", [5, 8, 9])
 def test_non_int_elements_rejected(q):
-    # in range but not an index: the unchecked a*b % p would answer 3.0 at q=5
+    # in range but not an index: the unchecked kernel would raise TypeError
     F = field_from_order(q)
     for op in (F.add, F.sub, F.mul):
         for a, b in ((1.5, 2), (2, 2.0), ("1", 1)):

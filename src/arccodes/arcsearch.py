@@ -12,14 +12,14 @@ Most kills come from the base's own two-point lines, which are the same at
 every node, so `kill` is the candidate's cached `base_kill` ORed with the
 masks of only those lines through it that reached two points in the search.
 Both are built on first use: a pencil mask by q+1 joins on the field's
-kernel, kept with the field's cached plane for every later search, and a
-base kill for one search only.  The DFS takes candidates by lowest set bit,
-so it enumerates supersets in lexicographic candidate order (each set is
-visited once and runs are reproducible); greedy-restart runs seeded random
-greedy completions in turn, refusing any point on a full line, and keeps
-the best.  Both are anytime: the best arc so far survives budget
-exhaustion.  Under node budgets runs are bit-deterministic for a fixed
-seed; under a wall-clock budget they are not.
+kernel, kept with the cached plane of the last field searched for later
+searches over it, and a base kill for one search only.  The DFS takes
+candidates by lowest set bit, so it enumerates supersets in lexicographic
+candidate order (each set is visited once and runs are reproducible);
+greedy-restart runs seeded random greedy completions in turn, refusing any
+point on a full line, and keeps the best.  Both are anytime: the best arc
+so far survives budget exhaustion.  Under node budgets runs are
+bit-deterministic for a fixed seed; under a wall-clock budget they are not.
 """
 
 import time
@@ -44,17 +44,7 @@ class SearchStats:
     arc: list = dc_field(default_factory=list)
 
     def to_dict(self, F: GF):
-        return {
-            "found_n": self.found_n,
-            "nodes": self.nodes,
-            "restarts": self.restarts,
-            "prunes": self.prunes,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-            "strategy": self.strategy,
-            "budget_exhausted": self.budget_exhausted,
-            "arc": [geometry.point_to_str(F, p) for p in self.arc],
-        }
+        return {**vars(self), "arc": [geometry.point_to_str(F, p) for p in self.arc]}
 
 
 class _Plane:
@@ -76,7 +66,7 @@ class _Plane:
         self.masks = _Lazy(mask)
 
 
-_plane = lru_cache(maxsize=None)(_Plane)
+_plane = lru_cache(maxsize=1)(_Plane)  # the last field searched keeps its masks
 
 
 class _Budget:

@@ -57,11 +57,12 @@ def _add_output_args(sub, powers: bool):
                          help="print field elements as powers of the generator")
 
 
-def _emit(args, data: dict, table_lines):
+def _emit(args, data: dict, table):
+    """Print `data` as JSON, or the lines that `table()` builds."""
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -74,7 +75,7 @@ def cmd_field_info(args) -> int:
         "generator": F.element_to_str(g, args.powers),
         "elements_powers": [F.element_to_str(x, args.powers) for x in F.elements("powers")],
     }
-    _emit(args, data, [
+    _emit(args, data, lambda: [
         f"field {F.descriptor()} (q={F.q})",
         f"generator: {data['generator']}",
         "powers order: " + " ".join(data["elements_powers"]),
@@ -96,7 +97,7 @@ def cmd_opoly_check(args) -> int:
         "two_to_one_with_linear": two.ok,
     }
     status = "PASS" if verdict.ok else f"FAIL ({verdict.condition}, witness={verdict.witness})"
-    _emit(args, data, [f"{f.descriptor(args.powers)} over q={F.q}: {status}"])
+    _emit(args, data, lambda: [f"{f.descriptor(args.powers)} over q={F.q}: {status}"])
     return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 
@@ -121,6 +122,14 @@ def _construction(F: GF, even: bool, opoly_text, v_text, w_text):
     return f, v, None
 
 
+def _built(F: GF, f, v, w, order: str = "powers"):
+    """(G, closed-form weights) of the construction that `_construction`
+    decoded: the even one when f is given, else the odd one."""
+    if f is not None:
+        return construct.build_even_matrix(f, v, order=order), construct.even_closed_form(F.q)
+    return construct.build_odd_matrix(F, w, order=order), construct.odd_closed_form(F.q)
+
+
 def _matrix_lines(G: codes.GeneratorMatrix, powers: bool):
     return G.to_text(powers).rstrip("\n").splitlines()
 
@@ -135,14 +144,9 @@ def cmd_construct(args) -> int:
     if args.odd and F.p == 2:
         raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
     f, v, w = _construction(F, args.even, args.opoly, args.v, args.w)
-    if args.even:
-        G = construct.build_even_matrix(f, v, order=args.order)
-        closed = construct.even_closed_form(F.q)
-        chosen = {"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
-    else:
-        G = construct.build_odd_matrix(F, w, order=args.order)
-        closed = construct.odd_closed_form(F.q)
-        chosen = {"w": F.element_to_str(w, args.powers)}
+    G, closed = _built(F, f, v, w, order=args.order)
+    chosen = ({"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
+              if args.even else {"w": F.element_to_str(w, args.powers)})
     rep = lrc.code_report(G)
     match = rep.distribution == closed
     matrix = _matrix_lines(G, args.powers)
@@ -153,11 +157,10 @@ def cmd_construct(args) -> int:
         "closed_form": closed.to_pairs(),
         "closed_form_match": match,
     }
-    table = [] if args.format == "json" else matrix + _report_lines(rep, F.q) + [
+    _emit(args, data, lambda: matrix + _report_lines(rep, F.q) + [
         f"closed form: {data['closed_form']}",
         "MATCH" if match else "MISMATCH",
-    ]
-    _emit(args, data, table)
+    ])
     if rep.profile.category != "NMDS" or not match:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -190,7 +193,7 @@ def _report_lines(rep: lrc.CodeReport, q: int) -> list[str]:
 def cmd_analyze(args) -> int:
     G = _read_matrix(args.matrix)
     rep = lrc.code_report(G)
-    _emit(args, rep.to_dict(), _report_lines(rep, G.field.q))
+    _emit(args, rep.to_dict(), lambda: _report_lines(rep, G.field.q))
     return EXIT_OK
 
 
@@ -207,7 +210,7 @@ def cmd_census(args) -> int:
     result = construct.solution_count_census(kind, F, f=f, v=v, w=w)
     data = result.to_dict()
     data["two_solution_pairs"] = result.pairs_with(2)
-    _emit(args, data, [
+    _emit(args, data, lambda: [
         f"census {kind} over q={F.q}: {dict(sorted(result.counts.items()))}",
         f"two-solution pairs: {result.pairs_with(2)}",
         f"diagonal zero: {result.diagonal_ok}",
@@ -216,17 +219,18 @@ def cmd_census(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    loc = lrc.code_report(_read_matrix(args.matrix)).lrc
-    if loc is None or "error" in loc:
-        raise ValueError(loc["error"] if loc else "locality reports are for k = 3")
-    _emit(args, loc, [_locality_line(loc)])
+    G = _read_matrix(args.matrix)
+    if G.k != 3:
+        raise ValueError("locality reports are for k = 3")
+    loc = lrc.lrc_report(G)
+    _emit(args, loc, lambda: [_locality_line(loc)])
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     verdict = lrc.bound_verdict(args.n, args.k, args.d, args.r)
     data = verdict.to_dict()
-    _emit(args, data, [
+    _emit(args, data, lambda: [
         f"singleton-like bound: d <= {verdict.singleton_like_rhs} "
         f"({'met' if verdict.d_optimal else 'not met'} by d={args.d})",
         f"dimension bound: k <= {verdict.cm_rhs} "
@@ -267,12 +271,12 @@ def cmd_search(args) -> int:
         f"elapsed={stats.elapsed_ms}ms]",
     ]
     if len(codes.rref(F, pts)[1]) < 3:  # under 3 points, or all on one line: no code
-        _emit(args, data, lines)
+        _emit(args, data, lambda: lines)
         return EXIT_BUDGET
     G = codes.GeneratorMatrix.from_columns(F, pts)
     rep = lrc.code_report(G)
     data.update(matrix=_matrix_lines(G, args.powers), **rep.to_dict())
-    _emit(args, data, lines + data["matrix"] + _report_lines(rep, F.q))
+    _emit(args, data, lambda: lines + data["matrix"] + _report_lines(rep, F.q))
     if args.target is not None and stats.found_n < args.target:
         return EXIT_BUDGET
     return EXIT_OK
@@ -286,10 +290,9 @@ def _golden_checks(golden):
     # the NMDS distributions that the pinned A_{n-3} determines
     closed, nmds_dual = codes.nmds_closed_form(n, 3, q, expected[n - 3])
     if golden.kind != "fixture":
-        even = golden.kind == "even"
-        f, v, w = _construction(F, even, golden.opoly, golden.v_or_w, golden.v_or_w)
-        built = construct.build_even_matrix(f, v) if even else construct.build_odd_matrix(F, w)
-        closed = (construct.even_closed_form if even else construct.odd_closed_form)(q)
+        f, v, w = _construction(F, golden.kind == "even", golden.opoly, golden.v_or_w,
+                                golden.v_or_w)
+        built, closed = _built(F, f, v, w)
         yield "matrix reproduced", built == G
         G = built
     rep = lrc.code_report(G)

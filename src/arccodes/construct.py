@@ -117,12 +117,7 @@ class CensusResult:
         return self.counts.get(size, 0)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "counts": {str(s): c for s, c in sorted(self.counts.items())},
-            "diagonal_ok": self.diagonal_ok,
-        }
+        return {**vars(self), "counts": {str(s): c for s, c in sorted(self.counts.items())}}
 
 
 def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,

@@ -88,13 +88,7 @@ class BoundVerdict:
     cm_rhs: int
 
     def to_dict(self):
-        return {
-            "d_optimal": self.d_optimal,
-            "k_optimal": self.k_optimal,
-            "singleton_like_rhs": self.singleton_like_rhs,
-            "cm_rhs": self.cm_rhs,
-            "cm_bound_model": "singleton-relaxed",
-        }
+        return {**vars(self), "cm_bound_model": "singleton-relaxed"}
 
 
 def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
@@ -115,30 +109,25 @@ def lrc_report(G: GeneratorMatrix, distribution: WeightDistribution | None = Non
     to reuse it; classifying from it takes a few MacWilliams steps."""
     profile = classify(G, distribution)
     loc = locality_report(G)
-    out = {"n": profile.n, "k": profile.k, "d": profile.d,
+    n, k = profile.n, profile.k
+    out = {"n": n, "k": k, "d": profile.d,
            "r_primal": loc.r_primal, "r_dual": loc.r_dual,
            **dict.fromkeys(FLAGS),
            "supports": [list(t) for t in loc.supports],
            "localities": [list(c) for c in loc.coordinates]}
-    if loc.r_primal is not None:
-        primal = bound_verdict(profile.n, profile.k, profile.d, loc.r_primal)
-        out["d_optimal"] = primal.d_optimal
-        out["k_optimal"] = primal.k_optimal
-        out["singleton_like_rhs"] = primal.singleton_like_rhs
-        out["cm_rhs"] = primal.cm_rhs
-    if profile.d_dual is not None:  # None: the dual is {0}
-        dual = bound_verdict(profile.n, profile.n - profile.k, profile.d_dual, loc.r_dual)
-        out["dual_d_optimal"] = dual.d_optimal
-        out["dual_k_optimal"] = dual.k_optimal
-        out["dual_singleton_like_rhs"] = dual.singleton_like_rhs
-        out["dual_cm_rhs"] = dual.cm_rhs
+    # r_primal None: a coordinate has no recovery set; d_dual None: the dual is {0}
+    for side, dim, d, r in (("", k, profile.d, loc.r_primal),
+                            ("dual_", n - k, profile.d_dual, loc.r_dual)):
+        if d is not None and r is not None:
+            verdict = bound_verdict(n, dim, d, r)
+            out.update((side + key, value) for key, value in vars(verdict).items())
     return out
 
 
 @dataclass(frozen=True)
 class CodeReport:
-    """Everything the library reports about one code, as every command
-    prints it.  `lrc` is lrc_report's dict for k = 3 ({"error": ...} when the columns
+    """Everything the library reports about one code, as every code command
+    but `locality` prints it.  `lrc` is lrc_report's dict for k = 3 ({"error": ...} when the columns
     admit none: zero, repeated or 4 on a line) and None otherwise."""
     distribution: WeightDistribution
     dual_distribution: WeightDistribution

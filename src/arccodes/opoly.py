@@ -78,11 +78,6 @@ class Verdict:
         return self.ok
 
 
-def evaluate(f: OPolynomial, x: int) -> int:
-    """f(x), for an x checked against f's field."""
-    return f.values[f.field.check(x)]
-
-
 def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
     # Reduce exponents as functions on GF(q): x^e == x^(((e-1) mod (q-1)) + 1)
     # for e >= 1, then add coefficients (colliding exponents accumulate).
@@ -350,15 +345,16 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
 def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     """Check that x -> f(x) + u*x is 2-to-1 for every nonzero u.
 
-    Requires even characteristic and f(0)=0.  The witness on failure is the
-    first u whose value map has a fiber of size other than 0 or 2.
+    Requires even characteristic.  It fails on condition "f(0)=0" (witness
+    0) when f(0) != 0, as `is_o_polynomial` does, and otherwise on the first
+    u whose value map has a fiber of size other than 0 or 2.
     """
     F = f.field
     if F.p != 2:
         raise ValueError("2-to-1 criterion lives in even characteristic")
     tab = f.values
     if tab[0] != 0:
-        raise ValueError("2-to-1 criterion requires f(0) = 0")
+        return Verdict(False, "f(0)=0", 0)
     add, mul, xs = F.kernel.add, F.kernel.mul, range(F.q)
     for u in range(1, F.q):
         fibers = Counter(map(add, tab, map(mul, repeat(u), xs)))

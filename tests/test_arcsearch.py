@@ -353,3 +353,11 @@ def test_prunes_counted_by_dfs_only():
     assert stats.to_dict(F)["prunes"] == stats.prunes
     pts, stats = extend_to_n3_arc(F, hyper, strategy="greedy-restart")
     assert stats.prunes == 0 and stats.to_dict(F)["prunes"] == 0
+
+
+def test_plane_kept_for_the_last_field_only():
+    F7, F8 = field_from_order(7), field_from_order(8)
+    extend_to_n3_arc(F7, geo.standard_oval(F7), max_nodes=5)
+    extend_to_n3_arc(F8, _hyperoval(3)[1], max_nodes=5)
+    assert arcsearch._plane.cache_info().currsize == 1
+    assert arcsearch._plane(F8).points == geo.all_points(F8)

@@ -69,6 +69,12 @@ def test_opoly_check(capsys):
     assert code == 3 and "FAIL" in out
     code, _, _ = run(capsys, "opoly-check", "--q", "4", "--opoly", "segre")
     assert code == 2  # inapplicable family
+    # f(0) != 0 is a failed verdict, not invalid input
+    code, out, err = run(capsys, "opoly-check", "--q", "8", "--opoly", "custom:coeffs=1,1")
+    assert (code, out, err) == (3, "custom:coeffs=1,1 over q=8: FAIL (f(0)=0, witness=0)\n", "")
+    code, data, err = run_json(capsys, "opoly-check", "--q", "8", "--opoly", "custom:coeffs=1")
+    assert code == 3 and not err
+    assert (data["is_o_polynomial"], data["two_to_one_with_linear"]) == (False, False)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -211,8 +217,8 @@ def test_analyze_header_with_repeated_key(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["construct", "analyze", "locality", "search"])
 def test_analyze_classifies_once(tmp_path, capsys, monkeypatch, command):
     """Each code command computes the weight distribution once; classify and
-    lrc_report work from it."""
-    from arccodes import codes, lrc
+    lrc_report work from it.  Under --format json no table text is built."""
+    from arccodes import cli, codes, lrc
 
     calls, real = [], codes.weight_distribution
 
@@ -220,8 +226,12 @@ def test_analyze_classifies_once(tmp_path, capsys, monkeypatch, command):
         calls.append(G)
         return real(G)
 
+    def no_table(rep, q):
+        raise AssertionError("table text built for --format json")
+
     monkeypatch.setattr(codes, "weight_distribution", counted)
     monkeypatch.setattr(lrc, "weight_distribution", counted)
+    monkeypatch.setattr(cli, "_report_lines", no_table)
     path = tmp_path / "m.txt"
     path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
     q, argv = {"construct": (9, ["--odd", "--q", "9", "--w", "g^5"]),
@@ -237,6 +247,55 @@ def test_analyze_classifies_once(tmp_path, capsys, monkeypatch, command):
         dist = codes.WeightDistribution.from_pairs(n, data["weight_distribution"])
         dual = nmds_closed_form(n, 3, q, dist[n - 3])[1]
         assert data["dual_weight_distribution"] == dual.to_pairs()
+
+
+def test_locality_computes_no_dual_weights(tmp_path, capsys, monkeypatch):
+    from arccodes import codes, lrc
+
+    def refused(*args):
+        raise AssertionError("work that the locality report does not print")
+
+    monkeypatch.setattr(codes, "dual_weight_distribution", refused)
+    monkeypatch.setattr(lrc, "dual_weight_distribution", refused)
+    path = tmp_path / "m.txt"
+    path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
+    code, data, _ = run_json(capsys, "locality", str(path))
+    assert code == 0 and (data["r_primal"], data["r_dual"]) == (2, 10)
+    # k != 3 is refused before any weight is counted
+    monkeypatch.setattr(codes, "weight_distribution", refused)
+    monkeypatch.setattr(lrc, "weight_distribution", refused)
+    path.write_text(dual_matrix(GOLDEN_Q4_EVEN.matrix()).to_text())
+    code, out, err = run(capsys, "locality", str(path))
+    assert code == 2 and not out and "locality reports are for k = 3" in err
+
+
+STATS_KEYS = ["found_n", "nodes", "restarts", "prunes", "seed", "elapsed_ms", "strategy",
+              "budget_exhausted", "arc"]
+LRC_KEYS = ["n", "k", "d", "r_primal", "r_dual", "d_optimal", "k_optimal", "dual_d_optimal",
+            "dual_k_optimal", "supports", "localities", "singleton_like_rhs", "cm_rhs",
+            "dual_singleton_like_rhs", "dual_cm_rhs"]
+
+
+def test_json_keys_pinned(tmp_path, capsys):
+    """The JSON keys and their order: a field added to a report dataclass
+    shows here before it reaches the output."""
+    def keys(*argv):
+        code, data, _ = run_json(capsys, *argv)
+        return list(data)
+
+    assert keys("search", "--q", "4", "--target", "9") == STATS_KEYS + [
+        "matrix", "profile", "weight_distribution", "dual_weight_distribution", "lrc"]
+    assert keys("search", "--q", "4", "--base", "points:1:0:0", "--max-nodes", "1") == STATS_KEYS
+    assert keys("bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2") == [
+        "d_optimal", "k_optimal", "singleton_like_rhs", "cm_rhs", "cm_bound_model"]
+    assert keys("census", "--odd-B1", "--q", "11", "--w", "7") == [
+        "kind", "q", "counts", "diagonal_ok", "two_solution_pairs"]
+    path = tmp_path / "m.txt"
+    path.write_text(GOLDEN_Q9_ODD.matrix().to_text())
+    assert keys("locality", str(path)) == LRC_KEYS
+    # [3,3,1]: no recovery sets and a zero dual, so no verdict numbers
+    path.write_text("q=5 p=5 m=1 mod=0,1\n1 0 0\n0 1 0\n0 0 1\n")
+    assert keys("locality", str(path)) == LRC_KEYS[:11]
 
 
 def test_analyze_missing_file(capsys):

@@ -19,7 +19,7 @@ from arccodes.construct import (
     valid_w_set,
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
-from arccodes.opoly import applicable_families, evaluate, make_custom_opoly, make_family_opoly
+from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
 from conftest import paper_codes
 
 
@@ -246,7 +246,7 @@ def brute_force_census(kind, F, f=None, v=None, w=None):
     add, mul = F.add, F.mul
     rows = [[mul(u, x) for x in range(q)] for u in range(q)]
     if kind.startswith("even"):
-        tab = [evaluate(f, x) for x in range(q)]
+        tab = list(f.values)
         const_from_u1 = kind == "even-A2"
         shift = v
     else:

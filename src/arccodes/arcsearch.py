@@ -11,15 +11,18 @@ The points of the filled lines leave the candidates in one `cands & ~kill`.
 Most kills come from the base's own two-point lines, which are the same at
 every node, so `kill` is the candidate's cached `base_kill` ORed with the
 masks of only those lines through it that reached two points in the search.
-Both are built on first use: a pencil mask by q+1 joins on the field's
-kernel, kept with the cached plane of the last field searched for later
-searches over it, and a base kill for one search only.  The DFS takes
-candidates by lowest set bit, so it enumerates supersets in lexicographic
-candidate order (each set is visited once and runs are reproducible);
-greedy-restart runs seeded random greedy completions in turn, refusing any
-point on a full line, and keeps the best.  Both are anytime: the best arc
-so far survives budget exhaustion.  Under node budgets runs are
-bit-deterministic for a fixed seed; under a wall-clock budget they are not.
+Both are built on first use: a pencil mask by solving the equation of the
+line with the point's coordinates for one coordinate, one or two kernel
+operations and an index lookup per point, kept with the cached plane of the
+last field searched for later searches over it, and a base kill for one
+search only.  The DFS takes candidates by lowest set bit, so it enumerates
+supersets in lexicographic candidate order (each set is visited once and
+runs are reproducible), and does the step above and the best-so-far check
+in its own loop; greedy-restart runs seeded random greedy completions in
+turn, refusing any point on a full line, and keeps the best.  Both are
+anytime: the best arc so far survives budget exhaustion.  Under node budgets
+runs are bit-deterministic for a fixed seed; under a wall-clock budget they
+are not.
 """
 
 import time
@@ -50,19 +53,37 @@ class SearchStats:
 class _Plane:
     """The points of one field's plane and, built on first use, masks[i]:
     the lines through point i as a bitset.  Points and lines share one
-    index list, so masks[i] is also the set of points on line i."""
+    index list, so masks[i] is also the set of points on line i, and it is
+    built as that set, from the line's equation."""
 
     def __init__(self, F: GF):
         self.points = points = geometry.all_points(F)
         self.index = index = {u: i for i, u in enumerate(points)}
-        K = F.kernel
-        # the q+1 points of each coordinate line X_i = 0
-        axes = [[p for p in points if p[i] == 0] for i in range(3)]
+        add, sub, mul, inv = F.kernel
+        xs = range(F.q)
 
-        def mask(i):  # join point i to the points of a coordinate line missing it
-            p = points[i]
-            axis = axes[next(j for j, c in enumerate(p) if c)]
-            return sum(1 << index[geometry.join(K, p, r)] for r in axis)
+        def mask(i):
+            """The q+1 points of line i, ax + by + cz = 0, solved for one
+            coordinate: q with z = 1 and one with z = 0, except on z = 0."""
+            a, b, c = points[i]
+            if not c and not b:  # (1,0,0): x = 0
+                on = [(0, y, 1) for y in xs] + [(0, 1, 0)]
+            elif not c:  # (a,1,0): y = sx, s = -a
+                s = sub(0, a)
+                on = [(x, mul(s, x), 1) for x in xs] + [(inv(s), 1, 0) if a else (1, 0, 0)]
+            elif b:  # (a,b,1): y = s + tx, s = -1/b, t = as = -a/b
+                s = sub(0, inv(b))
+                t = mul(a, s)
+                on = [(x, add(s, mul(t, x)), 1) for x in xs] + [(inv(t), 1, 0) if a else (1, 0, 0)]
+            elif a:  # (a,0,1): x = -1/a
+                s = sub(0, inv(a))
+                on = [(s, y, 1) for y in xs] + [(0, 1, 0)]
+            else:  # (0,0,1): z = 0
+                on = [(x, 1, 0) for x in xs] + [(1, 0, 0)]
+            out = 0
+            for p in on:
+                out |= 1 << index[p]
+            return out
         self.masks = _Lazy(mask)
 
 
@@ -179,10 +200,14 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
 
     done_restarts = prunes = 0
     if strategy == "dfs":
+        best_n = len(best)
+
         def dfs(chosen, cands, remaining, one, two):
-            nonlocal prunes
+            # `add` and `record` in line.  The DFS visits the sets of one size
+            # in lexicographic order, so only a larger set replaces `best`.
+            nonlocal best, best_n, prunes
             while cands:
-                if len(chosen) + remaining <= len(best):
+                if len(chosen) + remaining <= best_n:
                     prunes += 1
                     return
                 if not budget.spend(best):
@@ -191,11 +216,19 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                 cands ^= low
                 remaining -= 1
                 i = low.bit_length() - 1
-                kill, child_one, child_two = add(i, one, two)
+                P = masks[i]
+                kill = base_kill[i]
+                filled = two & P
+                while filled:
+                    line = filled & -filled
+                    kill |= masks[line.bit_length() - 1]
+                    filled ^= line
                 chosen.append(points[i])
+                if len(chosen) > best_n:
+                    best = list(chosen)
+                    best_n = len(best)
                 child = cands & ~kill
-                record(chosen)
-                dfs(chosen, child, child.bit_count(), child_one, child_two)
+                dfs(chosen, child, child.bit_count(), one | P, two | (one & P))
                 chosen.pop()
 
         dfs(list(base_pts), candidates, candidates.bit_count(), base_one, 0)

@@ -8,6 +8,7 @@ input, 3 verification mismatch, 4 budget exhausted.
 import argparse
 import json
 import math
+import re
 import sys
 
 from .field import GF, make_field, field_from_order, parse_int
@@ -41,6 +42,17 @@ def _integer(text: str) -> int:
         return parse_int(text)
     except ValueError as exc:  # argparse reports it and exits with code 2
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seconds(text: str) -> float:
+    """A time budget in ASCII decimal digits, read as `parse_int` reads text
+    integers (float() would also take '1_0', 'inf', '1e3' and non-ASCII
+    digits).  The search itself refuses a value that is not positive."""
+    token = text.strip()
+    if re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", token) and math.isfinite(value := float(token)):
+        return value
+    raise argparse.ArgumentTypeError(
+        f"bad decimal {token!r}: expected a finite number in ASCII digits")
 
 
 def _add_field_args(sub):
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hyperoval[:opoly-descriptor], oval, or points:x:y:z;...")
     sub.add_argument("--strategy", choices=arcsearch.STRATEGIES, default="dfs")
     sub.add_argument("--max-nodes", type=_integer)
-    sub.add_argument("--max-seconds", type=float, default=60.0,
+    sub.add_argument("--max-seconds", type=_seconds, default=60.0,
                      help="time budget (default 60; the best arc so far survives)")
     sub.add_argument("--target", type=_integer)
     sub.add_argument("--seed", type=_integer, default=0)

@@ -10,8 +10,8 @@ identical, so incidence is symmetric under duality.
 Field elements are checked once, where they enter (`canonical` for
 `LineProfile`'s columns); the per-pair work then runs on the field's
 unchecked kernel: one slope per pair in `LineProfile` (per pair with an
-added point, for a construction seeded with its certified arc base), one
-`join` per pencil line in the arc search.
+added point, for a construction seeded with its certified arc base), and in
+the arc search one or two operations per point of a pencil line.
 """
 
 from .field import GF, Kernel
@@ -55,12 +55,7 @@ def line_through(F: GF, p1, p2) -> Triple:
     """The unique line through two distinct points (cross product)."""
     for c in (*p1, *p2):
         F.check(c)
-    return join(F.kernel, p1, p2)
-
-
-def join(K: Kernel, p1, p2) -> Triple:
-    """line_through on the unchecked kernel K, for points whose coordinates
-    the caller has checked: the per-line step of the arc-search pencils."""
+    K = F.kernel
     mul, sub = K.mul, K.sub
     a1, a2, a3 = p1
     b1, b2, b3 = p2

@@ -198,6 +198,29 @@ def test_q32_dfs_pinned():
     assert stats.budget_exhausted and geo.is_n3_arc(F, pts)
 
 
+def test_benchmark_searches_pinned():
+    """The searches of the benchmark's `search` workload: a 10,000-node DFS
+    from every q=32 hyperoval family, as (found_n, prunes), and the q=31
+    conic's 16 greedy restarts at seed 1."""
+    F = make_field(2, 5)
+    pinned = {"translation:h=1": (44, 9363), "translation:h=2": (46, 9717),
+              "translation:h=3": (46, 9727), "translation:h=4": (44, 9464),
+              "segre": (47, 9772), "glynn1": (46, 9772), "glynn3": (46, 9739),
+              "cherowitzo": (47, 9864), "payne": (45, 9646), "subiaco:a=1": (45, 9598)}
+    families = applicable_families(F)
+    assert [f.descriptor() for f in families] == list(pinned)
+    for f in families:
+        _, stats = extend_to_n3_arc(F, geo.hyperoval_from_opoly(f), strategy="dfs",
+                                    max_nodes=10_000)
+        assert (stats.found_n, stats.prunes) == pinned[f.descriptor()], f.descriptor()
+        assert (stats.nodes, stats.budget_exhausted) == (10_000, True)
+    F = field_from_order(31)
+    pts, stats = extend_to_n3_arc(F, geo.standard_oval(F), strategy="greedy-restart",
+                                  restarts=16, seed=1)
+    assert (stats.found_n, stats.nodes, stats.restarts) == (42, 15_376, 16)
+    assert not stats.budget_exhausted and geo.is_n3_arc(F, pts)
+
+
 def test_conclusion_matrix_profile():
     G = GOLDEN_Q8_LENGTH15.matrix()
     assert (G.k, G.n) == (3, 15)
@@ -217,7 +240,7 @@ def test_conclusion_report():
     assert G.n == 2 * 8 - 1 > 8 + 5 + 1
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_pencils_match_incidence_scan(q):
     F = field_from_order(q)
     plane, pencils = arcsearch._Plane(F), _pencils(F)

@@ -77,6 +77,9 @@ def test_opoly_check(capsys):
     assert (data["is_o_polynomial"], data["two_to_one_with_linear"]) == (False, False)
 
 
+SECONDS = ["search", "--q", "4", "--max-nodes", "5", "--max-seconds"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["field-info", "--q", "9", "--modulus", "2,2,1_0"], "bad integer '1_0'"),
     (["field-info", "--q", "9", "--modulus", ","], "bad integer ''"),
@@ -99,6 +102,19 @@ def test_opoly_check(capsys):
     (["bounds", "--n", "+9", "--k", "3", "--d", "6", "--r", "2"], "argument --n: bad integer '+9'"),
     (["bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2_0"], "argument --r: bad integer '2_0'"),
     (["bounds", "--n", "9", "--k", "3", "--d", "6", "--r", "2"], None),
+    # --max-seconds: ASCII decimal digits, finite; the search refuses <= 0
+    ([*SECONDS, "1_0"], "argument --max-seconds: bad decimal '1_0'"),
+    ([*SECONDS, "inf"], "argument --max-seconds: bad decimal 'inf'"),
+    ([*SECONDS, "nan"], "argument --max-seconds: bad decimal 'nan'"),
+    ([*SECONDS, "\u0667"], "argument --max-seconds: bad decimal '\u0667'"),
+    ([*SECONDS, "+2"], "argument --max-seconds: bad decimal '+2'"),
+    ([*SECONDS, "1e3"], "argument --max-seconds: bad decimal '1e3'"),
+    ([*SECONDS, ".5"], "argument --max-seconds: bad decimal '.5'"),
+    ([*SECONDS, "9" * 400], "argument --max-seconds: bad decimal '999"),  # float() gives inf
+    ([*SECONDS, "0"], "max_seconds must be positive, got 0.0"),
+    ([*SECONDS, "-1"], "max_seconds must be positive, got -1.0"),
+    ([*SECONDS, " 2 "], None),  # surrounding spaces are stripped, as for the integer flags
+    ([*SECONDS, "0.5"], None),
 ])
 def test_integers_in_text_are_ascii_digits(capsys, argv, error):
     try:

@@ -89,7 +89,7 @@ def test_join_and_canonical_share_one_form(q):
             cross = (F.sub(F.mul(p1[1], p2[2]), F.mul(p1[2], p2[1])),
                      F.sub(F.mul(p1[2], p2[0]), F.mul(p1[0], p2[2])),
                      F.sub(F.mul(p1[0], p2[1]), F.mul(p1[1], p2[0])))
-            assert geo.join(F.kernel, p1, p2) == geo.canonical(F, cross)
+            assert geo.line_through(F, p1, p2) == geo.canonical(F, cross)
     with pytest.raises(ValueError, match="the zero vector has no projective point"):
         geo.canonical(F, (0, 0, 0))
 
@@ -197,7 +197,7 @@ def _pairwise_profile(F, columns):
     lines = {}
     for i, p in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            lines.setdefault(geo.join(F.kernel, p, pts[j]), set()).update((i, j))
+            lines.setdefault(geo.line_through(F, p, pts[j]), set()).update((i, j))
     through = [0] * len(pts)
     counts = {}
     rich = []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -50,6 +51,30 @@ def line_multiplicities(F, points):
     return mult
 
 
+class _Budget:
+    """The oracle's node limit and target size: `spend` lets one more node
+    through and counts it, or refuses it once a node was refused or `best`
+    reaches the target size."""
+
+    def __init__(self, max_nodes, target_size):
+        self.max_nodes = max_nodes
+        self.target_size = target_size
+        self.nodes = 0
+        self.exhausted = False
+
+    def done(self, best) -> bool:
+        return self.exhausted or (self.target_size is not None and len(best) >= self.target_size)
+
+    def spend(self, best) -> bool:
+        if self.done(best):
+            return False
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
+            self.exhausted = True
+            return False
+        self.nodes += 1
+        return True
+
+
 def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=None,
                          seed=0, restarts=64):
     """Slow-path oracle for extend_to_n3_arc: candidates are a list, and every
@@ -61,7 +86,7 @@ def _list_rebuild_search(F, base, strategy="dfs", max_nodes=None, target_size=No
     chosen_set = set(base_pts)
     candidates = [p for p in pencils
                   if p not in chosen_set and all(mult[li] <= 2 for li in pencils[p])]
-    budget = arcsearch._Budget(max_nodes, None, target_size)
+    budget = _Budget(max_nodes, target_size)
     best = list(base_pts)
 
     def record(pts):
@@ -151,6 +176,28 @@ def test_bitset_search_matches_list_rebuild_oracle():
                 assert got == want, (F.q, seed, max_nodes)
 
 
+def test_budget_edges_match_list_rebuild_oracle():
+    F7 = field_from_order(7)
+    for F, base in (_hyperoval(3), (F7, geo.standard_oval(F7))):
+        for strategy in ("dfs", "greedy-restart"):
+            # a target the base already meets: no node is tried
+            for target in (len(base) - 1, len(base)):
+                got = _outcome(F, base, strategy=strategy, target_size=target)
+                assert got == _list_rebuild_search(F, base, strategy, target_size=target)
+                assert (len(got[0]), got[1:]) == (len(base), (0, 0, 0, False))
+            # an hour never runs out, so only the node budget stops the search
+            got = _outcome(F, base, strategy=strategy, max_nodes=2000, max_seconds=3600)
+            assert got == _outcome(F, base, strategy=strategy, max_nodes=2000)
+            assert got == _list_rebuild_search(F, base, strategy, 2000)
+    # the q=8 DFS reaches 15 points at its 6th node: a node budget of 6 is
+    # not exhausted, one of 5 is
+    F, hyper = _hyperoval(3)
+    for max_nodes, reached in ((5, False), (6, True), (50, True)):
+        got = _outcome(F, hyper, strategy="dfs", max_nodes=max_nodes, target_size=15)
+        assert got == _list_rebuild_search(F, hyper, "dfs", max_nodes, target_size=15)
+        assert (len(got[0]) == 15, got[4]) == (reached, not reached)
+
+
 def test_bitset_search_matches_list_rebuild_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -177,16 +224,17 @@ def test_bitset_search_matches_list_rebuild_property():
         return F, base
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
-    @hypothesis.given(bases(), st.integers(1, 500), st.integers(0, 99), st.integers(1, 8))
-    def check(case, max_nodes, seed, restarts):
+    @hypothesis.given(bases(), st.integers(1, 500), st.none() | st.integers(1, 16),
+                      st.integers(0, 99), st.integers(1, 8))
+    def check(case, max_nodes, target, seed, restarts):
         F, base = case
         assert max(line_multiplicities(F, base)) == 3
-        got = _outcome(F, base, strategy="dfs", max_nodes=max_nodes)
-        assert got == _list_rebuild_search(F, base, "dfs", max_nodes)
-        got = _outcome(F, base, strategy="greedy-restart", max_nodes=max_nodes, seed=seed,
-                       restarts=restarts)
-        assert got == _list_rebuild_search(F, base, "greedy-restart", max_nodes, seed=seed,
-                                           restarts=restarts)
+        got = _outcome(F, base, strategy="dfs", max_nodes=max_nodes, target_size=target)
+        assert got == _list_rebuild_search(F, base, "dfs", max_nodes, target)
+        got = _outcome(F, base, strategy="greedy-restart", max_nodes=max_nodes,
+                       target_size=target, seed=seed, restarts=restarts)
+        assert got == _list_rebuild_search(F, base, "greedy-restart", max_nodes, target,
+                                           seed=seed, restarts=restarts)
 
     check()
 
@@ -198,26 +246,35 @@ def test_q32_dfs_pinned():
     assert stats.budget_exhausted and geo.is_n3_arc(F, pts)
 
 
+def _digest(arc):
+    return hashlib.sha256(repr(arc).encode()).hexdigest()[:12]
+
+
 def test_benchmark_searches_pinned():
     """The searches of the benchmark's `search` workload: a 10,000-node DFS
-    from every q=32 hyperoval family, as (found_n, prunes), and the q=31
-    conic's 16 greedy restarts at seed 1."""
+    from every q=32 hyperoval family, as (found_n, prunes, arc digest), and
+    the q=31 conic's 16 greedy restarts at seed 1."""
     F = make_field(2, 5)
-    pinned = {"translation:h=1": (44, 9363), "translation:h=2": (46, 9717),
-              "translation:h=3": (46, 9727), "translation:h=4": (44, 9464),
-              "segre": (47, 9772), "glynn1": (46, 9772), "glynn3": (46, 9739),
-              "cherowitzo": (47, 9864), "payne": (45, 9646), "subiaco:a=1": (45, 9598)}
+    pinned = {"translation:h=1": (44, 9363, "15baf9156cd7"),
+              "translation:h=2": (46, 9717, "ad80f8cd299b"),
+              "translation:h=3": (46, 9727, "88c4667d9afb"),
+              "translation:h=4": (44, 9464, "ed979218bbda"),
+              "segre": (47, 9772, "7090346b68e7"), "glynn1": (46, 9772, "3d8818374c77"),
+              "glynn3": (46, 9739, "1ad16990bd4b"), "cherowitzo": (47, 9864, "5d22bd94a8f0"),
+              "payne": (45, 9646, "6591a6d9fb35"), "subiaco:a=1": (45, 9598, "ff3dc44eb69d")}
     families = applicable_families(F)
     assert [f.descriptor() for f in families] == list(pinned)
     for f in families:
         _, stats = extend_to_n3_arc(F, geo.hyperoval_from_opoly(f), strategy="dfs",
                                     max_nodes=10_000)
-        assert (stats.found_n, stats.prunes) == pinned[f.descriptor()], f.descriptor()
+        got = (stats.found_n, stats.prunes, _digest(stats.arc))
+        assert got == pinned[f.descriptor()], f.descriptor()
         assert (stats.nodes, stats.budget_exhausted) == (10_000, True)
     F = field_from_order(31)
     pts, stats = extend_to_n3_arc(F, geo.standard_oval(F), strategy="greedy-restart",
                                   restarts=16, seed=1)
     assert (stats.found_n, stats.nodes, stats.restarts) == (42, 15_376, 16)
+    assert _digest(stats.arc) == "e922ace6e875"
     assert not stats.budget_exhausted and geo.is_n3_arc(F, pts)
 
 
@@ -247,7 +304,17 @@ def test_pencils_match_incidence_scan(q):
     assert plane.points == list(pencils)
     for i, scan in enumerate(pencils.values()):
         assert len(scan) == q + 1
-        assert plane.masks[i] == sum(1 << li for li in scan)
+        assert plane.mask(i) == sum(1 << li for li in scan)
+
+
+def test_plane_masks_built_on_first_use():
+    F = field_from_order(8)
+    plane = arcsearch._Plane(F)
+    assert plane.masks == [None] * len(plane.points)
+    mask = plane.mask(5)
+    assert mask.bit_count() == 9
+    assert [i for i, m in enumerate(plane.masks) if m is not None] == [5]
+    assert plane.mask(5) is mask
 
 
 def test_line_multiplicities_match_recount():

@@ -12,7 +12,6 @@ from .opoly import (
 )
 from .geometry import (
     all_points,
-    line_through,
     line_intersection_profile,
     is_arc,
     is_n3_arc,

@@ -167,7 +167,8 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
 
     # A node is one point tried.  The search stops before a node once
     # `max_nodes` were tried or the deadline passed (exhausted), or once the
-    # best arc reaches the target size.
+    # best arc reaches the target size.  The clock is read only before every
+    # 1024th node, so a search may run up to 1023 nodes past its deadline.
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     target = math.inf if target_size is None else target_size
     best = list(base_pts)
@@ -194,7 +195,8 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     return
                 if stop:
                     return
-                if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
+                if nodes == max_nodes or (deadline is not None and not nodes & 1023
+                                          and time.monotonic() >= deadline):
                     stop = exhausted = True
                     return
                 nodes += 1
@@ -234,7 +236,8 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
             local_dead, one, two = dead, base_one, 0
             pts = list(base_pts)
             for i in order:
-                if nodes == max_nodes or (deadline is not None and time.monotonic() >= deadline):
+                if nodes == max_nodes or (deadline is not None and not nodes & 1023
+                                          and time.monotonic() >= deadline):
                     stop = exhausted = True
                     break
                 nodes += 1

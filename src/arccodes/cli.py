@@ -85,7 +85,7 @@ def cmd_field_info(args) -> int:
         "q": F.q,
         "descriptor": F.descriptor(),
         "generator": F.element_to_str(g, args.powers),
-        "elements_powers": [F.element_to_str(x, args.powers) for x in F.elements("powers")],
+        "elements_powers": [F.element_to_str(x, args.powers) for x in F.elements()],
     }
     _emit(args, data, lambda: [
         f"field {F.descriptor()} (q={F.q})",
@@ -134,12 +134,12 @@ def _construction(F: GF, even: bool, opoly_text, v_text, w_text):
     return f, v, None
 
 
-def _built(F: GF, f, v, w, order: str = "powers"):
+def _built(F: GF, f, v, w):
     """(G, closed-form weights) of the construction that `_construction`
     decoded: the even one when f is given, else the odd one."""
     if f is not None:
-        return construct.build_even_matrix(f, v, order=order), construct.even_closed_form(F.q)
-    return construct.build_odd_matrix(F, w, order=order), construct.odd_closed_form(F.q)
+        return construct.build_even_matrix(f, v), construct.even_closed_form(F.q)
+    return construct.build_odd_matrix(F, w), construct.odd_closed_form(F.q)
 
 
 def _matrix_lines(G: codes.GeneratorMatrix, powers: bool):
@@ -156,7 +156,7 @@ def cmd_construct(args) -> int:
     if args.odd and F.p == 2:
         raise ValueError(f"--odd needs odd characteristic, got q={F.q}")
     f, v, w = _construction(F, args.even, args.opoly, args.v, args.w)
-    G, closed = _built(F, f, v, w, order=args.order)
+    G, closed = _built(F, f, v, w)
     chosen = ({"opoly": f.descriptor(args.powers), "v": F.element_to_str(v, args.powers)}
               if args.even else {"w": F.element_to_str(w, args.powers)})
     rep = lrc.code_report(G)
@@ -282,10 +282,11 @@ def cmd_search(args) -> int:
         f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "
         f"elapsed={stats.elapsed_ms}ms]",
     ]
-    if len(codes.rref(F, pts)[1]) < 3:  # under 3 points, or all on one line: no code
+    try:
+        G = codes.GeneratorMatrix.from_columns(F, pts)
+    except ValueError:  # under 3 points, or all on one line: no code
         _emit(args, data, lambda: lines)
         return EXIT_BUDGET
-    G = codes.GeneratorMatrix.from_columns(F, pts)
     rep = lrc.code_report(G)
     data.update(matrix=_matrix_lines(G, args.powers), **rep.to_dict())
     _emit(args, data, lambda: lines + data["matrix"] + _report_lines(rep, F.q))
@@ -361,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--opoly", help=f"o-polynomial (even only); defaults to {DEFAULT_OPOLY}")
     sub.add_argument("--v", help="admissible v (even); defaults to the least")
     sub.add_argument("--w", help="admissible w (odd); defaults to the least")
-    sub.add_argument("--order", choices=("powers", "canonical"), default="powers")
     sub.set_defaults(func=cmd_construct)
 
     sub = subs.add_parser("analyze", help="the code report of a matrix file")

@@ -20,7 +20,6 @@ MacWilliams identities.
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
 
 from .field import GF, parse_descriptor, parse_int, parse_key_values
 from . import geometry
@@ -175,13 +174,6 @@ class WeightDistribution:
         return f"WeightDistribution({self.to_pairs()})"
 
 
-def projective_messages(F: GF, k: int):
-    """One representative per projective class: first nonzero coordinate 1."""
-    for lead in range(k):
-        for tail in product(range(F.q), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def weight_distribution(G: GeneratorMatrix) -> WeightDistribution:
     """Exact counts A_0..A_n: from the line profile when k = 3, otherwise by
     projective enumeration under its default budget."""
@@ -210,7 +202,7 @@ def enumerated_weight_distribution(G: GeneratorMatrix,
     add, mul = F.kernel.add, F.kernel.mul  # the columns were checked on entry
     counts = [0] * (G.n + 1)
     counts[0] = 1
-    for u in projective_messages(F, G.k):
+    for u in geometry.projective_points(F, G.k):
         weight = 0
         for col in G.columns():
             acc = 0

@@ -50,24 +50,24 @@ def valid_w_set(F: GF) -> frozenset[int]:
     return out
 
 
-def build_even_matrix(f: OPolynomial, v: int, order: str = "powers") -> GeneratorMatrix:
+def build_even_matrix(f: OPolynomial, v: int) -> GeneratorMatrix:
     """3 x (q+5) generator matrix for even q; the first q+2 columns are the
-    hyperoval of f in the requested element order."""
+    hyperoval of f, in the reference column order."""
     F = f.field
     F.check(v)
     if v not in valid_v_set(f):
         raise ValueError(f"v={v} lies in the image of x -> f(x)+x; not admissible")
-    cols = hyperoval_from_opoly(f, order) + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
+    cols = hyperoval_from_opoly(f) + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
     return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 2)
 
 
-def build_odd_matrix(F: GF, w: int, order: str = "powers") -> GeneratorMatrix:
+def build_odd_matrix(F: GF, w: int) -> GeneratorMatrix:
     """3 x (q+5) generator matrix for odd q; the first q+1 columns are the
-    standard oval in the requested element order."""
+    standard oval, in the reference column order."""
     F.check(w)
     if w not in valid_w_set(F):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
-    cols = standard_oval(F, order) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
+    cols = standard_oval(F) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
     return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 1)
 
 

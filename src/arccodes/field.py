@@ -379,17 +379,14 @@ class GF:
         self.check(x)
         return self._chi[x]
 
-    def trace(self, x: int, d: int = 1) -> int:
-        """Trace onto the subfield GF(p^d): sum of x^(p^(d*i)), i < m/d."""
-        if self.m % d != 0:
-            raise ValueError(f"subfield degree {d} does not divide m={self.m}")
+    def trace(self, x: int) -> int:
+        """Absolute trace onto GF(p): sum of x^(p^i), i < m."""
         self.check(x)
         acc = 0
         t = x
-        step = self.p ** d
-        for _ in range(self.m // d):
+        for _ in range(self.m):
             acc = self.add(acc, t)
-            t = self.pow(t, step)
+            t = self.pow(t, self.p)
         return acc
 
     # -- element enumeration -----------------------------------------------------
@@ -398,17 +395,13 @@ class GF:
         """Least-index element of multiplicative order q-1."""
         return self.generator
 
-    def elements(self, order: str = "canonical") -> list[int]:
-        """All q elements.  'canonical' is 0..q-1; 'powers' is the reference
-        column order: descending powers of the generator then 0 for m >= 2,
-        and q-1, q-2, ..., 1, 0 for prime fields."""
-        if order == "canonical":
-            return list(range(self.q))
-        if order == "powers":
-            if self.m == 1:
-                return list(range(self.q - 1, -1, -1))
-            return [self._exp[i] for i in range(self.q - 2, -1, -1)] + [0]
-        raise ValueError(f"unknown element order {order!r}")
+    def elements(self) -> list[int]:
+        """All q elements in the reference column order: descending powers of
+        the generator then 0 for m >= 2, and q-1, q-2, ..., 1, 0 for prime
+        fields."""
+        if self.m == 1:
+            return list(range(self.q - 1, -1, -1))
+        return [self._exp[i] for i in range(self.q - 2, -1, -1)] + [0]
 
     # -- text forms -----------------------------------------------------------
 

@@ -14,6 +14,8 @@ added point, for a construction seeded with its certified arc base), and in
 the arc search one or two operations per point of a pencil line.
 """
 
+from itertools import product
+
 from .field import GF, Kernel
 from .opoly import OPolynomial, is_o_polynomial
 
@@ -42,28 +44,17 @@ def _scaled(K: Kernel, x: int, y: int, z: int) -> Triple | None:
     return None
 
 
+def projective_points(F: GF, k: int):
+    """One vector of length k per point of PG(k-1,q), in the canonical form:
+    last nonzero coordinate 1."""
+    for lead in range(k):  # lead: the number of trailing zeros
+        for head in product(range(F.q), repeat=k - lead - 1):
+            yield head + (1,) + (0,) * lead
+
+
 def all_points(F: GF) -> list[Triple]:
     """The q^2+q+1 canonical points, lexicographically ordered."""
-    pts = [(x, y, 1) for x in range(F.q) for y in range(F.q)]
-    pts += [(x, 1, 0) for x in range(F.q)]
-    pts.append((1, 0, 0))
-    pts.sort()
-    return pts
-
-
-def line_through(F: GF, p1, p2) -> Triple:
-    """The unique line through two distinct points (cross product)."""
-    for c in (*p1, *p2):
-        F.check(c)
-    K = F.kernel
-    mul, sub = K.mul, K.sub
-    a1, a2, a3 = p1
-    b1, b2, b3 = p2
-    line = _scaled(K, sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
-                   sub(mul(a1, b2), mul(a2, b1)))
-    if line is None:
-        raise ValueError(f"points {p1} and {p2} coincide projectively")
-    return line
+    return sorted(projective_points(F, 3))
 
 
 def validate_point_set(F: GF, points) -> list[Triple]:
@@ -189,9 +180,9 @@ def is_n3_arc(F: GF, points) -> bool:
     return LineProfile(F, validate_point_set(F, points)).max_line == 3
 
 
-def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
-    """The q+2 points {(f(c), c, 1)} + {(1,0,0), (0,1,0)}, columns ordered by
-    the requested element enumeration: a hyperoval, as is_o_polynomial(f)
+def hyperoval_from_opoly(f: OPolynomial) -> list[Triple]:
+    """The q+2 points {(f(c), c, 1)} + {(1,0,0), (0,1,0)}, c in the field's
+    reference order (`GF.elements`): a hyperoval, as is_o_polynomial(f)
     certifies here."""
     verdict = is_o_polynomial(f)
     if not verdict:
@@ -200,25 +191,26 @@ def hyperoval_from_opoly(f: OPolynomial, order: str = "powers") -> list[Triple]:
             + (f" at a={verdict.witness})" if verdict.witness is not None else ")")
         )
     tab = f.values
-    pts = [(tab[c], c, 1) for c in f.field.elements(order)]
+    pts = [(tab[c], c, 1) for c in f.field.elements()]
     pts.append((1, 0, 0))
     pts.append((0, 1, 0))
     return pts
 
 
-def standard_oval(F: GF, order: str = "powers") -> list[Triple]:
-    """The q+1 points {(x^2, x, 1)} + {(1,0,0)} over odd q.  They are an arc:
+def standard_oval(F: GF) -> list[Triple]:
+    """The q+1 points {(x^2, x, 1)} + {(1,0,0)} over odd q, x in the field's
+    reference order (`GF.elements`).  They are an arc:
     a line ax+by+cz=0 meets {(t^2,t,1)} in the roots of at^2+bt+c, at most
     two, and holds (1,0,0) only when a=0, which leaves at most one root."""
     if F.p == 2:
         raise ValueError("the standard oval needs odd characteristic")
-    pts = [(F.mul(x, x), x, 1) for x in F.elements(order)]
+    pts = [(F.mul(x, x), x, 1) for x in F.elements()]
     pts.append((1, 0, 0))
     return pts
 
 
-def point_to_str(F: GF, point, powers: bool = False) -> str:
-    return ":".join(F.element_to_str(c, powers) for c in point)
+def point_to_str(F: GF, point) -> str:
+    return ":".join(F.element_to_str(c) for c in point)
 
 
 def point_from_str(F: GF, text: str) -> Triple:

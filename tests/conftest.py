@@ -6,12 +6,14 @@ projective enumeration.  The oracles (`incident`, `dual_matrix`,
 `enumerated_zero_sets`) recompute by definition what the library reads off
 the line profile or the MacWilliams identities."""
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from arccodes.field import GF, field_from_order
 from arccodes import codes, construct, opoly
-from arccodes.codes import GeneratorMatrix, projective_messages, rref
+from arccodes.codes import GeneratorMatrix, rref
+from arccodes.geometry import projective_points
 
 EVEN_SWEEP_Q = (4, 8, 16, 32)
 ODD_SWEEP_Q = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
@@ -70,22 +72,33 @@ def paper_code(q: int) -> codes.GeneratorMatrix:
     return construct.build_odd_matrix(F, min(construct.valid_w_set(F)))
 
 
+def shuffled_blocks(G: GeneratorMatrix, seed: int) -> GeneratorMatrix:
+    """A constructed code with its columns in a second order: a seeded
+    shuffle within the certified arc base and within the added columns, so
+    the base is still vouched for."""
+    rng = random.Random(seed)
+    base, added = list(G.columns()[:G._arc_base]), list(G.columns()[G._arc_base:])
+    rng.shuffle(base)
+    rng.shuffle(added)
+    return GeneratorMatrix.from_columns(G.field, base + added, _arc_base=len(base))
+
+
 @lru_cache(maxsize=None)
 def paper_codes(q: int) -> tuple[tuple[str, codes.GeneratorMatrix], ...]:
-    """(label, matrix) for every paper code over GF(q) in both column
-    orders: every applicable family and admissible v, or every admissible w."""
+    """(label, matrix) for every paper code over GF(q) in two column orders,
+    the reference one and a seeded shuffle of each block: every applicable
+    family and admissible v, or every admissible w."""
     F = field_from_order(q)
     out = []
-    for order in ("powers", "canonical"):
-        if F.p == 2:
-            for f in opoly.applicable_families(F):
-                for v in sorted(construct.valid_v_set(f)):
-                    out.append((f"{f.descriptor()} v={v} {order}",
-                                construct.build_even_matrix(f, v, order)))
-        else:
-            for w in sorted(construct.valid_w_set(F)):
-                out.append((f"w={w} {order}", construct.build_odd_matrix(F, w, order)))
-    return tuple(out)
+    if F.p == 2:
+        for f in opoly.applicable_families(F):
+            for v in sorted(construct.valid_v_set(f)):
+                out.append((f"{f.descriptor()} v={v}", construct.build_even_matrix(f, v)))
+    else:
+        for w in sorted(construct.valid_w_set(F)):
+            out.append((f"w={w}", construct.build_odd_matrix(F, w)))
+    return tuple(out) + tuple((f"{label} shuffled", shuffled_blocks(G, seed))
+                              for seed, (label, G) in enumerate(out))
 
 
 def incident(F: GF, point, line) -> bool:
@@ -118,7 +131,7 @@ def enumerated_zero_sets(G: GeneratorMatrix) -> set[tuple[int, ...]]:
     projective message: the column sets on one line."""
     F = G.field
     zero_sets = set()
-    for u in projective_messages(F, 3):
+    for u in projective_points(F, 3):
         zeros = []
         for j, col in enumerate(G.columns()):
             acc = 0

@@ -370,6 +370,35 @@ def test_budget_exhaustion_flagged():
             assert stats.nodes == n and stats.budget_exhausted
 
 
+def test_deadline_read_every_1024th_node(monkeypatch):
+    """The clock is read before nodes 0, 1024, 2048, ... only: a deadline
+    that has passed stops a search by its 1024th node, and one that never
+    passes costs one clock read per 1024 nodes."""
+    F, hyper = _hyperoval(5)
+    for strategy in ("dfs", "greedy-restart"):
+        pts, stats = extend_to_n3_arc(F, hyper, strategy=strategy, max_seconds=1e-6)
+        assert stats.budget_exhausted and stats.nodes <= 1024, strategy
+    reads = 0
+    monotonic = arcsearch.time.monotonic
+
+    def counted():
+        nonlocal reads
+        reads += 1
+        return monotonic()
+
+    monkeypatch.setattr(arcsearch.time, "monotonic", counted)
+    for strategy in ("dfs", "greedy-restart"):
+        counts = []
+        for max_seconds in (None, 3600):
+            reads = 0
+            pts, stats = extend_to_n3_arc(F, hyper, strategy=strategy, max_nodes=5000,
+                                          max_seconds=max_seconds)
+            assert stats.nodes == 5000 and stats.budget_exhausted
+            counts.append(reads)
+        # the deadline itself, then nodes 0, 1024, 2048, 3072 and 4096
+        assert counts[1] - counts[0] == 6, strategy
+
+
 @pytest.mark.parametrize("bad", [
     {"max_nodes": 0}, {"max_nodes": -3}, {"restarts": 0}, {"restarts": -3},
     {"max_seconds": 0}, {"max_seconds": -1.0}, {"workers": 2}, {"workers": 0},

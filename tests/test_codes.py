@@ -15,14 +15,13 @@ from arccodes.codes import (
     enumerated_weight_distribution,
     min_weight_supports,
     nmds_closed_form,
-    projective_messages,
     rref,
     weight_distribution,
 )
 from arccodes.construct import build_odd_matrix, valid_w_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from arccodes.opoly import make_family_opoly
-from conftest import dual_matrix, enumerated_zero_sets
+from conftest import dual_matrix, enumerated_zero_sets, shuffled_blocks
 
 
 @pytest.fixture(scope="module")
@@ -102,22 +101,27 @@ def test_matrix_text_reads_digits_and_powers():
 
 
 def test_projective_message_count():
+    """The enumerator's messages are geometry.projective_points: one per
+    point of PG(2,4), each with last nonzero entry 1."""
     F = make_field(2, 2)
-    msgs = list(projective_messages(F, 3))
+    msgs = list(geo.projective_points(F, 3))
     assert len(msgs) == 4 ** 2 + 4 + 1
     assert len(set(msgs)) == len(msgs)
-    assert all(next(x for x in u if x) == 1 for u in msgs)
+    assert all(next(x for x in reversed(u) if x) == 1 for u in msgs)
+    assert sorted(msgs) == geo.all_points(F)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_projective_message_order(q, k):
-    """The leading 1 moves right block by block, and each block runs through
-    its tail lexicographically: the vectors whose first nonzero entry is 1,
-    in product order, stably sorted by the place of that 1."""
-    normalised = [u for u in product(range(q), repeat=k) if next((x for x in u if x), 0) == 1]
-    assert list(projective_messages(field_from_order(q), k)) == sorted(
-        normalised, key=lambda u: u.index(1))
+    """projective_points(F, k) holds each projective class of GF(q)^k once,
+    as its vector with last nonzero entry 1: the trailing 1 moves left block
+    by block, and each block runs through its head lexicographically."""
+    normalised = [u for u in product(range(q), repeat=k)
+                  if next((x for x in reversed(u) if x), 0) == 1]
+    assert len(normalised) == (q ** k - 1) // (q - 1)
+    assert list(geo.projective_points(field_from_order(q), k)) == sorted(
+        normalised, key=lambda u: u[::-1].index(1))
 
 
 def test_weight_distribution_golden(q4_code):
@@ -250,9 +254,12 @@ def test_min_weight_supports_errors():
 def test_weight_distribution_invariant_under_column_order():
     F = make_field(3, 2)
     w = min(valid_w_set(F))
-    d1 = weight_distribution(build_odd_matrix(F, w, order="powers"))
-    d2 = weight_distribution(build_odd_matrix(F, w, order="canonical"))
-    assert d1 == d2
+    G = build_odd_matrix(F, w)
+    cols = list(G.columns())
+    random.Random(9).shuffle(cols)
+    d1 = weight_distribution(G)
+    assert weight_distribution(shuffled_blocks(G, 9)) == d1
+    assert weight_distribution(GeneratorMatrix.from_columns(F, cols)) == d1
 
 
 def test_weight_distribution_validation():

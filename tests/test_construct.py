@@ -20,7 +20,7 @@ from arccodes.construct import (
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
-from conftest import paper_codes
+from conftest import paper_codes, shuffled_blocks
 
 
 def test_valid_v_set_gf4():
@@ -292,6 +292,7 @@ def test_odd_census_matches_brute_force(q):
 def test_canonical_order_still_n3_arc():
     F = make_field(2, 2)
     f = make_family_opoly(F, "translation", h=1)
-    G = build_even_matrix(f, 2, order="canonical")
+    G = shuffled_blocks(build_even_matrix(f, 2), 4)
+    assert G.columns() != build_even_matrix(f, 2).columns()
     assert geo.is_n3_arc(F, G.columns())
     assert weight_distribution(G) == even_closed_form(4)

@@ -315,23 +315,17 @@ def test_trace():
         fibers.setdefault(F16.trace(x), 0)
         fibers[F16.trace(x)] += 1
     assert fibers == {0: 8, 1: 8}
-    # intermediate subfield: the GF(4) trace of GF(16) lands in the subfield
-    for x in range(16):
-        t = F16.trace(x, 2)
-        assert F16.pow(t, 4) == t
-    with pytest.raises(ValueError):
-        F16.trace(3, 3)
 
 
 def test_enumerate_powers_order():
     F9 = make_field(3, 2)
     # descending powers of the generator, hand-reduced mod x^2+2x+2
-    assert F9.elements("powers") == [5, 8, 6, 2, 7, 4, 3, 1, 0]
-    assert make_field(11).elements("powers") == list(range(10, -1, -1))
-    assert make_field(2, 1).elements("canonical") == [0, 1]
+    assert F9.elements() == [5, 8, 6, 2, 7, 4, 3, 1, 0]
+    assert make_field(11).elements() == list(range(10, -1, -1))
+    assert make_field(2, 1).elements() == [1, 0]
     for p, m in SMALL_FIELDS:
         F = make_field(p, m)
-        seq = F.elements("powers")
+        seq = F.elements()
         assert sorted(seq) == list(range(F.q))
         assert seq[-1] == 0
 

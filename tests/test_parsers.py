@@ -59,7 +59,7 @@ CLI = {  # subcommand -> (required flags, optional flags); values None for a swi
     "opoly-check": ({"--opoly": OPOLY}, {**FIELD, "--powers": None}),
     "construct": ({"": ["--even", "--odd"]},
                   {**FIELD, "--odd": None, "--opoly": OPOLY, "--v": ELEMENT, "--w": ELEMENT,
-                   "--order": ["powers", "canonical"], "--powers": None}),
+                   "--powers": None}),
     "census": ({"": ["--even-A1", "--even-A2", "--odd-B1", "--odd-B2"]},
                {**FIELD, "--even-A1": None, "--odd-B2": None, "--opoly": OPOLY, "--v": ELEMENT,
                 "--w": ELEMENT}),

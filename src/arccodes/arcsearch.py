@@ -52,8 +52,8 @@ class SearchStats:
     budget_exhausted: bool
     arc: list = dc_field(default_factory=list)
 
-    def to_dict(self, F: GF):
-        return {**vars(self), "arc": [geometry.point_to_str(F, p) for p in self.arc]}
+    def to_dict(self, F: GF, powers: bool = False):
+        return {**vars(self), "arc": [geometry.point_to_str(F, p, powers) for p in self.arc]}
 
 
 class _Plane:

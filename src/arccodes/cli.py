@@ -276,7 +276,7 @@ def cmd_search(args) -> int:
         seed=args.seed,
         restarts=args.restarts,
     )
-    data = stats.to_dict(F)
+    data = stats.to_dict(F, args.powers)
     lines = [
         f"found ({stats.found_n},3)-arc in PG(2,{F.q}) "
         f"[nodes={stats.nodes} restarts={stats.restarts} prunes={stats.prunes} "

@@ -20,19 +20,18 @@ from dataclasses import dataclass
 from .field import GF
 from .codes import GeneratorMatrix, WeightDistribution
 from .geometry import hyperoval_from_opoly, standard_oval
-from .opoly import OPolynomial, is_o_polynomial, linear_shift_image
+from .opoly import OPolynomial, is_o_polynomial
 
 CENSUS_KINDS = ("even-A1", "even-A2", "odd-B1", "odd-B2")
 
 
 def valid_v_set(f: OPolynomial) -> frozenset[int]:
     """Admissible v for the even construction: the complement of the image of
-    x -> f(x) + x.  Exactly q/2 elements for an o-polynomial."""
-    F = f.field
+    x -> f(x) + x.  Exactly q/2 elements for an o-polynomial; kept with f."""
     verdict = is_o_polynomial(f)
     if not verdict:
         raise ValueError(f"not an o-polynomial (failed {verdict.condition})")
-    return frozenset(range(F.q)) - linear_shift_image(f)
+    return f.shift_complement
 
 
 def valid_w_set(F: GF) -> frozenset[int]:

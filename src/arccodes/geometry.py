@@ -87,13 +87,21 @@ class LineProfile:
     {i, j1, j2, ...}.  A line through points p_0 < p_1 < ... shows again at
     each later pivot p_t, as the class starting at p_(t+1); so a recorded
     line puts its pairs (p_t, p_(t+1)), t >= 1, in `covered`, a class whose
-    (i, j1) is covered is skipped, and each line is recorded once.  Point i
-    pairs with m-1 others and a line through i and k points accounts for
-    k-1 of them, so i lies on (m-1) - sum(k-2) lines holding another point,
-    the sum over the lines of three or more points through i.  With no
-    repeated point only pivots with a repeated slope are grouped, and the
-    two-point lines are counted as C(m,2) - sum C(k,2); otherwise every
-    pivot is grouped and each two-point line counts its own columns.
+    (i, j1) is covered is skipped, and each line is recorded once.
+
+    With no repeated point only pivots with a repeated slope are grouped,
+    only classes of two or more points are read, and so only the pairs
+    (p_t, p_(t+1)) with two or more points after p_t are covered.  Each
+    line of k >= 3 points is kept in `rich`, and the rest of `counts`
+    follows from those lines: the C(m,2) pairs of points lie one line each,
+    C(k,2) of them on a line of k points, so C(m,2) - sum C(k,2) lines hold
+    two points; point i lies on (m-1) - sum(k-2) lines holding another
+    point, the sum over the lines through it, so m(q+1) - m(m-1) +
+    sum k(k-2) = m(q+2-m) + sum k(k-2) lines hold one point.  Each sum runs
+    over the lines of three or more points.  With a repeated point every
+    pivot is grouped, each line through two or more points counts its own
+    columns, and the (m-1) - sum(k-2) lines above are tallied per point,
+    so that the other lines through a point count its columns alone.
 
     `_arc_base=k`, passed by the constructors alone, vouches that the first
     k columns are a k-arc: `hyperoval_from_opoly` and `standard_oval` give
@@ -113,18 +121,21 @@ class LineProfile:
         self.zeros = len(groups.pop(None, ()))
         pts, cols_at = list(groups), list(groups.values())
         m = len(pts)
-        self.repeated = any(len(g) > 1 for g in cols_at)
+        self.repeated = repeated = any(len(g) > 1 for g in cols_at)
         if _arc_base:  # the added points first
-            if self.zeros or self.repeated:
+            if self.zeros or repeated:
                 raise ValueError("an arc-seeded profile needs distinct nonzero columns")
             pts = pts[_arc_base:] + pts[:_arc_base]
             cols_at = cols_at[_arc_base:] + cols_at[:_arc_base]
-        through = [m - 1] * m  # lines through each point holding another
+        pivots = m - _arc_base
         counts: dict[int, int] = {}
         rich = []
         covered: set[tuple[int, int]] = set()
-        two_point_lines = m * (m - 1) // 2
-        for i, (a, b, c) in enumerate(pts[:m - _arc_base]):
+        if repeated:
+            through = [m - 1] * m  # lines through each point holding another
+        else:
+            index = [g[0] for g in cols_at]  # each point's one column
+        for i, (a, b, c) in enumerate(pts[:pivots]):
             later = pts[i + 1:]
             if c:  # (x - a z) / (y - b z), with z in {0, 1}
                 slopes = [(mul(sub(x, a), inv(v)) if (v := sub(y, b)) else q) if z
@@ -134,28 +145,39 @@ class LineProfile:
                           for x, y, z in later]
             else:  # z / y
                 slopes = [mul(z, inv(y)) if y else q for _, y, z in later]
-            if not self.repeated and len(set(slopes)) == len(slopes):
+            if not repeated and len(set(slopes)) == len(slopes):
                 continue
             classes: dict[int, list[int]] = {}
             for j, s in enumerate(slopes, i + 1):
                 classes.setdefault(s, []).append(j)
             for js in classes.values():
-                if (len(js) < 2 and not self.repeated) or (i, js[0]) in covered:
+                if (len(js) < 2 and not repeated) or (i, js[0]) in covered:
+                    continue
+                if not repeated:
+                    if len(js) > 2:  # the pivots left with two later points or more
+                        covered.update(zip(js, js[1:-1]))
+                    rich.append(tuple(sorted([index[i], *[index[j] for j in js]])))
                     continue
                 covered.update(zip(js, js[1:]))
                 if (k := len(js) + 1) > 2:
-                    two_point_lines -= k * (k - 1) // 2
                     for t in (i, *js):
                         through[t] -= k - 2
                 cols = sorted(col for t in (i, *js) for col in cols_at[t])
                 counts[len(cols)] = counts.get(len(cols), 0) + 1
                 if len(cols) >= 3:
                     rich.append(tuple(cols))
-        if not self.repeated:
-            counts[2] = two_point_lines
         self.rich: tuple[tuple[int, ...], ...] = tuple(sorted(rich))
-        for i, g in enumerate(cols_at):
-            counts[len(g)] = counts.get(len(g), 0) + q + 1 - through[i]
+        if repeated:
+            for i, g in enumerate(cols_at):
+                counts[len(g)] = counts.get(len(g), 0) + q + 1 - through[i]
+        else:
+            counts[1] = m * (q + 2 - m)
+            counts[2] = m * (m - 1) // 2
+            for line in rich:
+                k = len(line)
+                counts[k] = counts.get(k, 0) + 1
+                counts[1] += k * (k - 2)
+                counts[2] -= k * (k - 1) // 2
         counts[0] = q * q + q + 1 - sum(counts.values())
         self.counts = {c: t for c, t in sorted(counts.items()) if t}
         self.max_line = max(self.counts)
@@ -209,8 +231,8 @@ def standard_oval(F: GF) -> list[Triple]:
     return pts
 
 
-def point_to_str(F: GF, point) -> str:
-    return ":".join(F.element_to_str(c) for c in point)
+def point_to_str(F: GF, point, powers: bool = False) -> str:
+    return ":".join(F.element_to_str(c, powers) for c in point)
 
 
 def point_from_str(F: GF, text: str) -> Triple:

@@ -8,6 +8,12 @@ and, for every a, the quotient map x -> (f(x+a)+f(a)) * x^(q-2) also
 permutes GF(q).  Equivalently (given f(0)=0): x -> f(x) + u*x is 2-to-1 for
 every nonzero u.
 
+The quotient map at a sends x = y + a to the slope of the chord from
+(f(a), a) to (f(y), y), so for a permutation f it fails to permute exactly
+when a lies on a collinear triple of graph points.  `is_o_polynomial` tests each pair once:
+a against the later points y > a only.  A triple shows there at its least
+point, so the first a that fails is the same as for the full quotient maps.
+
 Every later step reads only the values of f, so an o-polynomial carries its
 value table, `values`: one Horner pass over GF(q) on the field's unchecked
 kernel, built on first use and kept with the polynomial.  The coefficients
@@ -52,6 +58,12 @@ class OPolynomial:
                 acc = add(mul(acc, x), c)
             out.append(acc)
         return tuple(out)
+
+    @cached_property
+    def shift_complement(self) -> frozenset[int]:
+        """The elements outside the image of x -> f(x) + x: the admissible v
+        of the even construction when f is an o-polynomial."""
+        return frozenset(range(self.field.q)) - linear_shift_image(self)
 
     def descriptor(self, powers: bool = False) -> str:
         if self.family == "custom":
@@ -319,6 +331,12 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
     the quotient map g_a(x) = (f(x+a)+f(a)) * x^(q-2) permutes GF(q).  On
     failure the verdict carries the first failing condition and, for the
     quotient condition, the witness a.
+
+    The quotient condition is checked on each pair a < y once: the q-1-a
+    slopes (f(y)+f(a)) / (y+a) must be distinct.  g_a repeats a value
+    exactly when a and two other points of the graph are collinear, and the
+    least point of such a triple sees both others among its later points,
+    so the least failing a, the witness, is the same as for the full maps.
     """
     F = f.field
     if F.p != 2:
@@ -331,13 +349,12 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
     if tab[1] != 1:
         return Verdict(False, "f(1)=1", 1)
     add, mul, inv = F.kernel.add, F.kernel.mul, F.kernel.inv
-    inverses = [inv(x) for x in range(1, q)]
-    for a in range(q):
+    inverses = [0] + [inv(x) for x in range(1, q)]
+    for a in range(q - 2):  # the last two points have under two later points
         fa = tab[a]
-        seen = {mul(add(tab[add(x, a)], fa), ix) for x, ix in enumerate(inverses, 1)}
-        # g_a(0) = 0 and f injective keep 0 out of the nonzero image, so
-        # g_a permutes GF(q) iff the q-1 nonzero images are distinct.
-        if len(seen) != q - 1:
+        # two equal slopes: two later points on one line through a
+        seen = {mul(add(tab[y], fa), inverses[add(y, a)]) for y in range(a + 1, q)}
+        if len(seen) != q - 1 - a:
             return Verdict(False, "quotient-permutation", a)
     return Verdict(True)
 

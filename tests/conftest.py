@@ -3,8 +3,9 @@ sweeps are expensive enough (q up to 32, every family, every admissible v/w)
 that the acceptance criteria share one cached build.  Each distribution is
 read from the line profile; for q <= 16 it is also checked against
 projective enumeration.  The oracles (`incident`, `dual_matrix`,
-`enumerated_zero_sets`) recompute by definition what the library reads off
-the line profile or the MacWilliams identities."""
+`enumerated_zero_sets`, `quotient_verdict`) recompute by definition what the
+library reads off the line profile, the MacWilliams identities or the
+triangular o-polynomial check."""
 
 import random
 from dataclasses import dataclass
@@ -99,6 +100,26 @@ def paper_codes(q: int) -> tuple[tuple[str, codes.GeneratorMatrix], ...]:
             out.append((f"w={w}", construct.build_odd_matrix(F, w)))
     return tuple(out) + tuple((f"{label} shuffled", shuffled_blocks(G, seed))
                               for seed, (label, G) in enumerate(out))
+
+
+def quotient_verdict(f: opoly.OPolynomial) -> tuple[bool, str | None, int | None]:
+    """`is_o_polynomial`'s (ok, condition, witness) by the definition: f
+    permutes GF(q), f(0)=0, f(1)=1, and for every a the whole quotient map
+    x -> (f(x+a)+f(a)) * x^(q-2) permutes GF(q); the witness is the first
+    a whose map does not."""
+    F = f.field
+    q, tab = F.q, f.values
+    if len(set(tab)) != q:
+        return False, "permutation", None
+    if tab[0] != 0:
+        return False, "f(0)=0", 0
+    if tab[1] != 1:
+        return False, "f(1)=1", 1
+    for a in range(q):
+        image = {F.mul(F.add(tab[F.add(x, a)], tab[a]), F.pow(x, q - 2)) for x in range(q)}
+        if len(image) != q:
+            return False, "quotient-permutation", a
+    return True, None, None
 
 
 def incident(F: GF, point, line) -> bool:

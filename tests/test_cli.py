@@ -8,6 +8,7 @@ import pytest
 import arccodes
 from arccodes.cli import main
 from arccodes.codes import nmds_closed_form
+from arccodes.field import make_field
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from conftest import dual_matrix
 
@@ -431,6 +432,19 @@ def test_search(capsys):
         "--target", "99", "--max-nodes", "50",
     )
     assert code == 4
+
+
+def test_search_powers_renders_the_arc_as_the_matrix_does(capsys):
+    argv = ("search", "--q", "8", "--base", "hyperoval", "--max-nodes", "3000")
+    _, plain, _ = run_json(capsys, *argv)
+    code, data, _ = run_json(capsys, *argv, "--powers")
+    assert code == 0 and data["found_n"] == len(data["arc"]) == 15
+    columns = list(zip(*(row.split() for row in data["matrix"][1:])))
+    assert [tuple(p.split(":")) for p in data["arc"]] == columns
+    assert any(tok.startswith("g^") for p in data["arc"] for tok in p.split(":"))
+    F = make_field(2, 3)
+    assert [":".join(str(F.element_from_str(t)) for t in p.split(":")) for p in data["arc"]] \
+        == plain["arc"]
 
 
 def test_search_too_short_for_a_code(capsys):

@@ -300,6 +300,44 @@ def test_line_profile_matches_pairwise_on_a_paper_code(q):
     _assert_profile_matches_pairwise(G.field, G.columns())
 
 
+def _assert_incidence_identities(F, columns, lp):
+    """Counting the lines, the incidences and the pairs of n distinct
+    points: sum N_c = q^2+q+1, sum c N_c = n(q+1), sum C(c,2) N_c = C(n,2)."""
+    q, n = F.q, len(columns)
+    assert sum(lp.counts.values()) == q * q + q + 1, (q, columns)
+    assert sum(c * t for c, t in lp.counts.items()) == n * (q + 1), (q, columns)
+    assert sum(c * (c - 1) // 2 * t for c, t in lp.counts.items()) == n * (n - 1) // 2, \
+        (q, columns)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
+def test_line_profile_incidence_identities_on_distinct_columns(q):
+    """Distinct columns, each scaled, read from the rich lines alone: random
+    sets, and random sets holding a full line."""
+    rng = random.Random(2000 + q)
+    F = field_from_order(q)
+    pts = geo.all_points(F)
+    line = rng.choice(pts)
+    on = [p for p in pts if incident(F, p, line)]
+    off = [p for p in pts if not incident(F, p, line)]
+    for size in (1, 2, 3, 5, q + 2, 2 * q, 3 * q + 1):
+        for chosen in (rng.sample(pts, size), on + rng.sample(off, min(size, len(off)))):
+            cols = [_scaled(F, rng.randrange(1, q), p) for p in rng.sample(chosen, len(chosen))]
+            lp = geo.LineProfile(F, cols)
+            assert not lp.repeated and not lp.zeros
+            _assert_incidence_identities(F, cols, lp)
+            if len(chosen) > size:
+                assert lp.max_line == q + 1
+
+
+@pytest.mark.parametrize("q", [127, 128])
+def test_line_profile_incidence_identities_on_a_paper_code(q):
+    G = paper_code(q)
+    for lp in (G.line_profile(), geo.LineProfile(G.field, G.columns())):
+        _assert_incidence_identities(G.field, G.columns(), lp)
+        assert lp.max_line == 3
+
+
 EVEN_PAPER_Q = (4, 8, 16, 32, 64)
 ODD_PAPER_Q = tuple(q for q in range(5, 62, 2) if len(prime_factors(q)) == 1)
 

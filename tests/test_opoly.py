@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from arccodes.opoly import (
     make_family_opoly,
     parse_opoly_descriptor,
 )
+from conftest import quotient_verdict
 
 
 def test_translation_gf4_is_square():
@@ -55,6 +57,55 @@ def test_is_o_polynomial_verdicts():
     v = is_o_polynomial(make_custom_opoly(F, [1, 1]))  # f(0) != 0
     assert not v.ok
     assert is_o_polynomial(make_family_opoly(make_field(2, 3), "segre")).ok
+
+
+def _verdict_triple(f):
+    v = is_o_polynomial(f)
+    return v.ok, v.condition, v.witness
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_is_o_polynomial_matches_full_quotient_oracle_on_families(q):
+    for f in applicable_families(field_from_order(q)):
+        assert _verdict_triple(f) == quotient_verdict(f) == (True, None, None), f.descriptor()
+
+
+@pytest.mark.parametrize("q", [16, 32, 64])
+def test_is_o_polynomial_matches_full_quotient_oracle_on_near_misses(q):
+    """A valid value table with two entries swapped.  Unless the swap moves
+    f(0) or f(1), the quotient condition decides, and the witness is 0:
+    the line through (0, 0) and a moved point meets the hyperoval again in
+    a point that did not move."""
+    rng = random.Random(q)
+    F = field_from_order(q)
+    tables = [f.values for f in applicable_families(F)]
+    verdicts = []
+    for _ in range(100):
+        values = list(rng.choice(tables))
+        s, t = rng.sample(range(q), 2)
+        values[s], values[t] = values[t], values[s]
+        f = make_custom_opoly(F, interpolate(F, values))
+        assert f.values == tuple(values)
+        verdicts.append(_verdict_triple(f))
+        assert verdicts[-1] == quotient_verdict(f), (q, s, t)
+    assert {v for v in verdicts if v[1] == "quotient-permutation"} == {
+        (False, "quotient-permutation", 0)}
+
+
+def test_is_o_polynomial_matches_full_quotient_oracle_on_monomials():
+    """Every permutation monomial x^k at q = 16, 32, 64: x -> c x maps its
+    graph to itself, so the nonzero points all lie on a collinear triple or
+    none does, and some fail first at a = 1."""
+    verdicts = []
+    for q in (16, 32, 64):
+        F = field_from_order(q)
+        for k in range(2, q - 1):
+            if gcd(k, q - 1) == 1:
+                f = make_custom_opoly(F, [0] * k + [1])
+                verdicts.append(_verdict_triple(f))
+                assert verdicts[-1] == quotient_verdict(f), (q, k)
+    assert (True, None, None) in verdicts
+    assert {v[2] for v in verdicts if not v[0]} == {0, 1}
 
 
 def test_two_to_one_verdicts():

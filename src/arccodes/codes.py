@@ -176,7 +176,7 @@ class WeightDistribution:
 
 def weight_distribution(G: GeneratorMatrix) -> WeightDistribution:
     """Exact counts A_0..A_n: from the line profile when k = 3, otherwise by
-    projective enumeration under its default budget."""
+    projective enumeration under ENUMERATION_BUDGET."""
     if G.k != 3:
         return enumerated_weight_distribution(G)
     q = G.field.q
@@ -188,17 +188,16 @@ def weight_distribution(G: GeneratorMatrix) -> WeightDistribution:
     return WeightDistribution(counts, q, 3)
 
 
-def enumerated_weight_distribution(G: GeneratorMatrix,
-                                   budget: int = ENUMERATION_BUDGET) -> WeightDistribution:
+def enumerated_weight_distribution(G: GeneratorMatrix) -> WeightDistribution:
     """Exact counts by projective enumeration, for any k; nonzero weights
-    appear q-1 times per class.  The guard bounds the column evaluations,
-    (q^k-1)/(q-1) * n."""
+    appear q-1 times per class.  The guard, ENUMERATION_BUDGET as read at
+    the call, bounds the column evaluations, (q^k-1)/(q-1) * n."""
     F = G.field
     q = F.q
     work = (q ** G.k - 1) // (q - 1) * G.n
-    if work > budget:
+    if work > ENUMERATION_BUDGET:
         raise BudgetExceededError(f"(q^k-1)/(q-1)*n = {work} column evaluations "
-                                  f"exceed the enumeration budget {budget}")
+                                  f"exceed the enumeration budget {ENUMERATION_BUDGET}")
     add, mul = F.kernel.add, F.kernel.mul  # the columns were checked on entry
     counts = [0] * (G.n + 1)
     counts[0] = 1

@@ -276,13 +276,6 @@ class GF:
                 for x in self._exp[:n]
             ]
         self.kernel = _kernel(p, self._exp, self._log, self._zech)
-        # eta[x] in {-1, 0, 1}; squares read off the exponent parity.
-        self._chi = None
-        if p != 2:
-            chi = [0] * q
-            for i in range(n):
-                chi[self._exp[i]] = 1 if i % 2 == 0 else -1
-            self._chi = chi
 
     # -- construction internals -------------------------------------------
 
@@ -373,11 +366,14 @@ class GF:
     # -- characters and traces -------------------------------------------------
 
     def quadratic_character(self, x: int) -> int:
-        """eta(x): 1 for nonzero squares, -1 for nonsquares, 0 at 0."""
+        """eta(x): 1 for nonzero squares, -1 for nonsquares, 0 at 0.  For odd
+        q the squares of g^i are the g^(2i), and g has even order q-1, so
+        g^i is a square exactly when its log i is even."""
         if self.p == 2:
             raise ValueError("quadratic character requires odd characteristic")
-        self.check(x)
-        return self._chi[x]
+        if not self.check(x):
+            return 0
+        return -1 if self._log[x] & 1 else 1
 
     def trace(self, x: int) -> int:
         """Absolute trace onto GF(p): sum of x^(p^i), i < m."""

@@ -84,16 +84,16 @@ class LineProfile:
     and each later point P_j gets the slope L1(P_j)/L2(P_j), or q where
     L2(P_j) = 0: two later points share a slope exactly when they lie on one
     line through P_i.  A class {j1 < j2 < ...} of equal slopes is the line
-    {i, j1, j2, ...}.  A line through points p_0 < p_1 < ... shows again at
-    each later pivot p_t, as the class starting at p_(t+1); so a recorded
-    line puts its pairs (p_t, p_(t+1)), t >= 1, in `covered`, a class whose
-    (i, j1) is covered is skipped, and each line is recorded once.
+    {i, j1, j2, ...}.  A line through points p_0 < ... < p_(k-1) shows again
+    at each later pivot p_t, t <= k-2, as the class (p_(t+1), ..., p_(k-1));
+    every one of them ends in the same two points.  So a line's key is its
+    last two points, a class whose key was seen is skipped, and each line
+    is recorded once, at its lowest point.
 
-    With no repeated point only pivots with a repeated slope are grouped,
-    only classes of two or more points are read, and so only the pairs
-    (p_t, p_(t+1)) with two or more points after p_t are covered.  Each
-    line of k >= 3 points is kept in `rich`, and the rest of `counts`
-    follows from those lines: the C(m,2) pairs of points lie one line each,
+    With no repeated point only pivots with a repeated slope are grouped
+    and only classes of two or more points are read.  Each line of k >= 3
+    points is kept in `rich`, and the rest of `counts` follows from those
+    lines: the C(m,2) pairs of points lie one line each,
     C(k,2) of them on a line of k points, so C(m,2) - sum C(k,2) lines hold
     two points; point i lies on (m-1) - sum(k-2) lines holding another
     point, the sum over the lines through it, so m(q+1) - m(m-1) +
@@ -130,7 +130,7 @@ class LineProfile:
         pivots = m - _arc_base
         counts: dict[int, int] = {}
         rich = []
-        covered: set[tuple[int, int]] = set()
+        seen: set[tuple[int, int]] = set()  # the keys of the lines recorded
         if repeated:
             through = [m - 1] * m  # lines through each point holding another
         else:
@@ -151,14 +151,15 @@ class LineProfile:
             for j, s in enumerate(slopes, i + 1):
                 classes.setdefault(s, []).append(j)
             for js in classes.values():
-                if (len(js) < 2 and not repeated) or (i, js[0]) in covered:
+                if len(js) < 2 and not repeated:
                     continue
+                key = (js[-2], js[-1]) if len(js) > 1 else (i, js[0])
+                if key in seen:
+                    continue
+                seen.add(key)
                 if not repeated:
-                    if len(js) > 2:  # the pivots left with two later points or more
-                        covered.update(zip(js, js[1:-1]))
                     rich.append(tuple(sorted([index[i], *[index[j] for j in js]])))
                     continue
-                covered.update(zip(js, js[1:]))
                 if (k := len(js) + 1) > 2:
                     for t in (i, *js):
                         through[t] -= k - 2

@@ -27,7 +27,7 @@ from itertools import repeat
 from math import gcd
 from operator import index
 
-from .field import GF, make_field, parse_int
+from .field import GF, MAX_ORDER, make_field, parse_int
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ class OPolynomial:
     def shift_complement(self) -> frozenset[int]:
         """The elements outside the image of x -> f(x) + x: the admissible v
         of the even construction when f is an o-polynomial."""
-        return frozenset(range(self.field.q)) - linear_shift_image(self)
+        q, add = self.field.q, self.field.kernel.add
+        return frozenset(range(q)) - frozenset(map(add, self.values, range(q)))
 
     def descriptor(self, powers: bool = False) -> str:
         if self.family == "custom":
@@ -96,7 +97,7 @@ def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
     coeffs = [0] * F.q
     deg = 0
     for e in exponents:
-        e = ((e - 1) % (F.q - 1)) + 1 if F.q > 2 else 1
+        e = ((e - 1) % (F.q - 1)) + 1
         coeffs[e] = F.add(coeffs[e], 1)
         deg = max(deg, e)
     return OPolynomial(F, family, tuple(params), tuple(coeffs[: deg + 1]))
@@ -156,7 +157,7 @@ def _default_subiaco_a(F: GF) -> int:
     for a in range(1, F.q):
         if F.trace(F.inv(a)) == 1 and not (F.m % 4 == 2 and F.pow(a, 4) == a):
             return a
-    raise ValueError(f"no admissible parameter a for the subiaco family at q={F.q}")
+    raise ValueError(f"subiaco: no admissible parameter a at q={F.q}")
 
 
 def _adelaide_values(F: GF, beta_power: int, t: int) -> list[int]:
@@ -229,7 +230,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         need(not params, f"unknown parameters {sorted(params)}")
         need(h >= 1, "h must be >= 1")
         need(gcd(h, m) == 1, f"gcd(h={h}, m={m}) != 1")
-        return _monomial_opoly(F, family, (("h", h),), [2 ** (h % m) if m > 1 else 1])
+        return _monomial_opoly(F, family, (("h", h),), [2 ** (h % m)])
     if family == "segre":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
@@ -268,6 +269,7 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         return OPolynomial(F, family, (("a", a),), coeffs)
     if family == "adelaide":
         need(m % 2 == 0 and m >= 4, "needs even m >= 4")
+        need(q * q <= MAX_ORDER, f"builds GF(q^2), so needs q^2 <= {MAX_ORDER}")
         beta_power = _int_param(family, "beta_power", params.pop("beta_power", 1))
         t = params.pop("t", None)
         need(not params, f"unknown parameters {sorted(params)}")
@@ -283,11 +285,6 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
                 f"produce an o-polynomial (failed {verdict.condition})"
             )
         return f
-    if family == "custom":
-        coeffs = params.pop("coeffs", None)
-        need(coeffs is not None, "needs coeffs=c0,c1,...")
-        need(not params, f"unknown parameters {sorted(params)}")
-        return make_custom_opoly(F, coeffs)
     raise ValueError(f"unknown o-polynomial family {family!r}")
 
 
@@ -302,18 +299,19 @@ def make_custom_opoly(F: GF, coeffs) -> OPolynomial:
 
 def parse_opoly_descriptor(F: GF, text: str) -> OPolynomial:
     """Parse CLI descriptors: 'translation:h=1', 'segre', 'subiaco:a=g^5',
-    'custom:coeffs=0,0,1'."""
+    'custom:coeffs=0,0,1'.  After 'custom:' the text must be 'coeffs='
+    and the comma-separated coefficient list, which takes the rest of it."""
     family, _, rest = text.partition(":")
     family = family.strip()
+    if family == "custom":
+        key, eq, tail = rest.partition("=")
+        if key.strip() != "coeffs" or not eq:
+            raise ValueError("custom: needs coeffs=c0,c1,...")
+        return make_custom_opoly(F, [F.element_from_str(tok) for tok in tail.split(",")])
     params = {}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
-            if family == "custom" and key.strip() == "coeffs":
-                # coefficient list swallows the remaining comma-separated tokens
-                tail = rest[rest.index("=") + 1 :]
-                coeffs = [F.element_from_str(tok) for tok in tail.split(",")]
-                return make_custom_opoly(F, coeffs)
             if not eq:
                 raise ValueError(f"bad o-polynomial parameter {item!r}")
             key = key.strip()
@@ -380,14 +378,11 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     return Verdict(True)
 
 
-def linear_shift_image(f: OPolynomial) -> frozenset[int]:
-    """The image of x -> f(x) + x; size q/2 for a valid o-polynomial."""
-    return frozenset(map(f.field.kernel.add, f.values, range(f.field.q)))
-
-
 def applicable_families(F: GF) -> list[OPolynomial]:
     """Every built-in family instance valid over this field: all admissible
-    translation exponents, default parameters elsewhere."""
+    translation exponents, default parameters elsewhere.  A family is left
+    out only by its own rule, raised as a ValueError that starts with its
+    name: adelaide, which builds GF(q^2), is out of range from q = 1024 on."""
     out = []
     for h in range(1, max(F.m, 2)):
         if gcd(h, F.m) == 1:

@@ -78,6 +78,38 @@ def test_opoly_check(capsys):
     assert (data["is_o_polynomial"], data["two_to_one_with_linear"]) == (False, False)
 
 
+NEEDS_COEFFS = "error: custom: needs coeffs=c0,c1,...\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("custom", (2, "", NEEDS_COEFFS)),
+    ("custom:", (2, "", NEEDS_COEFFS)),
+    ("custom:h=1", (2, "", NEEDS_COEFFS)),
+    ("custom:h=1,coeffs=0,1", (2, "", NEEDS_COEFFS)),
+    ("custom:coeffs=", (2, "", "error: bad field element '': expected an index, g or g^e\n")),
+    ("custom:coeffs=0,0,1", (0, "custom:coeffs=0,0,1 over q=4: PASS\n", "")),
+    ("custom:coeffs=1,1", (3, "custom:coeffs=1,1 over q=4: FAIL (f(0)=0, witness=0)\n", "")),
+])
+def test_opoly_check_custom_descriptors(capsys, text, expected):
+    assert run(capsys, "opoly-check", "--q", "4", "--opoly", text) == expected
+
+
+def test_field_required(capsys):
+    code, out, err = run(capsys, "field-info")
+    assert code == 2 and not out
+    assert err == "error: a field is required: --q Q or --p P --m M\n"
+
+
+def test_analyze_over_the_enumeration_budget_exits_4(capsys, tmp_path):
+    # k = 5 is enumerated: (256^5-1)/255 * 6 column evaluations exceed 2^32
+    rows = [" ".join("1" if j in (i, 5) else "0" for j in range(6)) for i in range(5)]
+    matrix = tmp_path / "wide.txt"
+    matrix.write_text("q=256 p=2 m=8 mod=1,0,1,1,1,0,0,0,1\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "analyze", str(matrix))
+    assert code == 4 and not out
+    assert err.startswith("error: ") and "exceed the enumeration budget" in err
+
+
 SECONDS = ["search", "--q", "4", "--max-nodes", "5", "--max-seconds"]
 
 

@@ -145,12 +145,14 @@ def test_weight_distribution_budget():
         weight_distribution(GeneratorMatrix(F, rows))
 
 
-def test_enumeration_budget_counts_column_evaluations(q4_code):
+def test_enumeration_budget_counts_column_evaluations(q4_code, monkeypatch):
     dual = dual_matrix(q4_code)  # (4^6-1)/3 messages times 9 columns
     work = (4 ** 6 - 1) // 3 * 9
+    monkeypatch.setattr("arccodes.codes.ENUMERATION_BUDGET", work - 1)
     with pytest.raises(BudgetExceededError):
-        enumerated_weight_distribution(dual, budget=work - 1)
-    assert enumerated_weight_distribution(dual, budget=work) == weight_distribution(dual)
+        enumerated_weight_distribution(dual)
+    monkeypatch.setattr("arccodes.codes.ENUMERATION_BUDGET", work)
+    assert enumerated_weight_distribution(dual) == weight_distribution(dual)
 
 
 def test_weight_distribution_generic_k(q4_code):

@@ -218,6 +218,12 @@ def test_census_argument_validation():
         solution_count_census("even-A1", F4, f=f)  # missing v
 
 
+def test_census_rejects_inadmissible_v():
+    f = make_family_opoly(make_field(2, 2), "translation", h=1)
+    with pytest.raises(ValueError, match="v=0 is not admissible"):
+        solution_count_census("even-A1", f.field, f=f, v=0)  # 0 = f(0) + 0
+
+
 def test_census_checks_v_and_w_as_elements():
     # 7.0 in {7, 10} holds, so set membership alone would let the floats in
     F11, F4 = make_field(11), make_field(2, 2)

@@ -288,6 +288,16 @@ def test_quadratic_character_gf11():
     assert F.quadratic_character(7) == -1
 
 
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 243, 3 ** 10, 65521])
+def test_quadratic_character_is_one_exactly_on_the_nonzero_squares(q):
+    F = field_from_order(q)
+    eta = F.quadratic_character
+    squares = {F.mul(y, y) for y in range(1, q)}
+    assert eta(0) == 0
+    assert {x for x in range(1, q) if eta(x) == 1} == squares
+    assert all(eta(x) == -1 for x in range(1, q) if x not in squares)
+
+
 def test_quadratic_character_even_char_rejected():
     with pytest.raises(ValueError):
         make_field(2, 2).quadratic_character(1)

@@ -9,7 +9,6 @@ from arccodes.opoly import (
     interpolate,
     is_o_polynomial,
     is_two_to_one_with_linear,
-    linear_shift_image,
     make_custom_opoly,
     make_family_opoly,
     parse_opoly_descriptor,
@@ -47,6 +46,20 @@ def test_family_applicability_errors():
         make_family_opoly(make_field(2, 3), "adelaide")  # m odd
     with pytest.raises(ValueError):
         make_family_opoly(make_field(2, 3), "nosuch")
+
+
+FAMILIES = ("translation", "segre", "glynn1", "glynn2", "glynn3", "cherowitzo", "payne",
+            "subiaco", "adelaide")
+
+
+def test_families_left_out_only_by_their_own_rule():
+    for m in range(1, 11):
+        F = make_field(2, m)
+        present = {f.family for f in applicable_families(F)}
+        for family in FAMILIES:
+            if family not in present:
+                with pytest.raises(ValueError, match=f"^{family}:"):
+                    make_family_opoly(F, family)
 
 
 def test_is_o_polynomial_verdicts():
@@ -128,7 +141,7 @@ def test_builtin_families_validate(q):
         assert tab[0] == 0 and tab[1] == 1
         assert is_o_polynomial(f).ok, f.descriptor()
         assert is_two_to_one_with_linear(f).ok, f.descriptor()
-        assert len(linear_shift_image(f)) == q // 2
+        assert len(f.shift_complement) == q // 2
 
 
 def test_expected_families_present():
@@ -155,7 +168,7 @@ def test_two_to_one_exhaustive_q64():
     F = make_field(2, 6)
     f = make_family_opoly(F, "translation", h=1)
     assert is_two_to_one_with_linear(f).ok
-    assert len(linear_shift_image(f)) == 32
+    assert len(f.shift_complement) == 32
 
 
 def test_descriptor_parse_round_trip():
@@ -167,6 +180,21 @@ def test_descriptor_parse_round_trip():
     assert f.coeffs == (0, 0, 1)
     with pytest.raises(ValueError):
         parse_opoly_descriptor(F, "translation:h")
+
+
+@pytest.mark.parametrize("text", ["custom:coeffs", "custom:coeffsX", "custom:a=1,coeffs=0,1"])
+def test_custom_descriptor_needs_coeffs_first(text):
+    with pytest.raises(ValueError, match=r"^custom: needs coeffs=c0,c1,\.\.\.$"):
+        parse_opoly_descriptor(make_field(2, 2), text)
+
+
+def test_custom_descriptor_takes_the_rest_as_coefficients():
+    F = make_field(2, 3)
+    assert parse_opoly_descriptor(F, "custom: coeffs=0,g^1,1,0").coeffs == (0, 2, 1)
+    with pytest.raises(ValueError, match="bad field element 'h=1'"):
+        parse_opoly_descriptor(F, "custom:coeffs=0,1,h=1")
+    with pytest.raises(ValueError, match="unknown o-polynomial family 'custom'"):
+        make_family_opoly(F, "custom", coeffs=(0, 1))
 
 
 def test_descriptor_repeated_parameter_rejected():

@@ -1,24 +1,31 @@
 """Backtracking extension of arcs to larger (n,3)-arcs in PG(2,q).
 
 Points and lines share one index list (`_Plane.points`), and every set of
-either is one Python int with a bit per index.  A state is an ordered point
-list, the open candidates, and the line counts as two ints: `one`, the lines
-holding at least one chosen point, and `two`, those holding at least two.
-Adding point i with pencil mask P finds the lines it fills as `two & P`,
-then sets `two |= one & P` and `one |= P`; no per-line counter is raised,
-and the DFS hands the new ints to the child, so nothing is undone on return.
-The points of the filled lines leave the candidates in one `cands & ~kill`.
-Most kills come from the base's own two-point lines, which are the same at
-every node, so `kill` is the candidate's cached `base_kill` ORed with the
-masks of only those lines through it that reached two points in the search.
-Both tables are plain lists holding None until an entry is built on first
-use: a pencil mask by solving the equation of the line with the point's
-coordinates for one coordinate, one or two kernel operations and an index
-lookup per point, kept with the cached plane of the last field searched for
-later searches over it, and a base kill for one search only.  The search
-loops index the lists directly and call the builder only on None.  The DFS
-takes candidates by lowest set bit, so it enumerates supersets in
-lexicographic candidate order (each set is visited once and runs are
+either is one Python int in which index i is bit `top - i`, top = q^2+q:
+the lowest index is the highest bit.  A state is an ordered point list, the
+open candidates, and the line counts as two ints: `one`, the lines holding
+at least one chosen point, and `two`, those holding at least two.  Adding
+point i with pencil mask P finds the lines it fills as `two & P`, then sets
+`two |= one & P` and `one |= P`; no per-line counter is raised, and the DFS
+hands the new ints to the child, so nothing is undone on return.  The DFS
+takes the lowest candidate index next: `cands.bit_length()` finds its bit
+and `cands ^= 1 << b` clears it.  Every candidate left lies below that bit,
+so the candidate ints narrow as the search goes deeper, and an `&` of two
+positive ints costs the length of the shorter one.  The child's candidates
+are `cands & keep[i]`, every operand positive: keep[i] is every point off
+the base's two-point lines through i, which are the same at every node.
+Then each line through i that reached two points in the search leaves the
+child by `child ^= child & mask`.  The size bound is a running count:
+`left`, the chosen points plus the open candidates, is counted once per
+call (the parent's bound test counts the child and hands it on) and falls by
+one per node.  Masks and keep are plain lists holding None until an entry
+is built on first use: a pencil mask by solving the equation of the line
+with the point's coordinates for one coordinate, one or two kernel
+operations and an index lookup per point, kept with the cached plane of the
+last field searched for later searches over it, and keep for one search
+only.  The search loops index the lists directly and call the builder only
+on None.  Taking candidates by lowest index, the DFS enumerates supersets
+in lexicographic candidate order (each set is visited once and runs are
 reproducible).  It does the step above, the best-so-far check and the node
 count against `max_nodes`, the deadline and the target size in its own loop,
 and tests a child's size bound before the call, so the many children that
@@ -58,14 +65,17 @@ class SearchStats:
 
 class _Plane:
     """The points of one field's plane and masks[i], the lines through
-    point i as a bitset.  Points and lines share one index list, so masks[i]
-    is also the set of points on line i.  `masks` is a plain list holding
-    None until `mask(i)` builds entry i, as that set, from the line's
-    equation; the search loops read the list and call `mask` only on None."""
+    point i as a bitset.  Points and lines share one index list, and index
+    i is bit `top - i`, top = q^2+q, so the lowest index is the highest
+    bit.  masks[i] is also the set of points on line i.  `masks` is a plain
+    list holding None until `mask(i)` builds entry i, as that set, from the
+    line's equation; the search loops read the list and call `mask` only on
+    None."""
 
     def __init__(self, F: GF):
         self.points = points = geometry.all_points(F)
         self.index = {u: i for i, u in enumerate(points)}
+        self.top = len(points) - 1
         self.masks = [None] * len(points)
         self.field = F
 
@@ -93,10 +103,10 @@ class _Plane:
             on = [(s, y, 1) for y in xs] + [(0, 1, 0)]
         else:  # (0,0,1): z = 0
             on = [(x, 1, 0) for x in xs] + [(1, 0, 0)]
-        index = self.index
+        index, top = self.index, self.top
         out = 0
         for p in on:
-            out |= 1 << index[p]
+            out |= 1 << (top - index[p])
         self.masks[i] = out
         return out
 
@@ -106,13 +116,12 @@ _plane = lru_cache(maxsize=1)(_Plane)  # the last field searched keeps its masks
 
 def _union(plane: _Plane, bits: int) -> int:
     """The OR of the masks of the set bits of `bits`."""
-    masks = plane.masks
+    masks, top = plane.masks, plane.top
     out = 0
     while bits:
-        low = bits & -bits
-        j = low.bit_length() - 1
-        out |= masks[j] or plane.mask(j)  # a mask is never 0
-        bits ^= low
+        b = bits.bit_length() - 1
+        out |= masks[top - b] or plane.mask(top - b)  # a mask is never 0
+        bits ^= 1 << b
     return out
 
 
@@ -142,7 +151,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         raise ValueError(f"unknown strategy {strategy!r}")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
-    points, index, masks, mask = plane.points, plane.index, plane.masks, plane.mask
+    points, index, masks, mask, top = plane.points, plane.index, plane.masks, plane.mask, plane.top
 
     base_one = base_two = base_three = 0  # lines holding >= 1, >= 2, >= 3 base points
     for p in base_pts:
@@ -153,17 +162,18 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         base_two |= base_one & P
         base_one |= P
     dead = _union(plane, base_three)  # points on a line the base fills
-    taken = sum(1 << index[p] for p in base_pts)
-    candidates = ((1 << len(points)) - 1) & ~(dead | taken)
-    base_kill = [None] * len(points)
+    taken = sum(1 << (top - index[p]) for p in base_pts)
+    full = (1 << len(points)) - 1
+    candidates = full ^ (dead | taken)
+    keep = [None] * len(points)
 
-    def base_kill_of(i):
-        """base_kill[i], built on first use: the points of the base's
+    def keep_of(i):
+        """keep[i], built on first use: every point off the base's
         two-point lines through candidate i."""
-        kill = base_kill[i]
-        if kill is None:
-            kill = base_kill[i] = _union(plane, base_two & mask(i))
-        return kill
+        out = keep[i]
+        if out is None:
+            out = keep[i] = full ^ _union(plane, base_two & mask(i))
+        return out
 
     # A node is one point tried.  The search stops before a node once
     # `max_nodes` were tried or the deadline passed (exhausted), or once the
@@ -181,7 +191,9 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
     if strategy == "dfs":
         best_n = len(best)
 
-        def dfs(chosen, cands, one, two):
+        def dfs(chosen, cands, one, two, left):
+            # `left` is len(chosen) + cands.bit_count(), kept in step as each
+            # node takes a candidate.
             # The node count, the step and the best-so-far check in line.
             # The DFS visits the sets of one size in lexicographic order, so
             # only a larger set replaces `best`.  A child's size bound is
@@ -190,7 +202,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
             nonlocal best, best_n, prunes, nodes, stop, exhausted
             n = len(chosen)
             while cands:
-                if n + cands.bit_count() <= best_n:
+                if left <= best_n:
                     prunes += 1
                     return
                 if stop:
@@ -200,40 +212,38 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     stop = exhausted = True
                     return
                 nodes += 1
-                low = cands & -cands  # lowest set bit: lexicographic order
-                cands ^= low
-                i = low.bit_length() - 1
+                left -= 1
+                b = cands.bit_length() - 1  # highest set bit: lowest index
+                cands ^= 1 << b
+                i = top - b
                 P = masks[i] or mask(i)  # a mask is never 0
-                kill = base_kill[i]
-                if kill is None:
-                    kill = base_kill_of(i)
+                child = cands & (keep[i] or keep_of(i))  # keep_of also returns a cached 0
                 filled = two & P
                 while filled:
-                    line = filled & -filled
-                    j = line.bit_length() - 1
-                    kill |= masks[j] or mask(j)
-                    filled ^= line
+                    b = filled.bit_length() - 1
+                    child ^= child & (masks[top - b] or mask(top - b))
+                    filled ^= 1 << b
                 if n >= best_n:
                     best = chosen + [points[i]]
                     best_n = n + 1
                     stop = best_n >= target
-                child = cands & ~kill
                 if child:
-                    if n + 1 + child.bit_count() <= best_n:
+                    size = n + 1 + child.bit_count()
+                    if size <= best_n:
                         prunes += 1
                     else:
                         chosen.append(points[i])
-                        dfs(chosen, child, one | P, two | (one & P))
+                        dfs(chosen, child, one | P, two | (one & P), size)
                         chosen.pop()
 
-        dfs(list(base_pts), candidates, base_one, 0)
-        del dfs  # it calls itself: drop the cycle so base_kill goes now, not at a later gc
+        dfs(list(base_pts), candidates, base_one, 0, len(best) + candidates.bit_count())
+        del dfs  # it calls itself: drop the cycle so keep goes now, not at a later gc
     else:
-        indices = [i for i in range(len(points)) if candidates >> i & 1]
+        indices = [i for i in range(len(points)) if candidates >> (top - i) & 1]
         while done_restarts < restarts and not stop:
             order = list(indices)
             random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
-            local_dead, one, two = dead, base_one, 0
+            open_, one, two = candidates, base_one, 0
             pts = list(base_pts)
             for i in order:
                 if nodes == max_nodes or (deadline is not None and not nodes & 1023
@@ -241,13 +251,14 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     stop = exhausted = True
                     break
                 nodes += 1
-                if not local_dead >> i & 1:
+                if open_ >> (top - i) & 1:
                     # `two` starts empty: the base's two-point lines through i
-                    # are in its base kill, and once i is added no candidate
-                    # is left on them
+                    # are off its keep, and once i is added no candidate is
+                    # left on them
                     pts.append(points[i])
                     P = mask(i)
-                    local_dead |= base_kill_of(i) | _union(plane, two & P)
+                    open_ &= keep_of(i)
+                    open_ ^= open_ & _union(plane, two & P)
                     one, two = one | P, two | (one & P)
             done_restarts += 1
             # larger wins; among equal sizes, lexicographically smaller

@@ -34,16 +34,19 @@ def valid_v_set(f: OPolynomial) -> frozenset[int]:
     return f.shift_complement
 
 
-def valid_w_set(F: GF) -> frozenset[int]:
-    """Admissible w for the odd construction, by exhaustive scan."""
+def _w_admissible(F: GF, w: int) -> bool:
+    """Whether w is admissible for the odd construction: eta(w) = eta(1+4w)
+    = -1.  The one rule behind `valid_w_set` and both odd entry points."""
     if F.p == 2:
         raise ValueError("the odd construction needs odd characteristic")
-    eta, add, mul = F.quadratic_character, F.kernel.add, F.kernel.mul
-    four = add(add(1, 1), add(1, 1))
-    out = frozenset(
-        w for w in range(F.q)
-        if eta(w) == -1 and eta(add(1, mul(four, w))) == -1
-    )
+    eta, add = F.quadratic_character, F.kernel.add
+    two_w = add(w, w)
+    return eta(w) == -1 and eta(add(1, add(two_w, two_w))) == -1
+
+
+def valid_w_set(F: GF) -> frozenset[int]:
+    """Admissible w for the odd construction, by exhaustive scan."""
+    out = frozenset(w for w in range(F.q) if _w_admissible(F, w))
     if not out:
         raise ValueError(f"no admissible w exists at q={F.q}")
     return out
@@ -64,7 +67,7 @@ def build_odd_matrix(F: GF, w: int) -> GeneratorMatrix:
     """3 x (q+5) generator matrix for odd q; the first q+1 columns are the
     standard oval, in the reference column order."""
     F.check(w)
-    if w not in valid_w_set(F):
+    if not _w_admissible(F, w):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
     cols = standard_oval(F) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
     return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 1)
@@ -152,7 +155,7 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
     else:
         if w is None:
             raise ValueError(f"{kind} needs w")
-        if F.check(w) not in valid_w_set(F):
+        if not _w_admissible(F, F.check(w)):
             raise ValueError(f"w={w} is not admissible")
         a, shift, diagonal = [mul(x, x) for x in range(q)], w, sub(0, 1)
     b = range(q)

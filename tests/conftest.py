@@ -5,11 +5,15 @@ read from the line profile; for q <= 16 it is also checked against
 projective enumeration.  The oracles (`incident`, `dual_matrix`,
 `enumerated_zero_sets`, `quotient_verdict`) recompute by definition what the
 library reads off the line profile, the MacWilliams identities or the
-triangular o-polynomial check."""
+triangular o-polynomial check.  Tests marked `long` run only when
+ARCCODES_LONG_TESTS is set."""
 
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+
+import pytest
 
 from arccodes.field import GF, field_from_order
 from arccodes import codes, construct, opoly
@@ -19,6 +23,15 @@ from arccodes.geometry import projective_points
 EVEN_SWEEP_Q = (4, 8, 16, 32)
 ODD_SWEEP_Q = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
 ENUMERATED_Q = 16  # sweep codes up to this q are also enumerated
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("ARCCODES_LONG_TESTS"):
+        return
+    skip = pytest.mark.skip(reason="long test; set ARCCODES_LONG_TESTS=1")
+    for item in items:
+        if item.get_closest_marker("long"):
+            item.add_marker(skip)
 
 
 @dataclass(frozen=True)

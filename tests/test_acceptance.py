@@ -2,10 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Every numeric expectation
 is exact (tolerance 0); runtime limits are asserted where stated.  The q=16
-search target is best-effort and opt-in via ARCCODES_LONG_TESTS=1.
+search target is best-effort and marked `long` (run with ARCCODES_LONG_TESTS=1).
 """
 
-import os
 import random
 import time
 
@@ -277,8 +276,7 @@ def test_criterion_10_conclusion_and_search():
     _criterion(10, "length-15 fixture verifies; q=8 search reaches n>=15 in <60s", run)
 
 
-@pytest.mark.skipif(not os.environ.get("ARCCODES_LONG_TESTS"),
-                    reason="best-effort q=16 target; set ARCCODES_LONG_TESTS=1")
+@pytest.mark.long  # best-effort q=16 target
 def test_criterion_10b_q16_best_effort():
     F = make_field(2, 4)
     f = make_family_opoly(F, "translation", h=1)

@@ -246,6 +246,22 @@ def test_q32_dfs_pinned():
     assert stats.budget_exhausted and geo.is_n3_arc(F, pts)
 
 
+FRAME = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("q, pinned", [
+    (3, (9, 17, 12)), (4, (9, 438, 351)), (5, (11, 4_679, 4_281)),
+    pytest.param(7, (15, 912_924, 902_105), marks=pytest.mark.long),
+])
+def test_complete_frame_dfs_pinned(q, pinned):
+    """The complete DFS from the frame: (found_n, nodes, prunes)."""
+    F = field_from_order(q)
+    pts, stats = extend_to_n3_arc(F, FRAME, strategy="dfs")
+    assert (stats.found_n, stats.nodes, stats.prunes) == pinned
+    assert not stats.budget_exhausted and geo.is_n3_arc(F, pts)
+    assert set(FRAME) <= set(pts)
+
+
 def _digest(arc):
     return hashlib.sha256(repr(arc).encode()).hexdigest()[:12]
 
@@ -302,9 +318,11 @@ def test_pencils_match_incidence_scan(q):
     F = field_from_order(q)
     plane, pencils = arcsearch._Plane(F), _pencils(F)
     assert plane.points == list(pencils)
+    top = len(pencils) - 1  # index li is bit top - li
+    assert plane.top == top
     for i, scan in enumerate(pencils.values()):
         assert len(scan) == q + 1
-        assert plane.mask(i) == sum(1 << li for li in scan)
+        assert plane.mask(i) == sum(1 << (top - li) for li in scan)
 
 
 def test_plane_masks_built_on_first_use():

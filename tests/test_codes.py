@@ -155,6 +155,19 @@ def test_enumeration_budget_counts_column_evaluations(q4_code, monkeypatch):
     assert enumerated_weight_distribution(dual) == weight_distribution(dual)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumeration_budget_edge_at_small_q(q, monkeypatch):
+    # (q^3-1)/(q-1) messages times 4 columns: at q <= 3 the exact message
+    # count is the only thing that separates work from work + 1
+    G = GeneratorMatrix.from_columns(make_field(q), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    work = (q ** 3 - 1) // (q - 1) * 4
+    monkeypatch.setattr("arccodes.codes.ENUMERATION_BUDGET", work)
+    assert enumerated_weight_distribution(G) == weight_distribution(G)
+    monkeypatch.setattr("arccodes.codes.ENUMERATION_BUDGET", work - 1)
+    with pytest.raises(BudgetExceededError, match=f"= {work} column evaluations"):
+        enumerated_weight_distribution(G)
+
+
 def test_weight_distribution_generic_k(q4_code):
     dual = dual_matrix(q4_code)  # k=6 exercises the generic enumeration loop
     ddist = weight_distribution(dual)
@@ -208,6 +221,18 @@ def test_classify_mds_oval_code(q9_code):
     assert (p9.n, p9.k, p9.d, p9.category) == (10, 3, 8, "MDS")
 
 
+def test_classify_amds_and_other():
+    F = make_field(5)
+    oval = geo.standard_oval(F)
+    # a repeated column: d = n-3 still, but the dual has weight-2 words
+    p = classify(GeneratorMatrix.from_columns(F, oval + [oval[0]]))
+    assert (p.n, p.d, p.defect, p.d_dual, p.defect_dual, p.category) == (7, 4, 1, 2, 2, "AMDS")
+    # four columns on the line z = 0: d = n-4, defect 2
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 1)]
+    p = classify(GeneratorMatrix.from_columns(F, cols))
+    assert (p.n, p.d, p.defect, p.category) == (5, 1, 2, "other")
+
+
 def test_nmds_closed_form_golden():
     primal, dual = nmds_closed_form(9, 3, 4, 30)
     assert primal.to_pairs() == [[0, 1], [6, 30], [7, 18], [8, 9], [9, 6]]
@@ -232,6 +257,19 @@ def test_nmds_closed_form_rejects_inconsistent_seed():
         nmds_closed_form(3, 2, 3, 3)  # the primal counts are fine, the dual's A_3 is not
     with pytest.raises(ValueError):
         nmds_closed_form(3, 4, 4, 1)
+    for n in (3, 4):  # k = n has no dual side
+        with pytest.raises(ValueError, match=f"bad NMDS parameters n={n}, k={n}"):
+            nmds_closed_form(n, n, 3, 2)
+
+
+def test_nmds_closed_form_at_k_equal_one():
+    # [4,1,3] over GF(3): two words of weight 3, and the dual has d = 1
+    G = GeneratorMatrix(make_field(3), [[1, 1, 1, 0]])
+    p = classify(G)
+    assert (p.d, p.d_dual, p.category) == (3, 1, "NMDS")
+    primal, dual = nmds_closed_form(4, 1, 3, 2)
+    assert primal == weight_distribution(G)
+    assert dual == weight_distribution(dual_matrix(G))
 
 
 def test_min_weight_supports_golden(q4_code):

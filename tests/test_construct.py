@@ -55,6 +55,29 @@ def test_valid_w_set_size(q):
     assert len(valid_w_set(F)) == expected
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27])
+def test_odd_entry_points_accept_exactly_valid_w_set(q):
+    F = field_from_order(q)
+    squares = {F.mul(x, x) for x in range(1, q)}
+    four_w_plus_1 = [F.add(1, F.mul(F.add(F.add(1, 1), F.add(1, 1)), w)) for w in range(q)]
+    # eta(x) = -1: x is nonzero and not a square
+    nonsquare = [x and x not in squares for x in range(q)]
+    admissible = valid_w_set(F)
+    assert admissible == {w for w in range(q) if nonsquare[w] and nonsquare[four_w_plus_1[w]]}
+    for w in range(q):
+        if w in admissible:
+            assert build_odd_matrix(F, w).n == q + 5
+            for kind in ("odd-B1", "odd-B2"):
+                assert solution_count_census(kind, F, w=w).q == q
+            continue
+        with pytest.raises(ValueError, match=rf"^w={w} fails eta\(w\) = eta\(1\+4w\) = -1; "
+                                             "not admissible$"):
+            build_odd_matrix(F, w)
+        for kind in ("odd-B1", "odd-B2"):
+            with pytest.raises(ValueError, match=rf"^w={w} is not admissible$"):
+                solution_count_census(kind, F, w=w)
+
+
 def test_even_matrix_reproduces_reference():
     golden = GOLDEN_Q4_EVEN
     F = golden.field()

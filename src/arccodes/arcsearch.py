@@ -2,36 +2,32 @@
 
 Points and lines share one index list (`_Plane.points`), and every set of
 either is one Python int in which index i is bit `top - i`, top = q^2+q:
-the lowest index is the highest bit.  A state is an ordered point list, the
+the lowest index is the highest bit.  A state is the chosen points, the
 open candidates, and the line counts as two ints: `one`, the lines holding
 at least one chosen point, and `two`, those holding at least two.  Adding
 point i with pencil mask P finds the lines it fills as `two & P`, then sets
-`two |= one & P` and `one |= P`; no per-line counter is raised, and the DFS
-hands the new ints to the child, so nothing is undone on return.  The DFS
-takes the lowest candidate index next: `cands.bit_length()` finds its bit
-and `cands ^= 1 << b` clears it.  Every candidate left lies below that bit,
-so the candidate ints narrow as the search goes deeper, and an `&` of two
-positive ints costs the length of the shorter one.  The child's candidates
-are `cands & keep[i]`, every operand positive: keep[i] is every point off
-the base's two-point lines through i, which are the same at every node.
-Then each line through i that reached two points in the search leaves the
-child by `child ^= child & mask`.  The size bound is a running count:
-`left`, the chosen points plus the open candidates, is counted once per
-call (the parent's bound test counts the child and hands it on) and falls by
-one per node.  Masks and keep are plain lists holding None until an entry
-is built on first use: a pencil mask by solving the equation of the line
-with the point's coordinates for one coordinate, one or two kernel
+`two |= one & P` and `one |= P`; no per-line counter is raised.  The DFS is
+one loop over plain locals, and its path is an explicit list: each entry is
+a point taken and the parent's state after taking it.  A child that passes
+the size bound is pushed, and a level whose candidates run out or are cut
+pops its parent's state back, so a run's whole state is the path, the best
+arc so far and the counters.  The DFS takes the lowest candidate index
+next, so it visits supersets in lexicographic order, each once:
+`cands.bit_length()` finds its bit and `cands ^= 1 << b` clears it.  Every
+candidate left lies below that bit, so the candidate ints narrow as the
+search goes deeper, and an `&` of two positive ints costs the length of the
+shorter one.  The child's candidates are `cands & keep[i]`, every operand
+positive: keep[i] is every point off the base's two-point lines through i,
+which are the same at every node.  Then each line through i that reached
+two points in the search leaves the child by `child ^= child & mask`.  The
+size bound is a running count: `left`, the chosen points plus the open
+candidates, is counted when a child is pushed and falls by one per node.
+Masks and keep are plain lists holding None until an entry is built on
+first use: a pencil mask from the line's equation, one or two kernel
 operations and an index lookup per point, kept with the cached plane of the
-last field searched for later searches over it, and keep for one search
-only.  The search loops index the lists directly and call the builder only
-on None.  Taking candidates by lowest index, the DFS enumerates supersets
-in lexicographic candidate order (each set is visited once and runs are
-reproducible).  It does the step above, the best-so-far check and the node
-count against `max_nodes`, the deadline and the target size in its own loop,
-and tests a child's size bound before the call, so the many children that
-the bound cuts at once cost no call.  Greedy-restart runs seeded random
-greedy completions in turn, refusing any point on a full line, counts its
-nodes by the same rules in its own loop, and keeps the best.  Both are
+last field searched, and keep for one search only.  Greedy-restart runs
+seeded random greedy completions in turn, refusing any point on a full
+line, counts its nodes by the same rules, and keeps the best.  Both are
 anytime: the best arc so far survives budget exhaustion.  Under node budgets
 runs are bit-deterministic for a fixed seed; under a wall-clock budget they
 are not.
@@ -69,8 +65,8 @@ class _Plane:
     i is bit `top - i`, top = q^2+q, so the lowest index is the highest
     bit.  masks[i] is also the set of points on line i.  `masks` is a plain
     list holding None until `mask(i)` builds entry i, as that set, from the
-    line's equation; the search loops read the list and call `mask` only on
-    None."""
+    line's equation in one of three cases; the search loops read the list
+    and call `mask` only on None."""
 
     def __init__(self, F: GF):
         self.points = points = geometry.all_points(F)
@@ -81,27 +77,22 @@ class _Plane:
 
     def mask(self, i: int) -> int:
         """masks[i], built on first use: the q+1 points of line i,
-        ax + by + cz = 0, solved for one coordinate: q with z = 1 and one
-        with z = 0, except on z = 0."""
+        ax + by + cz = 0, solved for y if b != 0, else for x if a != 0 (q
+        with z = 1 and one with z = 0), else z = 0."""
         out = self.masks[i]
         if out is not None:
             return out
         add, sub, mul, inv = self.field.kernel
         xs = range(self.field.q)
         a, b, c = self.points[i]
-        if not c and not b:  # (1,0,0): x = 0
-            on = [(0, y, 1) for y in xs] + [(0, 1, 0)]
-        elif not c:  # (a,1,0): y = sx, s = -a
-            s = sub(0, a)
-            on = [(x, mul(s, x), 1) for x in xs] + [(inv(s), 1, 0) if a else (1, 0, 0)]
-        elif b:  # (a,b,1): y = s + tx, s = -1/b, t = as = -a/b
-            s = sub(0, inv(b))
-            t = mul(a, s)
-            on = [(x, add(s, mul(t, x)), 1) for x in xs] + [(inv(t), 1, 0) if a else (1, 0, 0)]
-        elif a:  # (a,0,1): x = -1/a
-            s = sub(0, inv(a))
+        if b:  # y = s + tx, s = -c/b, t = -a/b; at z = 0, y = tx
+            r = inv(b)
+            s, t = sub(0, mul(c, r)), sub(0, mul(a, r))
+            on = [(x, add(s, mul(t, x)), 1) for x in xs] + [(inv(t), 1, 0) if t else (1, 0, 0)]
+        elif a:  # x = -c/a; at z = 0, x = 0
+            s = sub(0, mul(c, inv(a)))
             on = [(s, y, 1) for y in xs] + [(0, 1, 0)]
-        else:  # (0,0,1): z = 0
+        else:  # z = 0
             on = [(x, 1, 0) for x in xs] + [(1, 0, 0)]
         index, top = self.index, self.top
         out = 0
@@ -189,28 +180,31 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
 
     done_restarts = prunes = 0
     if strategy == "dfs":
-        best_n = len(best)
-
-        def dfs(chosen, cands, one, two, left):
-            # `left` is len(chosen) + cands.bit_count(), kept in step as each
-            # node takes a candidate.
-            # The node count, the step and the best-so-far check in line.
-            # The DFS visits the sets of one size in lexicographic order, so
-            # only a larger set replaces `best`.  A child's size bound is
-            # tested before the call, so a pruned or empty child costs no
-            # call and no append; the test at the top cuts later siblings.
-            nonlocal best, best_n, prunes, nodes, stop, exhausted
-            n = len(chosen)
-            while cands:
-                if left <= best_n:
-                    prunes += 1
-                    return
-                if stop:
-                    return
-                if nodes == max_nodes or (deadline is not None and not nodes & 1023
-                                          and time.monotonic() >= deadline):
-                    stop = exhausted = True
-                    return
+        # The path is `stack`: per level, the point taken and the parent's
+        # (cands, one, two, left) after taking it.  `n` counts the base and
+        # the path, and `left` is n + cands.bit_count(), kept in step as each
+        # node takes a candidate.  The loop top runs the same tests at every
+        # level, in one order: candidates left, the size bound (a prune),
+        # the stop, the budget (which sets the stop).  A level that passes
+        # them takes a node; one that fails them pops back to its parent.
+        # The sets of one size come in lexicographic order, so only a larger
+        # set replaces `best`.  A child is pushed only if it passes its size
+        # bound.
+        n = best_n = len(best)
+        cands, one, two = candidates, base_one, 0
+        left = n + cands.bit_count()
+        stack = []
+        while True:
+            if not cands:
+                pass
+            elif left <= best_n:
+                prunes += 1
+            elif stop:
+                pass
+            elif nodes == max_nodes or (deadline is not None and not nodes & 1023
+                                        and time.monotonic() >= deadline):
+                stop = exhausted = True
+            else:
                 nodes += 1
                 left -= 1
                 b = cands.bit_length() - 1  # highest set bit: lowest index
@@ -224,7 +218,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     child ^= child & (masks[top - b] or mask(top - b))
                     filled ^= 1 << b
                 if n >= best_n:
-                    best = chosen + [points[i]]
+                    best = base_pts + [entry[0] for entry in stack] + [points[i]]
                     best_n = n + 1
                     stop = best_n >= target
                 if child:
@@ -232,12 +226,14 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     if size <= best_n:
                         prunes += 1
                     else:
-                        chosen.append(points[i])
-                        dfs(chosen, child, one | P, two | (one & P), size)
-                        chosen.pop()
-
-        dfs(list(base_pts), candidates, base_one, 0, len(best) + candidates.bit_count())
-        del dfs  # it calls itself: drop the cycle so keep goes now, not at a later gc
+                        stack.append((points[i], cands, one, two, left))
+                        cands, one, two, left = child, one | P, two | (one & P), size
+                        n += 1
+                continue
+            if not stack:
+                break
+            _, cands, one, two, left = stack.pop()
+            n -= 1
     else:
         indices = [i for i in range(len(points)) if candidates >> (top - i) & 1]
         while done_restarts < restarts and not stop:

@@ -59,8 +59,9 @@ def build_even_matrix(f: OPolynomial, v: int) -> GeneratorMatrix:
     F.check(v)
     if v not in valid_v_set(f):
         raise ValueError(f"v={v} lies in the image of x -> f(x)+x; not admissible")
-    cols = hyperoval_from_opoly(f) + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
-    return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 2)
+    base = hyperoval_from_opoly(f)
+    cols = base + [(1, 1, 0), (0, v, 1), (v, 0, 1)]
+    return GeneratorMatrix.from_columns(F, cols, _arc_base=len(base))
 
 
 def build_odd_matrix(F: GF, w: int) -> GeneratorMatrix:
@@ -69,8 +70,9 @@ def build_odd_matrix(F: GF, w: int) -> GeneratorMatrix:
     F.check(w)
     if not _w_admissible(F, w):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
-    cols = standard_oval(F) + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
-    return GeneratorMatrix.from_columns(F, cols, _arc_base=F.q + 1)
+    base = standard_oval(F)
+    cols = base + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
+    return GeneratorMatrix.from_columns(F, cols, _arc_base=len(base))
 
 
 def even_closed_form(q: int) -> WeightDistribution:

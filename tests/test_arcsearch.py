@@ -12,9 +12,10 @@ import arccodes
 from arccodes.field import field_from_order, make_field
 from arccodes import arcsearch, geometry as geo
 from arccodes.arcsearch import extend_to_n3_arc
-from arccodes.codes import GeneratorMatrix, classify
+from arccodes.codes import GeneratorMatrix, classify, nmds_closed_form
 from arccodes.fixtures import GOLDEN_Q8_LENGTH15
-from arccodes.construct import build_even_matrix, valid_v_set
+from arccodes.lrc import code_report
+from arccodes.construct import build_even_matrix, build_odd_matrix, valid_v_set, valid_w_set
 from arccodes.opoly import applicable_families, make_family_opoly
 from conftest import incident
 
@@ -260,6 +261,53 @@ def test_complete_frame_dfs_pinned(q, pinned):
     assert (stats.found_n, stats.nodes, stats.prunes) == pinned
     assert not stats.budget_exhausted and geo.is_n3_arc(F, pts)
     assert set(FRAME) <= set(pts)
+
+
+@pytest.mark.parametrize("q, tally, nodes, prunes", [
+    (4, {9: 2}, 0, 0), (5, {11: 1}, 1, 0), (7, {13: 1}, 1, 1),
+    (8, {13: 8, 15: 24}, 48, 24), (9, {15: 2}, 4, 2), (11, {18: 1, 19: 1}, 8, 7),
+    (13, {21: 2, 22: 1}, 36, 31), (16, {25: 16, 26: 7, 27: 9}, 2_075, 1_681),
+])
+def test_paper_codes_extend_completely(q, tally, nodes, prunes):
+    """The complete DFS from every paper code's q+5 columns: the largest
+    (n,3)-arc holding them, a longer [n,3,n-3] NMDS code that punctures to
+    the paper's.  Pinned: the tally of found_n, the total nodes and prunes."""
+    F = field_from_order(q)
+    if F.p == 2:
+        built = [build_even_matrix(f, v) for f in applicable_families(F)
+                 for v in sorted(valid_v_set(f))]
+    else:
+        built = [build_odd_matrix(F, w) for w in sorted(valid_w_set(F))]
+    got, total_nodes, total_prunes = {}, 0, 0
+    for G in built:
+        pts, stats = extend_to_n3_arc(F, G.columns(), max_seconds=None)
+        assert not stats.budget_exhausted and geo.is_n3_arc(F, pts)
+        assert set(geo.validate_point_set(F, G.columns())) <= set(pts)  # odd columns are not canonical
+        n = stats.found_n
+        report = code_report(GeneratorMatrix.from_columns(F, pts))
+        primal, dual = nmds_closed_form(n, 3, q, report.distribution[n - 3])
+        assert (report.distribution, report.dual_distribution) == (primal, dual)
+        got[n] = got.get(n, 0) + 1
+        total_nodes += stats.nodes
+        total_prunes += stats.prunes
+    assert (got, total_nodes, total_prunes) == (tally, nodes, prunes)
+
+
+def test_dfs_path_needs_no_recursion():
+    """The DFS holds its path in a list, so it may go deeper than the
+    recursion limit: 31 points past the frame at q=31, under a limit 20
+    frames above the caller's depth."""
+    F = field_from_order(31)
+    limit = sys.getrecursionlimit()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(depth + 20)
+    try:
+        pts, stats = extend_to_n3_arc(F, FRAME, strategy="dfs", max_nodes=200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert stats.found_n == 35 and geo.is_n3_arc(F, pts)
 
 
 def _digest(arc):

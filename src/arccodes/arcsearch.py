@@ -23,9 +23,9 @@ two points in the search leaves the child by `child ^= child & mask`.  The
 size bound is a running count: `left`, the chosen points plus the open
 candidates, is counted when a child is pushed and falls by one per node.
 Masks and keep are plain lists holding None until an entry is built on
-first use: a pencil mask from the line's equation, one or two kernel
-operations and an index lookup per point, kept with the cached plane of the
-last field searched, and keep for one search only.  Greedy-restart runs
+first use: a pencil mask from the line's equation, a sum of shifted column
+bits from two per-field tables of small ints, kept with the cached plane of
+the last field searched, and keep for one search only.  Greedy-restart runs
 seeded random greedy completions in turn, refusing any point on a full
 line, counts its nodes by the same rules, and keeps the best.  Both are
 anytime: the best arc so far survives budget exhaustion.  Under node budgets
@@ -38,6 +38,7 @@ import time
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from operator import lshift
 
 from .field import GF
 from . import geometry
@@ -66,7 +67,18 @@ class _Plane:
     bit.  masks[i] is also the set of points on line i.  `masks` is a plain
     list holding None until `mask(i)` builds entry i, as that set, from the
     line's equation in one of three cases; the search loops read the list
-    and call `mask` only on None."""
+    and call `mask` only on None.
+
+    The sorted points with one x form a column of q+1 bits: (x, y, 1) has
+    index x(q+1) + [x>0] + y + [y>0], so its bit is cbit[y] << shift[~x],
+    with cbit[y] = 1 << (q - y - [y>0]) and column x shifted by
+    q^2 - x(q+1) - [x>0].  Bit q-1 of column x is (x, 1, 0), and `column`,
+    the sum of cbit, holds the column's q points (x, y, 1).  Two tables of
+    small ints, built once per plane in O(q^2) kernel operations, hold what
+    the lines y = s + tx need: prod[t], the products tx, and cb[s], where
+    cb[s][u] is cbit[s + u].  `shift` and prod[t] run over x from q-1 down
+    to 0 (so shift[~x] is column x's), and a mask's sum grows from its low
+    bits."""
 
     def __init__(self, F: GF):
         self.points = points = geometry.all_points(F)
@@ -74,6 +86,13 @@ class _Plane:
         self.top = len(points) - 1
         self.masks = [None] * len(points)
         self.field = F
+        q, (add, _, mul, _) = F.q, F.kernel
+        xs = range(q - 1, -1, -1)
+        cbit = [1 << (q - y - (y > 0)) for y in range(q)]
+        self.column = sum(cbit)
+        self.shift = [q * q - x * (q + 1) - (x > 0) for x in xs]
+        self.prod = [[mul(t, x) for x in xs] for t in range(q)]
+        self.cb = [[cbit[add(s, u)] for u in range(q)] for s in range(q)]
 
     def mask(self, i: int) -> int:
         """masks[i], built on first use: the q+1 points of line i,
@@ -82,22 +101,18 @@ class _Plane:
         out = self.masks[i]
         if out is not None:
             return out
-        add, sub, mul, inv = self.field.kernel
-        xs = range(self.field.q)
+        _, sub, mul, inv = self.field.kernel
+        q, top, shift = self.field.q, self.top, self.shift
         a, b, c = self.points[i]
         if b:  # y = s + tx, s = -c/b, t = -a/b; at z = 0, y = tx
             r = inv(b)
             s, t = sub(0, mul(c, r)), sub(0, mul(a, r))
-            on = [(x, add(s, mul(t, x)), 1) for x in xs] + [(inv(t), 1, 0) if t else (1, 0, 0)]
-        elif a:  # x = -c/a; at z = 0, x = 0
-            s = sub(0, mul(c, inv(a)))
-            on = [(s, y, 1) for y in xs] + [(0, 1, 0)]
-        else:  # z = 0
-            on = [(x, 1, 0) for x in xs] + [(1, 0, 0)]
-        index, top = self.index, self.top
-        out = 0
-        for p in on:
-            out |= 1 << (top - index[p])
+            out = sum(map(lshift, map(self.cb[s].__getitem__, self.prod[t]), shift))
+            out += 1 << (top - self.index[(inv(t), 1, 0) if t else (1, 0, 0)])
+        elif a:  # x = -c/a, one column; at z = 0, x = 0
+            out = (self.column << shift[~sub(0, mul(c, inv(a)))]) + (1 << (top - 1))
+        else:  # z = 0: (x, 1, 0) for every x, and (1, 0, 0)
+            out = sum(1 << (k + q - 1) for k in shift) + (1 << (top - q - 1))
         self.masks[i] = out
         return out
 

@@ -11,7 +11,8 @@ Field elements are checked once, where they enter (`canonical` for
 `LineProfile`'s columns); the per-pair work then runs on the field's
 unchecked kernel: one slope per pair in `LineProfile` (per pair with an
 added point, for a construction seeded with its certified arc base), and in
-the arc search one or two operations per point of a pencil line.
+the arc search O(q^2) operations per plane, for the tables its pencil masks
+are read from.
 """
 
 from itertools import product
@@ -88,7 +89,11 @@ class LineProfile:
     at each later pivot p_t, t <= k-2, as the class (p_(t+1), ..., p_(k-1));
     every one of them ends in the same two points.  So a line's key is its
     last two points, a class whose key was seen is skipped, and each line
-    is recorded once, at its lowest point.
+    is recorded once, at its lowest point.  A key is kept only for a class
+    (j1, j2, ...) that pivot j1 reads again as (j2, ...): one of three or
+    more points, or of two when columns repeat and classes of one point
+    are read.  Such a j1 always pivots: only base columns follow a base
+    column, and a seeded base holds no three points on a line.
 
     With no repeated point only pivots with a repeated slope are grouped
     and only classes of two or more points are read.  Each line of k >= 3
@@ -156,7 +161,8 @@ class LineProfile:
                 key = (js[-2], js[-1]) if len(js) > 1 else (i, js[0])
                 if key in seen:
                     continue
-                seen.add(key)
+                if len(js) > (1 if repeated else 2):  # pivot js[0] reads it again
+                    seen.add(key)
                 if not repeated:
                     rich.append(tuple(sorted([index[i], *[index[j] for j in js]])))
                     continue

@@ -373,6 +373,43 @@ def test_pencils_match_incidence_scan(q):
         assert plane.mask(i) == sum(1 << (top - li) for li in scan)
 
 
+@pytest.mark.parametrize("q", [11, 13, 31, 32, 49, pytest.param(64, marks=pytest.mark.long)])
+def test_masks_pass_incidence_oracle(q):
+    """Each mask holds q+1 points, each on the line: q+1 incidence tests
+    per line, where the scan above tests every pair."""
+    F = field_from_order(q)
+    plane = arcsearch._Plane(F)
+    points, top = plane.points, plane.top
+    for i, line in enumerate(points):
+        mask = plane.mask(i)
+        assert mask.bit_count() == q + 1, line
+        while mask:
+            b = mask.bit_length() - 1
+            assert incident(F, points[top - b], line), (line, points[top - b])
+            mask ^= 1 << b
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 31, 32])
+def test_mask_tables_pin_point_index(q):
+    """The closed-form index the mask tables rest on, against the sorted
+    points: (x, y, 1) is bit cb[0][y] << shift[~x], (x, 1, 0) is bit q-1
+    of that column, (0, 1, 0) and (1, 0, 0) are indices 1 and q+1."""
+    F = field_from_order(q)
+    plane = arcsearch._Plane(F)
+    cbit, shift, top = plane.cb[0], plane.shift, plane.top
+    assert plane.points == geo.all_points(F)
+    for i, (x, y, z) in enumerate(plane.points):
+        if z:
+            assert 1 << (top - i) == cbit[y] << shift[~x], (x, y, z)
+        elif y:
+            assert 1 << (top - i) == 1 << (q - 1) << shift[~x], (x, y, z)
+    assert (plane.index[(0, 1, 0)], plane.index[(1, 0, 0)]) == (1, q + 1)
+    assert plane.column == sum(cbit) == (1 << (q + 1)) - 1 - (1 << (q - 1))
+    xs = range(q - 1, -1, -1)
+    assert plane.prod == [[F.mul(t, x) for x in xs] for t in range(q)]
+    assert plane.cb == [[cbit[F.add(s, u)] for u in range(q)] for s in range(q)]
+
+
 def test_plane_masks_built_on_first_use():
     F = field_from_order(8)
     plane = arcsearch._Plane(F)

@@ -382,6 +382,25 @@ def test_seeded_profile_with_many_added_points(q):
         assert _profile_fields(lp) == _pairwise_profile(F, base + added), (q, added)
 
 
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_seeded_profile_secant_with_added_points(q):
+    """Two base points b1 < b2 on a line with added points a1 < a2 < ...:
+    its second column is a base column, the pivot a1 records it as
+    (a2, ..., b1, b2), and a2 must skip it; with one added point it is the
+    three-point line (a1, b1, b2), read once."""
+    F = field_from_order(q)
+    base = _arc_base(F)
+    k = len(base)
+    line = _join(F, base[0], base[1])
+    added = [p for p in geo.all_points(F) if incident(F, p, line) and p not in base]
+    others = [p for p in geo.all_points(F) if p not in base and p not in added]
+    for t in (1, 2, 3):
+        cols = base + added[:t] + others[:2]
+        lp = geo.LineProfile(F, cols, _arc_base=k)
+        assert _profile_fields(lp) == _pairwise_profile(F, cols), (q, t)
+        assert [ln for ln in lp.rich if ln[:2] == (0, 1)] == [(0, 1, *range(k, k + t))]
+
+
 @pytest.mark.parametrize("bad", ["zero", "added repeats added", "added repeats base"])
 def test_seeded_profile_rejects_bad_added_columns(bad):
     F = make_field(2, 3)

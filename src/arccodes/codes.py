@@ -21,7 +21,7 @@ MacWilliams identities.
 import math
 from dataclasses import asdict, dataclass
 
-from .field import GF, parse_descriptor, parse_int, parse_key_values
+from .field import GF, Kernel, parse_descriptor, parse_int, parse_key_values
 from . import geometry
 
 ENUMERATION_BUDGET = 2 ** 32
@@ -32,7 +32,9 @@ class BudgetExceededError(RuntimeError):
 
 
 class GeneratorMatrix:
-    """A k x n full-rank matrix over GF(q), stored row-major as int indices."""
+    """A k x n full-rank matrix over GF(q), stored row-major as int indices.
+    Each entry is checked once, by `GF.as_element`; the rank (read off the
+    columns up to k pivots) and the line profile then run on the kernel."""
 
     def __init__(self, field: GF, rows):
         self.field = field
@@ -45,10 +47,9 @@ class GeneratorMatrix:
             raise ValueError("ragged rows")
         if self.n < self.k:
             raise ValueError(f"length n={self.n} below dimension k={self.k}")
-        _, pivots = rref(field, self.rows)
-        if len(pivots) != self.k:
-            raise ValueError(f"rank {len(pivots)} below row count {self.k}")
         self._columns = tuple(zip(*self.rows))
+        if (rank := _column_rank(field.kernel, self._columns, self.k)) < self.k:
+            raise ValueError(f"rank {rank} below row count {self.k}")
         self._line_profile = None
         self._arc_base = 0
 
@@ -70,7 +71,7 @@ class GeneratorMatrix:
             raise ValueError("the line profile is defined for k = 3")
         if self._line_profile is None:
             self._line_profile = geometry.LineProfile(self.field, self._columns,
-                                                      _arc_base=self._arc_base)
+                                                      _arc_base=self._arc_base, _checked=True)
         return self._line_profile
 
     def __eq__(self, other):
@@ -109,32 +110,22 @@ class GeneratorMatrix:
         return cls(F, rows)
 
 
-def rref(F: GF, rows):
-    """Reduced row echelon form over GF(q); returns (rows, pivot columns).
-    Each entry is checked once here; the elimination runs on F.kernel."""
-    mat = [[F.check(e) for e in r] for r in rows]
-    if not mat:
-        return [], []
-    inv, mul, sub = F.kernel.inv, F.kernel.mul, F.kernel.sub
-    n = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        s = inv(mat[r][col])
-        mat[r] = [mul(s, e) for e in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+def _column_rank(K: Kernel, columns, k: int) -> int:
+    """The rank of checked columns of length k, by column echelon on K: each
+    column is reduced against the basis so far, whose vectors are 1 at their
+    pivot and 0 at every earlier pivot, and a nonzero remainder, scaled to 1
+    at its first nonzero entry, joins it.  Stops at k pivots."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot, vector)
+    for v in columns:
+        for p, b in basis:
+            if f := v[p]:
+                v = [K.sub(x, K.mul(f, y)) for x, y in zip(v, b)]
+        if (p := next((i for i, x in enumerate(v) if x), None)) is not None:
+            s = K.inv(v[p])
+            basis.append((p, [K.mul(s, x) for x in v]))
+            if len(basis) == k:
+                break
+    return len(basis)
 
 
 class WeightDistribution:

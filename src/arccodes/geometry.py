@@ -7,12 +7,12 @@ notations (x^2, x, 1) and (1, 0, 0).  A line u is incident with a point x
 when the dot product x.u vanishes; the representation of points and lines is
 identical, so incidence is symmetric under duality.
 
-Field elements are checked once, where they enter (`canonical` for
-`LineProfile`'s columns); the per-pair work then runs on the field's
-unchecked kernel: one slope per pair in `LineProfile` (per pair with an
-added point, for a construction seeded with its certified arc base), and in
-the arc search O(q^2) operations per plane, for the tables its pencil masks
-are read from.
+Field elements are checked once, where they enter (`canonical` for point
+sets, `GF.as_element` for matrix entries); the per-pair work then runs on
+the field's unchecked kernel: one slope per pair in `LineProfile` (per pair
+with an added point, for a construction seeded with its certified arc
+base), and in the arc search O(q^2) operations per plane, for the tables
+its pencil masks are read from.
 """
 
 from itertools import product
@@ -116,13 +116,19 @@ class LineProfile:
     they pivot, each against every later point; the counts above need only
     the lines of three or more points.  The columns must then be nonzero and
     projectively distinct, or ValueError is raised.
+
+    `_checked=True`, from `GeneratorMatrix.line_profile`, `is_arc` and
+    `is_n3_arc` alone, vouches that the columns are triples of checked
+    element indices: they are scaled on the kernel, not by `canonical`.
     """
 
-    def __init__(self, F: GF, columns, _arc_base: int = 0):
+    def __init__(self, F: GF, columns, _arc_base: int = 0, _checked: bool = False):
         q, sub, mul, inv = F.q, F.kernel.sub, F.kernel.mul, F.kernel.inv
         groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
         for idx, col in enumerate(columns):
-            groups.setdefault(canonical(F, col) if any(col) else None, []).append(idx)
+            point = (_scaled(F.kernel, *col) if _checked
+                     else canonical(F, col) if any(col) else None)
+            groups.setdefault(point, []).append(idx)
         self.zeros = len(groups.pop(None, ()))
         pts, cols_at = list(groups), list(groups.values())
         m = len(pts)
@@ -201,12 +207,12 @@ def line_intersection_profile(F: GF, points) -> tuple[dict[int, int], int]:
 
 def is_arc(F: GF, points) -> bool:
     """No three points collinear (pairwise distinct required)."""
-    return LineProfile(F, validate_point_set(F, points)).max_line <= 2
+    return LineProfile(F, validate_point_set(F, points), _checked=True).max_line <= 2
 
 
 def is_n3_arc(F: GF, points) -> bool:
     """Some three points collinear but never four."""
-    return LineProfile(F, validate_point_set(F, points)).max_line == 3
+    return LineProfile(F, validate_point_set(F, points), _checked=True).max_line == 3
 
 
 def hyperoval_from_opoly(f: OPolynomial) -> list[Triple]:

@@ -5,8 +5,8 @@ read from the line profile; for q <= 16 it is also checked against
 projective enumeration.  The oracles (`incident`, `dual_matrix`,
 `enumerated_zero_sets`, `quotient_verdict`) recompute by definition what the
 library reads off the line profile, the MacWilliams identities or the
-triangular o-polynomial check.  Tests marked `long` run only when
-ARCCODES_LONG_TESTS is set."""
+triangular o-polynomial check; `rref` recomputes the matrix rank.  Tests
+marked `long` run only when ARCCODES_LONG_TESTS is set."""
 
 import os
 import random
@@ -17,7 +17,7 @@ import pytest
 
 from arccodes.field import GF, field_from_order
 from arccodes import codes, construct, opoly
-from arccodes.codes import GeneratorMatrix, rref
+from arccodes.codes import GeneratorMatrix
 from arccodes.geometry import projective_points
 
 EVEN_SWEEP_Q = (4, 8, 16, 32)
@@ -141,6 +141,37 @@ def incident(F: GF, point, line) -> bool:
     b = F.mul(point[1], line[1])
     c = F.mul(point[2], line[2])
     return F.add(F.add(a, b), c) == 0
+
+
+def rref(F: GF, rows):
+    """Reduced row echelon form over GF(q); returns (rows, pivot columns).
+    The oracle for `GeneratorMatrix`'s column rank and the elimination
+    behind `dual_matrix`.  It takes rows that no `GeneratorMatrix` has
+    checked, so it checks every entry itself with `F.check`, then eliminates
+    on F.kernel."""
+    mat = [[F.check(e) for e in r] for r in rows]
+    if not mat:
+        return [], []
+    inv, mul, sub = F.kernel.inv, F.kernel.mul, F.kernel.sub
+    n = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        s = inv(mat[r][col])
+        mat[r] = [mul(s, e) for e in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
 
 
 def dual_matrix(G: GeneratorMatrix) -> GeneratorMatrix:

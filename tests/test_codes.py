@@ -1,10 +1,11 @@
 import random
 import re
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
-from arccodes.field import field_from_order, make_field
+from arccodes.field import GF, field_from_order, make_field
 from arccodes import geometry as geo
 from arccodes.codes import (
     BudgetExceededError,
@@ -15,13 +16,12 @@ from arccodes.codes import (
     enumerated_weight_distribution,
     min_weight_supports,
     nmds_closed_form,
-    rref,
     weight_distribution,
 )
 from arccodes.construct import build_odd_matrix, valid_w_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from arccodes.opoly import make_family_opoly
-from conftest import dual_matrix, enumerated_zero_sets, shuffled_blocks
+from conftest import dual_matrix, enumerated_zero_sets, paper_code, rref, shuffled_blocks
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,73 @@ def test_matrix_refuses_non_integer_entries():
     for bad in (1.7, 1.0, "1"):
         with pytest.raises(ValueError, match="not an element index"):
             GeneratorMatrix(F, [[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _rank_cases(F, rng, k, n):
+    """A random k x n matrix over F and rank-deficient ones: zero columns,
+    a repeated row, a row summed from the others, and a product of random
+    k x r and r x n matrices, r < k."""
+    q = F.q
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    yield rows
+    dead = set(rng.sample(range(n), rng.randint(1, n)))
+    yield [[0 if j in dead else e for j, e in enumerate(row)] for row in rows]
+    if k > 1:
+        i, j = rng.sample(range(k), 2)
+        yield [rows[j] if t == i else row for t, row in enumerate(rows)]
+        total = [0] * n
+        for row in rows[:i] + rows[i + 1:]:
+            total = [F.add(a, F.mul(rng.randrange(1, q), b)) for a, b in zip(total, row)]
+        yield [total if t == i else row for t, row in enumerate(rows)]
+    r = rng.randrange(k)
+    left = [[rng.randrange(q) for _ in range(r)] for _ in range(k)]
+    right = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+    product_rows = []
+    for a in left:
+        row = [0] * n
+        for c, b in zip(a, right):
+            row = [F.add(x, F.mul(c, y)) for x, y in zip(row, b)]
+        product_rows.append(row)
+    yield product_rows
+
+
+def test_column_rank_matches_rref():
+    """GeneratorMatrix accepts a matrix exactly when rref finds rank k, and
+    otherwise reports rref's rank."""
+    rng = random.Random(20221029)
+    for q in (2, 3, 4, 5, 8, 9):
+        F = field_from_order(q)
+        for k in range(1, 5):
+            seen = set()
+            for n in range(k, 9):
+                for _ in range(4):
+                    for rows in _rank_cases(F, rng, k, n):
+                        r = len(rref(F, rows)[1])
+                        seen.add(r)
+                        if r == k:
+                            assert GeneratorMatrix(F, rows).rows == tuple(map(tuple, rows))
+                            continue
+                        with pytest.raises(ValueError, match=f"^rank {r} below row count {k}$"):
+                            GeneratorMatrix(F, rows)
+            assert seen == set(range(k + 1)), (q, k, seen)
+
+
+def test_matrix_entries_checked_once(monkeypatch):
+    """A paper code's matrix and its line profile convert and check each
+    entry once: 3n calls of GF.as_element and 3n of GF.check."""
+    G = paper_code(27)
+    profile = G.line_profile().counts
+    calls = Counter()
+    for name in ("as_element", "check"):
+        def counted(self, x, _name=name, _method=getattr(GF, name)):
+            calls[_name] += 1
+            return _method(self, x)
+        monkeypatch.setattr(GF, name, counted)
+    H = GeneratorMatrix.from_columns(G.field, G.columns(), _arc_base=G._arc_base)
+    once = {"as_element": 3 * H.n, "check": 3 * H.n}
+    assert calls == once
+    assert H.line_profile().counts == profile
+    assert calls == once
 
 
 def test_rref_checks_its_entries():

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from arccodes.field import make_field, field_from_order, prime_factors
+from arccodes.field import GF, make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
 from arccodes.construct import even_closed_form, odd_closed_form
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
@@ -465,6 +465,24 @@ def test_point_set_rejects_duplicates():
     F = make_field(3, 1)
     with pytest.raises(ValueError):
         geo.is_arc(F, [(1, 1, 1), (2, 2, 2)])  # projectively equal
+
+
+def test_arc_predicates_check_each_coordinate_once(monkeypatch):
+    """is_arc and is_n3_arc refuse a float coordinate, the zero vector and a
+    repeated point with validate_point_set's messages, and check each
+    coordinate of a good point set once."""
+    F = make_field(5, 1)
+    for predicate in (geo.is_arc, geo.is_n3_arc):
+        for bad, message in (((1.0, 0, 1), "not an element index"), ((0, 0, 0), "zero vector"),
+                             ((2, 2, 2), "projectively repeated")):
+            with pytest.raises(ValueError, match=message):
+                predicate(F, [(1, 1, 1), (0, 1, 0), bad])
+    pts = geo.standard_oval(F)
+    calls = []
+    check = GF.check
+    monkeypatch.setattr(GF, "check", lambda self, x: calls.append(x) or check(self, x))
+    assert geo.is_arc(F, pts) and not geo.is_n3_arc(F, pts)
+    assert len(calls) == 2 * 3 * len(pts)
 
 
 def test_point_text_forms():

@@ -20,6 +20,7 @@ MacWilliams identities.
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .field import GF, Kernel, parse_descriptor, parse_int, parse_key_values
 from . import geometry
@@ -32,34 +33,48 @@ class BudgetExceededError(RuntimeError):
 
 
 class GeneratorMatrix:
-    """A k x n full-rank matrix over GF(q), stored row-major as int indices.
+    """A k x n full-rank matrix over GF(q), stored by columns as int indices.
     Each entry is checked once, by `GF.as_element`; the rank (read off the
-    columns up to k pivots) and the line profile then run on the kernel."""
+    columns up to k pivots) and the line profile then run on the kernel.
+    The rows are transposed from the columns on first use."""
 
     def __init__(self, field: GF, rows):
-        self.field = field
-        self.rows = tuple(tuple(field.as_element(e) for e in row) for row in rows)
-        self.k = len(self.rows)
+        rows = tuple(tuple(field.as_element(e) for e in row) for row in rows)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        self._init(field, tuple(zip(*rows)), len(rows))
+
+    @classmethod
+    def from_columns(cls, field: GF, columns, _arc_base: int = 0) -> "GeneratorMatrix":
+        """The matrix with these columns, converted in one pass and never
+        transposed.  `_arc_base=k`, for the constructors alone, vouches that
+        the first k columns are a k-arc; the line profile is then seeded
+        with it."""
+        columns = list(columns)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("ragged columns")
+        k = len(columns[0]) if columns else 0
+        # k references to one iterator: zip takes each column's k entries
+        entries = iter([field.as_element(e) for column in columns for e in column])
+        G = cls.__new__(cls)
+        G._init(field, tuple(zip(*[entries] * k)), k)
+        G._arc_base = _arc_base
+        return G
+
+    def _init(self, field: GF, columns, k: int):
+        self.field, self._columns, self.k, self.n = field, columns, k, len(columns)
         if self.k < 1:
             raise ValueError("a generator matrix needs at least one row")
-        self.n = len(self.rows[0])
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("ragged rows")
         if self.n < self.k:
             raise ValueError(f"length n={self.n} below dimension k={self.k}")
-        self._columns = tuple(zip(*self.rows))
-        if (rank := _column_rank(field.kernel, self._columns, self.k)) < self.k:
+        if (rank := _column_rank(field.kernel, columns, self.k)) < self.k:
             raise ValueError(f"rank {rank} below row count {self.k}")
         self._line_profile = None
         self._arc_base = 0
 
-    @classmethod
-    def from_columns(cls, field: GF, columns, _arc_base: int = 0) -> "GeneratorMatrix":
-        """`_arc_base=k`, for the constructors alone, vouches that the first k
-        columns are a k-arc; the line profile is then seeded with it."""
-        G = cls(field, list(zip(*columns)))
-        G._arc_base = _arc_base
-        return G
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self._columns))
 
     def columns(self):
         return self._columns
@@ -78,7 +93,7 @@ class GeneratorMatrix:
         return (
             isinstance(other, GeneratorMatrix)
             and self.field == other.field
-            and self.rows == other.rows
+            and self._columns == other._columns
         )
 
     def __repr__(self):

@@ -14,6 +14,21 @@ when a lies on a collinear triple of graph points.  `is_o_polynomial` tests each
 a against the later points y > a only.  A triple shows there at its least
 point, so the first a that fails is the same as for the full quotient maps.
 
+Both criteria check one row per orbit of f's own scaling symmetry.  Let
+f = sum c_e x^e (e >= 1, as f(0) = 0) and d = gcd(q-1, e - e1 over f's
+exponents e, e1 any one of them).  Every lam with lam^d = 1 has
+f(lam x) = lam^e1 f(x), so (f(x), x) -> (lam^e1 f(x), lam x), a linear map,
+takes the graph to itself and collinear triples to collinear triples: a
+lies on a triple exactly when lam a does.  Likewise f(x) + u x at x = lam y
+is lam^e1 (f(y) + u lam^(1-e1) y), so u and u lam^(1-e1) have the same
+fibre sizes.  A row fails with its whole orbit, so the least failing row,
+the witness, leads its orbit, and the leaders checked in increasing order
+find the same witness as every row checked.  An o-monomial x^k (translation,
+Segre, Glynn) has d = q-1 and gcd(k-1, q-1) = 1, since its slopes y^(k-1)
+from the origin are distinct: the quotient check runs rows 0 and 1 and the
+2-to-1 check u = 1 alone, O(q) work each.  d = 1 leaves every row its own
+orbit.
+
 Every later step reads only the values of f, so an o-polynomial carries its
 value table, `values`: one Horner pass over GF(q) on the field's unchecked
 kernel, built on first use and kept with the polynomial.  The coefficients
@@ -91,7 +106,7 @@ class Verdict:
         return self.ok
 
 
-def _monomial_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
+def _sum_of_powers_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
     # Reduce exponents as functions on GF(q): x^e == x^(((e-1) mod (q-1)) + 1)
     # for e >= 1, then add coefficients (colliding exponents accumulate).
     coeffs = [0] * F.q
@@ -230,33 +245,33 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         need(not params, f"unknown parameters {sorted(params)}")
         need(h >= 1, "h must be >= 1")
         need(gcd(h, m) == 1, f"gcd(h={h}, m={m}) != 1")
-        return _monomial_opoly(F, family, (("h", h),), [2 ** (h % m)])
+        return _sum_of_powers_opoly(F, family, (("h", h),), [2 ** (h % m)])
     if family == "segre":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        return _monomial_opoly(F, family, (), [6])
+        return _sum_of_powers_opoly(F, family, (), [6])
     if family == "glynn1":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        return _monomial_opoly(F, family, (), [3 * 2 ** ((m + 1) // 2) + 4])
+        return _sum_of_powers_opoly(F, family, (), [3 * 2 ** ((m + 1) // 2) + 4])
     if family == "glynn2":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 4 == 3, "needs m = 3 (mod 4)")
-        return _monomial_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((m + 1) // 4)])
+        return _sum_of_powers_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((m + 1) // 4)])
     if family == "glynn3":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 4 == 1 and m >= 5, "needs m = 1 (mod 4), m >= 5")
-        return _monomial_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((3 * m + 1) // 4)])
+        return _sum_of_powers_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((3 * m + 1) // 4)])
     if family == "cherowitzo":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
         e = (m + 1) // 2
-        return _monomial_opoly(F, family, (), [2 ** e, 2 ** e + 2, 3 * 2 ** e + 4])
+        return _sum_of_powers_opoly(F, family, (), [2 ** e, 2 ** e + 2, 3 * 2 ** e + 4])
     if family == "payne":
         need(not params, f"unknown parameters {sorted(params)}")
         need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
         half = 2 ** (m - 1)
-        return _monomial_opoly(F, family, (), [(half + 2) // 3, half, (5 * half - 2) // 3])
+        return _sum_of_powers_opoly(F, family, (), [(half + 2) // 3, half, (5 * half - 2) // 3])
     if family == "subiaco":
         need(m >= 2, "needs m >= 2")
         a = params.pop("a", None)
@@ -321,6 +336,24 @@ def parse_opoly_descriptor(F: GF, text: str) -> OPolynomial:
     return make_family_opoly(F, family, **params)
 
 
+def _orbit_leaders(f: OPolynomial, k: int) -> list[int]:
+    """The least element of each orbit of GF(q)* under x -> lam^k x, lam^d = 1,
+    in increasing order, with d = gcd(q-1, e - deg f over f's exponents e).
+
+    The multipliers lam^k form the subgroup of order r = d / gcd(d, k), so
+    the orbits are its cosets g^c <g^s>, c < s = (q-1)/r, for the primitive
+    element g: every s-th of the powers of g, walked once on the kernel.
+    """
+    F = f.field
+    q, mul, top = F.q, F.kernel.mul, f.degree
+    d = reduce(gcd, (e - top for e, c in enumerate(f.coeffs) if c), q - 1)
+    s = (q - 1) // (d // gcd(d, k))
+    g, powers = F.primitive_element(), [1]
+    for _ in range(q - 2):
+        powers.append(mul(powers[-1], g))
+    return sorted(min(powers[c::s]) for c in range(s))
+
+
 @lru_cache(maxsize=4096)
 def is_o_polynomial(f: OPolynomial) -> Verdict:
     """Full check of the hyperoval criterion.
@@ -330,11 +363,15 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
     failure the verdict carries the first failing condition and, for the
     quotient condition, the witness a.
 
-    The quotient condition is checked on each pair a < y once: the q-1-a
-    slopes (f(y)+f(a)) / (y+a) must be distinct.  g_a repeats a value
-    exactly when a and two other points of the graph are collinear, and the
-    least point of such a triple sees both others among its later points,
-    so the least failing a, the witness, is the same as for the full maps.
+    The quotient condition is checked on pairs a < y: the q-1-a slopes
+    (f(y)+f(a)) / (y+a) must be distinct.  g_a repeats a value exactly when
+    a and two other points of the graph are collinear, and the least point
+    of such a triple sees both others among its later points, so the least
+    failing a, the witness, is the same as for the full maps.  Rows run at
+    0 and at the least a of each scaling orbit (x -> lam x, module
+    docstring), in increasing order: every point of a triple fails with its
+    orbit, so the least failing a leads its orbit and no earlier leader
+    fails.  Monomials run rows 0 and 1 only.
     """
     F = f.field
     if F.p != 2:
@@ -348,7 +385,7 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
         return Verdict(False, "f(1)=1", 1)
     add, mul, inv = F.kernel.add, F.kernel.mul, F.kernel.inv
     inverses = [0] + [inv(x) for x in range(1, q)]
-    for a in range(q - 2):  # the last two points have under two later points
+    for a in [0] + _orbit_leaders(f, 1):
         fa = tab[a]
         # two equal slopes: two later points on one line through a
         seen = {mul(add(tab[y], fa), inverses[add(y, a)]) for y in range(a + 1, q)}
@@ -362,7 +399,11 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
 
     Requires even characteristic.  It fails on condition "f(0)=0" (witness
     0) when f(0) != 0, as `is_o_polynomial` does, and otherwise on the first
-    u whose value map has a fiber of size other than 0 or 2.
+    u whose value map has a fiber of size other than 0 or 2.  Only the
+    least u of each orbit u -> lam^(1-e) u runs (e = deg f, module
+    docstring), in increasing order: fibre sizes are the same across an
+    orbit, so the least failing u leads its orbit and no earlier leader
+    fails.  Monomials x^e run one u per coset of the (e-1)-th powers.
     """
     F = f.field
     if F.p != 2:
@@ -371,7 +412,7 @@ def is_two_to_one_with_linear(f: OPolynomial) -> Verdict:
     if tab[0] != 0:
         return Verdict(False, "f(0)=0", 0)
     add, mul, xs = F.kernel.add, F.kernel.mul, range(F.q)
-    for u in range(1, F.q):
+    for u in _orbit_leaders(f, 1 - f.degree):
         fibers = Counter(map(add, tab, map(mul, repeat(u), xs)))
         if any(c != 2 for c in fibers.values()):
             return Verdict(False, "fiber-size", u)

@@ -3,13 +3,15 @@ sweeps are expensive enough (q up to 32, every family, every admissible v/w)
 that the acceptance criteria share one cached build.  Each distribution is
 read from the line profile; for q <= 16 it is also checked against
 projective enumeration.  The oracles (`incident`, `dual_matrix`,
-`enumerated_zero_sets`, `quotient_verdict`) recompute by definition what the
-library reads off the line profile, the MacWilliams identities or the
-triangular o-polynomial check; `rref` recomputes the matrix rank.  Tests
-marked `long` run only when ARCCODES_LONG_TESTS is set."""
+`enumerated_zero_sets`, `quotient_verdict`, `fiber_verdict`) recompute by
+definition what the library reads off the line profile, the MacWilliams
+identities or the o-polynomial checks on one row per scaling orbit; `rref`
+recomputes the matrix rank.  Tests marked `long` run only when
+ARCCODES_LONG_TESTS is set."""
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,6 +134,22 @@ def quotient_verdict(f: opoly.OPolynomial) -> tuple[bool, str | None, int | None
         image = {F.mul(F.add(tab[F.add(x, a)], tab[a]), F.pow(x, q - 2)) for x in range(q)}
         if len(image) != q:
             return False, "quotient-permutation", a
+    return True, None, None
+
+
+def fiber_verdict(f: opoly.OPolynomial) -> tuple[bool, str | None, int | None]:
+    """`is_two_to_one_with_linear`'s (ok, condition, witness) by the
+    definition: f(0)=0, and for every nonzero u each value of
+    x -> f(x) + u*x is taken by none or two x; the witness is the first u
+    whose map has a fibre of another size."""
+    F = f.field
+    q, tab = F.q, f.values
+    if tab[0] != 0:
+        return False, "f(0)=0", 0
+    for u in range(1, q):
+        fibers = Counter(F.add(tab[x], F.mul(u, x)) for x in range(q))
+        if set(fibers.values()) != {2}:
+            return False, "fiber-size", u
     return True, None, None
 
 

@@ -46,6 +46,19 @@ def test_matrix_validation():
         GeneratorMatrix(F, [])
 
 
+def test_from_columns_keeps_columns_and_refuses_ragged():
+    F = make_field(2, 2)
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)]
+    G = GeneratorMatrix.from_columns(F, cols)
+    assert G.columns() == tuple(cols) and (G.k, G.n) == (3, 4)
+    assert G.rows == ((1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 3))
+    assert G == GeneratorMatrix(F, G.rows)
+    with pytest.raises(ValueError, match="^ragged columns$"):
+        GeneratorMatrix.from_columns(F, cols[:3] + [(1, 2)])
+    with pytest.raises(ValueError, match="at least one row"):
+        GeneratorMatrix.from_columns(F, [])
+
+
 def test_matrix_refuses_non_integer_entries():
     F = make_field(5, 1)
     for bad in (1.7, 1.0, "1"):

@@ -1,9 +1,10 @@
 import random
+from functools import reduce
 from math import gcd
 
 import pytest
 
-from arccodes.field import make_field, field_from_order
+from arccodes.field import GF, Kernel, make_field, field_from_order
 from arccodes.opoly import (
     applicable_families,
     interpolate,
@@ -13,7 +14,7 @@ from arccodes.opoly import (
     make_family_opoly,
     parse_opoly_descriptor,
 )
-from conftest import quotient_verdict
+from conftest import fiber_verdict, quotient_verdict
 
 
 def test_translation_gf4_is_square():
@@ -105,20 +106,87 @@ def test_is_o_polynomial_matches_full_quotient_oracle_on_near_misses(q):
         (False, "quotient-permutation", 0)}
 
 
-def test_is_o_polynomial_matches_full_quotient_oracle_on_monomials():
-    """Every permutation monomial x^k at q = 16, 32, 64: x -> c x maps its
-    graph to itself, so the nonzero points all lie on a collinear triple or
-    none does, and some fail first at a = 1."""
+def _both_verdicts(f):
+    v, w = is_o_polynomial(f), is_two_to_one_with_linear(f)
+    return (v.ok, v.condition, v.witness), (w.ok, w.condition, w.witness)
+
+
+def _check_monomials(qs):
+    """Both criteria against the full oracles on every x^k, 0 <= k < q.
+    x -> c x maps the graph of x^k to itself, so the nonzero points all lie
+    on a collinear triple or none does: the quotient check runs rows 0 and
+    1 only, and the 2-to-1 check one u per coset of the (k-1)-th powers."""
     verdicts = []
-    for q in (16, 32, 64):
+    for q in qs:
         F = field_from_order(q)
-        for k in range(2, q - 1):
-            if gcd(k, q - 1) == 1:
-                f = make_custom_opoly(F, [0] * k + [1])
-                verdicts.append(_verdict_triple(f))
-                assert verdicts[-1] == quotient_verdict(f), (q, k)
-    assert (True, None, None) in verdicts
-    assert {v[2] for v in verdicts if not v[0]} == {0, 1}
+        for k in range(q):
+            f = make_custom_opoly(F, [0] * k + [1])
+            verdicts.append(_both_verdicts(f))
+            assert verdicts[-1] == (quotient_verdict(f), fiber_verdict(f)), (q, k)
+    return verdicts
+
+
+def test_both_criteria_match_full_oracles_on_every_monomial():
+    verdicts = _check_monomials((2, 4, 8, 16, 32, 64))
+    assert (True, None, None) in {v for v, _ in verdicts}
+    assert {v[2] for v, _ in verdicts if v[1] == "quotient-permutation"} == {0, 1}
+    assert {w[2] for _, w in verdicts} >= {None, 0, 1}
+
+
+@pytest.mark.long
+def test_both_criteria_match_full_oracles_on_every_monomial_q128_q256():
+    verdicts = _check_monomials((128, 256))
+    assert (True, None, None) in {v for v, _ in verdicts}
+
+
+@pytest.mark.parametrize("q", [16, 64])
+def test_both_criteria_match_full_oracles_on_scaling_symmetric_polynomials(q):
+    """Seeded sparse polynomials whose exponents differ by multiples of a d
+    with 1 < d < q-1: several scaling orbits of nonzero rows, so the
+    2-to-1 check can fail first at some u >= 2 that leads its orbit."""
+    rng = random.Random(q)
+    F = field_from_order(q)
+    divisors = [d for d in range(2, q - 1) if (q - 1) % d == 0]
+    witnesses = set()
+    for _ in range(1500):
+        d = rng.choice(divisors)
+        first = rng.randrange(1, q)
+        exponents = range(first % d or d, q, d)
+        coeffs = [0] * q
+        for e in rng.sample(exponents, rng.randint(2, min(4, len(exponents)))):
+            coeffs[e] = rng.randrange(1, q)
+        f = make_custom_opoly(F, coeffs)
+        exps = [e for e, c in enumerate(f.coeffs) if c]
+        assert 1 < reduce(gcd, (e - exps[0] for e in exps), q - 1) < q - 1
+        v, w = _both_verdicts(f)
+        assert (v, w) == (quotient_verdict(f), fiber_verdict(f)), (q, f.coeffs)
+        witnesses.add(w[2])
+    assert any(u >= 2 for u in witnesses)
+
+
+def test_monomial_checks_make_linear_kernel_calls():
+    """Both criteria on x^2 at q = 4096 make at most 8q kernel calls once
+    the value table is built; a fall back to one row per a or u stops at
+    the first call past that."""
+    F = GF(2, 12)
+    f = make_custom_opoly(F, [0, 0, 1])
+    assert len(f.values) == F.q
+    budget, calls = 8 * F.q, 0
+
+    def counted(op):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= budget, "kernel calls past 8q"
+            return op(*args)
+        return call
+
+    F.kernel = Kernel(*map(counted, F.kernel))
+    assert is_o_polynomial.__wrapped__(f).ok
+    assert 0 < calls <= budget
+    calls = 0
+    assert is_two_to_one_with_linear(f).ok
+    assert 0 < calls <= budget
 
 
 def test_two_to_one_verdicts():

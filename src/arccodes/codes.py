@@ -287,21 +287,33 @@ def classify(G: GeneratorMatrix, distribution: WeightDistribution | None = None)
 
 def _nmds_side(n: int, k: int, q: int, a_min: int, side: str) -> WeightDistribution:
     """The weight distribution of an [n, k, n-k] NMDS code with a_min words of
-    minimum weight; the dual's is the same formula at dimension n - k."""
-    comb = math.comb
+    minimum weight; the dual's is the same formula at dimension n - k.
+
+    A_(n-k+s) = C(n, k-s) * S_s + (-1)^s C(k, s) a_min for s = 1..k, where
+    S_s = sum_{j<s} (-1)^j C(N, j) (q^(s-j) - 1) with N = n-k+s.  Write
+    P(N, m) = sum_{j<=m} (-1)^j C(N, j) q^(m-j).  Since
+    sum_{j<=m} (-1)^j C(N, j) = (-1)^m C(N-1, m), S_s = q P(N, s-1) +
+    (-1)^s C(N-1, s-1), and Pascal's rule gives P(N+1, m+1) =
+    (q-1) P(N, m) + (-1)^(m+1) C(N, m+1).  So each s costs O(1) big-int
+    steps: every binomial moves from the last by one multiply and one exact
+    divide, and math.comb runs once, for C(n, k)."""
     counts = [0] * (n + 1)
     counts[0] = 1
     counts[n - k] = a_min
+    # at step s: P = P(n-k+s, s-1), beta = (-1)^(s-1) C(n-k+s-1, s-1),
+    # c = C(n, k-s), e = (-1)^s C(k, s)
+    P, beta, c, e = 1, 1, math.comb(n, k), 1
     for s in range(1, k + 1):
-        base = comb(n, k - s) * sum(
-            (-1) ** j * comb(n - k + s, j) * (q ** (s - j) - 1) for j in range(s)
-        )
-        val = base + (-1) ** s * comb(k, s) * a_min
+        c = c * (k - s + 1) // (n - k + s)
+        e = -e * (k - s + 1) // s
+        val = c * (q * P - beta) + e * a_min
         if val < 0:
             raise ValueError(
                 f"{side} A_{n - k + s} = {val} < 0: a_min={a_min} is inconsistent"
             )
         counts[n - k + s] = val
+        beta = -beta * (n - k + s) // s
+        P = (q - 1) * P + beta
     return WeightDistribution(counts, q, k)
 
 

@@ -12,9 +12,13 @@ sets, `GF.as_element` for matrix entries); the per-pair work then runs on
 the field's unchecked kernel: one slope per pair in `LineProfile` (per pair
 with an added point, for a construction seeded with its certified arc
 base), and in the arc search O(q^2) operations per plane, for the tables
-its pencil masks are read from.
+its pencil masks are read from.  A checked column (x, y, 1) is already
+canonical, so `LineProfile` rescales only the columns with another last
+coordinate: a paper code's three or four added points and its points at
+infinity.
 """
 
+from collections import Counter
 from itertools import product
 
 from .field import GF, Kernel
@@ -71,13 +75,16 @@ class LineProfile:
     O(n) per added point for a construction seeded with its arc base.
 
     Zero columns are counted apart (`zeros`); the others are grouped by
-    canonical point, with multiplicity.  A line through two or more points
-    is the line through some pair.  Each point lies on q+1 lines, and those
-    that hold no other point hold its columns alone.  Every other line holds
-    no column.  Only a summary is kept: `counts` maps c to the number of
-    lines holding exactly c columns (over all q^2+q+1 lines), and `rich`
-    lists, sorted, the column indices of each line through two or more
-    points that holds three or more columns.
+    canonical point, with multiplicity.  One set of the points tells when
+    they are nonzero and distinct, as for every constructor, `is_arc` and
+    `is_n3_arc`; then each point is its own column and no group is built.
+    A line through two or more points is the line through some pair.  Each
+    point lies on q+1 lines, and those that hold no other point hold its
+    columns alone.  Every other line holds no column.  Only a summary is
+    kept: `counts` maps c to the number of lines holding exactly c columns
+    (over all q^2+q+1 lines), and `rich` lists, sorted, the column indices
+    of each line through two or more points that holds three or more
+    columns.
 
     No line is built.  Each of the m distinct points P_i in turn is a pivot
     with two independent linear forms L1, L2 vanishing on it (x - a z and
@@ -103,10 +110,11 @@ class LineProfile:
     two points; point i lies on (m-1) - sum(k-2) lines holding another
     point, the sum over the lines through it, so m(q+1) - m(m-1) +
     sum k(k-2) = m(q+2-m) + sum k(k-2) lines hold one point.  Each sum runs
-    over the lines of three or more points.  With a repeated point every
-    pivot is grouped, each line through two or more points counts its own
-    columns, and the (m-1) - sum(k-2) lines above are tallied per point,
-    so that the other lines through a point count its columns alone.
+    over the lines of three or more points, tallied by line length.  With a
+    repeated point every pivot is grouped, each line through two or more
+    points counts its own columns, and the (m-1) - sum(k-2) lines above are
+    tallied per point, so that the other lines through a point count its
+    columns alone.
 
     `_arc_base=k`, passed by the constructors alone, vouches that the first
     k columns are a k-arc: `hyperoval_from_opoly` and `standard_oval` give
@@ -115,37 +123,48 @@ class LineProfile:
     those come first.  So the added points are moved to the front and only
     they pivot, each against every later point; the counts above need only
     the lines of three or more points.  The columns must then be nonzero and
-    projectively distinct, or ValueError is raised.
+    projectively distinct, or ValueError is raised.  A class whose first
+    point is a base point holds two base points and no other: they come
+    after every pivot, and no line holds three of them.  Every base column
+    precedes every added one, so that line is recorded, with no sort, as
+    (j1, j2, i) in column order.  Any other class is sorted.
 
     `_checked=True`, from `GeneratorMatrix.line_profile`, `is_arc` and
     `is_n3_arc` alone, vouches that the columns are triples of checked
-    element indices: they are scaled on the kernel, not by `canonical`.
+    element indices: a column (x, y, 1) is taken as its own canonical point
+    and the others are scaled on the kernel, not by `canonical`.
     """
 
     def __init__(self, F: GF, columns, _arc_base: int = 0, _checked: bool = False):
-        q, sub, mul, inv = F.q, F.kernel.sub, F.kernel.mul, F.kernel.inv
-        groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
-        for idx, col in enumerate(columns):
-            point = (_scaled(F.kernel, *col) if _checked
-                     else canonical(F, col) if any(col) else None)
-            groups.setdefault(point, []).append(idx)
-        self.zeros = len(groups.pop(None, ()))
-        pts, cols_at = list(groups), list(groups.values())
-        m = len(pts)
-        self.repeated = repeated = any(len(g) > 1 for g in cols_at)
+        q, K = F.q, F.kernel
+        sub, mul, inv = K.sub, K.mul, K.inv
+        if _checked:  # a column (x, y, 1) is its own canonical point
+            pts = [col if col[2] == 1 else _scaled(K, *col) for col in columns]
+        else:
+            pts = [canonical(F, col) if any(col) else None for col in columns]
+        m, distinct = len(pts), set(pts)
+        zeros, repeated, index = 0, False, range(m)  # index: each point's first column
+        if None in distinct or len(distinct) < m:  # group the columns by point
+            groups: dict[Triple | None, list[int]] = {}  # None: the zero columns
+            for idx, point in enumerate(pts):
+                groups.setdefault(point, []).append(idx)
+            zeros = len(groups.pop(None, ()))
+            pts, cols_at = list(groups), list(groups.values())
+            m = len(pts)
+            repeated = any(len(g) > 1 for g in cols_at)
+            index = [g[0] for g in cols_at]
+        self.zeros, self.repeated = zeros, repeated
         if _arc_base:  # the added points first
-            if self.zeros or repeated:
+            if zeros or repeated:
                 raise ValueError("an arc-seeded profile needs distinct nonzero columns")
             pts = pts[_arc_base:] + pts[:_arc_base]
-            cols_at = cols_at[_arc_base:] + cols_at[:_arc_base]
+            index = [*range(_arc_base, m), *range(_arc_base)]
         pivots = m - _arc_base
         counts: dict[int, int] = {}
         rich = []
         seen: set[tuple[int, int]] = set()  # the keys of the lines recorded
         if repeated:
             through = [m - 1] * m  # lines through each point holding another
-        else:
-            index = [g[0] for g in cols_at]  # each point's one column
         for i, (a, b, c) in enumerate(pts[:pivots]):
             later = pts[i + 1:]
             if c:  # (x - a z) / (y - b z), with z in {0, 1}
@@ -169,8 +188,9 @@ class LineProfile:
                     continue
                 if len(js) > (1 if repeated else 2):  # pivot js[0] reads it again
                     seen.add(key)
-                if not repeated:
-                    rich.append(tuple(sorted([index[i], *[index[j] for j in js]])))
+                if not repeated:  # two base points alone precede the pivot's column
+                    rich.append((index[js[0]], index[js[1]], index[i]) if js[0] >= pivots
+                                else tuple(sorted([index[i], *[index[j] for j in js]])))
                     continue
                 if (k := len(js) + 1) > 2:
                     for t in (i, *js):
@@ -186,11 +206,10 @@ class LineProfile:
         else:
             counts[1] = m * (q + 2 - m)
             counts[2] = m * (m - 1) // 2
-            for line in rich:
-                k = len(line)
-                counts[k] = counts.get(k, 0) + 1
-                counts[1] += k * (k - 2)
-                counts[2] -= k * (k - 1) // 2
+            for k, t in Counter(map(len, rich)).items():  # k >= 3
+                counts[k] = t
+                counts[1] += t * k * (k - 2)
+                counts[2] -= t * k * (k - 1) // 2
         counts[0] = q * q + q + 1 - sum(counts.values())
         self.counts = {c: t for c, t in sorted(counts.items()) if t}
         self.max_line = max(self.counts)

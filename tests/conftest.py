@@ -6,9 +6,11 @@ projective enumeration.  The oracles (`incident`, `dual_matrix`,
 `enumerated_zero_sets`, `quotient_verdict`, `fiber_verdict`) recompute by
 definition what the library reads off the line profile, the MacWilliams
 identities or the o-polynomial checks on one row per scaling orbit; `rref`
-recomputes the matrix rank.  Tests marked `long` run only when
-ARCCODES_LONG_TESTS is set."""
+recomputes the matrix rank, and `nmds_double_sum` the NMDS weights by the
+double sum that `codes.nmds_closed_form` replaces with a recurrence.  Tests
+marked `long` run only when ARCCODES_LONG_TESTS is set."""
 
+import math
 import os
 import random
 from collections import Counter
@@ -151,6 +153,28 @@ def fiber_verdict(f: opoly.OPolynomial) -> tuple[bool, str | None, int | None]:
         if set(fibers.values()) != {2}:
             return False, "fiber-size", u
     return True, None, None
+
+
+def nmds_double_sum(n: int, k: int, q: int, a_min: int, side: str) -> list[int]:
+    """`codes._nmds_side`'s counts by the double sum, O(k^2) math.comb calls:
+    A_(n-k+s) = C(n, k-s) sum_{j<s} (-1)^j C(n-k+s, j) (q^(s-j) - 1)
+    + (-1)^s C(k, s) a_min, with the same ValueError at the first negative
+    count."""
+    comb = math.comb
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    counts[n - k] = a_min
+    for s in range(1, k + 1):
+        base = comb(n, k - s) * sum(
+            (-1) ** j * comb(n - k + s, j) * (q ** (s - j) - 1) for j in range(s)
+        )
+        val = base + (-1) ** s * comb(k, s) * a_min
+        if val < 0:
+            raise ValueError(
+                f"{side} A_{n - k + s} = {val} < 0: a_min={a_min} is inconsistent"
+            )
+        counts[n - k + s] = val
+    return counts
 
 
 def incident(F: GF, point, line) -> bool:

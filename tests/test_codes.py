@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -5,10 +6,11 @@ from itertools import combinations, product
 
 import pytest
 
-from arccodes.field import GF, field_from_order, make_field
+from arccodes.field import GF, field_from_order, make_field, prime_factors
 from arccodes import geometry as geo
 from arccodes.codes import (
     BudgetExceededError,
+    _nmds_side,
     GeneratorMatrix,
     WeightDistribution,
     classify,
@@ -18,10 +20,11 @@ from arccodes.codes import (
     nmds_closed_form,
     weight_distribution,
 )
-from arccodes.construct import build_odd_matrix, valid_w_set
+from arccodes.construct import build_odd_matrix, even_closed_form, odd_closed_form, valid_w_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from arccodes.opoly import make_family_opoly
-from conftest import dual_matrix, enumerated_zero_sets, paper_code, rref, shuffled_blocks
+from conftest import (dual_matrix, enumerated_zero_sets, nmds_double_sum, paper_code, rref,
+                      shuffled_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +343,73 @@ def test_nmds_closed_form_rejects_inconsistent_seed():
     for n in (3, 4):  # k = n has no dual side
         with pytest.raises(ValueError, match=f"bad NMDS parameters n={n}, k={n}"):
             nmds_closed_form(n, n, 3, 2)
+
+
+def _nmds_outcome(side, *args):
+    """A side's counts, or the message of its refusal."""
+    try:
+        return list(side(*args))
+    except ValueError as err:
+        return str(err)
+
+
+def _library_side(*args):
+    return _nmds_side(*args).counts
+
+
+NMDS_ORACLE_Q = tuple(q for q in range(4, 65) if len(prime_factors(q)) == 1) + (128, 256)
+
+
+@pytest.mark.parametrize("q", NMDS_ORACLE_Q)
+def test_nmds_closed_form_matches_double_sum_oracle(q):
+    """The recurrence against the double sum, counts and refusals alike, on
+    both sides of the paper's [q+5, 3, q+2] code (the dual side has k = q+2)
+    with its true a_min and with seeds around it, some of which drive a
+    count negative."""
+    n = q + 5
+    a = (even_closed_form(q) if q % 2 == 0 else odd_closed_form(q))[n - 3]
+    for a_min in (0, 1, a - 1, a, a + 1, 7 * a):
+        for k, side in ((3, "primal"), (n - 3, "dual")):
+            args = (n, k, q, a_min, side)
+            assert _nmds_outcome(_library_side, *args) \
+                == _nmds_outcome(nmds_double_sum, *args), args
+
+
+# every (n, k, q, a_min) that the other tests pass to nmds_closed_form
+NMDS_SUITE_SEEDS = [
+    (3, 2, 3, 3), (4, 1, 3, 2), (9, 3, 4, 30), (9, 3, 4, 1000), (10, 3, 5, 48), (11, 3, 5, 64),
+    (12, 3, 7, 90), (13, 3, 7, 120), (13, 3, 8, 112), (14, 3, 9, 160), (15, 3, 8, 189),
+    (15, 3, 9, 208), (16, 3, 11, 230), (18, 3, 11, 340), (18, 3, 13, 336), (19, 3, 11, 440),
+    (21, 3, 13, 612), (21, 3, 13, 636), (21, 3, 16, 420), (22, 3, 13, 696), (25, 3, 16, 990),
+    (25, 3, 16, 1005), (25, 3, 16, 1020), (26, 3, 16, 1155), (26, 3, 16, 1170),
+    (26, 3, 16, 1185), (27, 3, 16, 1275), (27, 3, 16, 1395),
+]
+
+
+@pytest.mark.parametrize("n, k, q, a_min", NMDS_SUITE_SEEDS)
+def test_nmds_closed_form_matches_double_sum_oracle_on_suite_seeds(n, k, q, a_min):
+    for args in ((n, k, q, a_min, "primal"), (n, n - k, q, a_min, "dual")):
+        assert _nmds_outcome(_library_side, *args) \
+            == _nmds_outcome(nmds_double_sum, *args), args
+
+
+def test_nmds_closed_form_calls_comb_once_per_side(monkeypatch):
+    """The work, not the clock: one math.comb call per side at every q (the
+    double sum makes O(k^2) of them, 33,927 on the q = 256 dual)."""
+    calls = 0
+    comb = math.comb
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counted)
+    for q in (4, 256):
+        calls = 0
+        primal, dual = nmds_closed_form(q + 5, 3, q, even_closed_form(q)[q + 2])
+        assert calls == 2
+        assert sum(primal.counts) == q ** 3 and sum(dual.counts) == q ** (q + 2)
 
 
 def test_nmds_closed_form_at_k_equal_one():

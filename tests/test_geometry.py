@@ -1,11 +1,12 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from arccodes.field import GF, make_field, field_from_order, prime_factors
+from arccodes.field import GF, Kernel, make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
-from arccodes.construct import even_closed_form, odd_closed_form
+from arccodes.construct import build_odd_matrix, even_closed_form, odd_closed_form, valid_w_set
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
 from conftest import incident, paper_code, paper_codes
 
@@ -203,9 +204,14 @@ def _profile_fields(lp):
     return {f: getattr(lp, f) for f in PROFILE_FIELDS}
 
 
-def _assert_profile_matches_pairwise(F, columns):
-    assert _profile_fields(geo.LineProfile(F, columns)) == _pairwise_profile(F, columns), \
-        (F.q, columns)
+def _assert_profile_matches_pairwise(F, columns, *also):
+    """Both entries, `canonical` for outside input and the kernel-scaled
+    `_checked` one, and any profile in `also` of the same columns, against
+    the pairwise oracle."""
+    expected = _pairwise_profile(F, columns)
+    profiles = (geo.LineProfile(F, columns), geo.LineProfile(F, columns, _checked=True), *also)
+    for entry, lp in enumerate(profiles):
+        assert _profile_fields(lp) == expected, (F.q, entry, columns)
 
 
 def _random_columns(rng, F, size):
@@ -294,10 +300,37 @@ def test_line_profile_matches_pairwise_on_the_whole_plane(q):
     assert geo.LineProfile(F, pts).counts == {q + 1: q * q + q + 1}
 
 
-@pytest.mark.parametrize("q", [64, 243, 256])
+@pytest.mark.parametrize("q", [64, 243, 256, 521])
 def test_line_profile_matches_pairwise_on_a_paper_code(q):
+    """Up to q = 521, the first odd q past 512 (the `large-q` bench's
+    locality code): the full profiles and the seeded one."""
     G = paper_code(q)
-    _assert_profile_matches_pairwise(G.field, G.columns())
+    _assert_profile_matches_pairwise(G.field, G.columns(), G.line_profile())
+
+
+def test_seeded_profile_rescales_only_columns_off_z_1():
+    """The q = 27 paper code's profile on a fresh field with counting kernel
+    wrappers: one inverse per slope, each added pivot against each later
+    column, and one per column whose last coordinate is not 1.  A column
+    (x, y, 1) is its own canonical point and is never rescaled: one inv per
+    column would add about q calls."""
+    F = GF(3, 3)
+    G = build_odd_matrix(F, min(valid_w_set(F)))
+    calls = Counter()
+
+    def counted(name, op):
+        def call(*args):
+            calls[name] += 1
+            return op(*args)
+        return call
+
+    F.kernel = Kernel(*(counted(name, op) for name, op in zip(Kernel._fields, F.kernel)))
+    assert G.line_profile().max_line == 3
+    pivots = G.n - G._arc_base
+    slopes = sum(G.n - 1 - i for i in range(pivots))
+    off_z_1 = sum(col[2] != 1 for col in G.columns())
+    assert off_z_1 == 4  # (1,0,0), (0,1,0), (1,1,0), (0,w,-1)
+    assert 0 < calls["inv"] <= slopes + off_z_1
 
 
 def _assert_incidence_identities(F, columns, lp):
@@ -378,8 +411,10 @@ def test_seeded_profile_with_many_added_points(q):
         on = [p for p in off if incident(F, p, line)]
         added = on + rng.sample([p for p in off if p not in on], rng.randrange(0, 6))
         added = [_scaled(F, rng.randrange(1, q), p) for p in rng.sample(added, len(added))]
-        lp = geo.LineProfile(F, base + added, _arc_base=len(base))
-        assert _profile_fields(lp) == _pairwise_profile(F, base + added), (q, added)
+        expected = _pairwise_profile(F, base + added)
+        for checked in (False, True):
+            lp = geo.LineProfile(F, base + added, _arc_base=len(base), _checked=checked)
+            assert _profile_fields(lp) == expected, (q, checked, added)
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 9])
@@ -396,9 +431,10 @@ def test_seeded_profile_secant_with_added_points(q):
     others = [p for p in geo.all_points(F) if p not in base and p not in added]
     for t in (1, 2, 3):
         cols = base + added[:t] + others[:2]
-        lp = geo.LineProfile(F, cols, _arc_base=k)
-        assert _profile_fields(lp) == _pairwise_profile(F, cols), (q, t)
-        assert [ln for ln in lp.rich if ln[:2] == (0, 1)] == [(0, 1, *range(k, k + t))]
+        for checked in (False, True):
+            lp = geo.LineProfile(F, cols, _arc_base=k, _checked=checked)
+            assert _profile_fields(lp) == _pairwise_profile(F, cols), (q, t, checked)
+            assert [ln for ln in lp.rich if ln[:2] == (0, 1)] == [(0, 1, *range(k, k + t))]
 
 
 @pytest.mark.parametrize("bad", ["zero", "added repeats added", "added repeats base"])

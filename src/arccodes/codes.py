@@ -12,10 +12,11 @@ four columns on a line, a line holding three is both the zero set of q-1
 minimum-weight codewords and the support of weight-3 dual
 codewords, so the NMDS pairing of the two is an identity of the profile.
 Other dimensions enumerate one message per projective class; that
-enumerator is also the test oracle for the profile.  No dual generator
-matrix is built: for every k the dual distance, and on request the dual's
-whole weight distribution, come from the weight distribution by the
-MacWilliams identities.
+enumerator is also the test oracle for the profile.  The same profile gives
+the dual distance in dimension 3, the fewest dependent columns.  No dual
+generator matrix is built: for other k the dual distance, and for every k on
+request the dual's whole weight distribution, come from the weight
+distribution by the MacWilliams identities.
 """
 
 import math
@@ -265,14 +266,23 @@ def dual_weight_distribution(distribution: WeightDistribution, q: int,
 
 
 def classify(G: GeneratorMatrix, distribution: WeightDistribution | None = None) -> CodeProfile:
-    """Fill the code profile from the weight distribution, for any k: d is
-    its least nonzero weight and d_dual comes from the MacWilliams
-    identities.  Pass a precomputed distribution to reuse it."""
+    """Fill the code profile, for any k: d is the least nonzero weight of the
+    distribution (pass a precomputed one to reuse it).  d_dual is the size
+    of the smallest dependent set of columns.  For k = 3 it is read off the
+    line profile: 1 with a zero column, else 2 with two proportional ones,
+    else 3 with three collinear ones, else 4 when n > 3, as any four vectors
+    of GF(q)^3 are dependent.  Other k take it from the distribution by the
+    MacWilliams identities."""
     if distribution is None:
         distribution = weight_distribution(G)
     d = distribution.minimum_distance()
     defect = G.n - G.k + 1 - d
-    d_dual = _dual_distance(distribution, G.field.q)
+    if G.k == 3:
+        lines = G.line_profile()
+        d_dual = (1 if lines.zeros else 2 if lines.repeated else 3 if lines.max_line >= 3
+                  else 4 if G.n > 3 else None)
+    else:
+        d_dual = _dual_distance(distribution, G.field.q)
     defect_dual = None if d_dual is None else G.k + 1 - d_dual
     if defect == 0:
         category = "MDS"

@@ -258,7 +258,8 @@ def standard_oval(F: GF) -> list[Triple]:
     two, and holds (1,0,0) only when a=0, which leaves at most one root."""
     if F.p == 2:
         raise ValueError("the standard oval needs odd characteristic")
-    pts = [(F.mul(x, x), x, 1) for x in F.elements()]
+    mul = F.kernel.mul  # the reference elements are valid indices
+    pts = [(mul(x, x), x, 1) for x in F.elements()]
     pts.append((1, 0, 0))
     return pts
 

@@ -106,7 +106,8 @@ def bound_verdict(n: int, k: int, d: int, r: int) -> BoundVerdict:
 def lrc_report(G: GeneratorMatrix, distribution: WeightDistribution | None = None) -> dict:
     """The flat JSON report: profile numbers, localities, and the four
     optimality flags for the code and its dual.  Pass the weight distribution
-    to reuse it; classifying from it takes a few MacWilliams steps."""
+    to reuse it: classifying reads d from it and d_dual from the line
+    profile, with no MacWilliams step."""
     profile = classify(G, distribution)
     loc = locality_report(G)
     n, k = profile.n, profile.k

@@ -568,6 +568,24 @@ def test_unknown_strategy(monkeypatch):
         extend_to_n3_arc(F, hyper, strategy="bogus")
 
 
+class _PlaneRequested(Exception):
+    pass
+
+
+def test_search_refuses_fields_above_the_limit(monkeypatch):
+    """q = 2048 is refused before its plane is built; q = MAX_Q = 1024 goes on
+    to build it."""
+    def no_plane(F):
+        raise _PlaneRequested(F.q)
+
+    monkeypatch.setattr(arcsearch, "_plane", no_plane)
+    base = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError, match="q=2048 refused: the limit is q=1024"):
+        extend_to_n3_arc(make_field(2, 11), base, max_nodes=1)
+    with pytest.raises(_PlaneRequested):
+        extend_to_n3_arc(make_field(2, 10), base, max_nodes=1)
+
+
 def test_prunes_counted_by_dfs_only():
     F, hyper = _hyperoval(2)
     pts, stats = extend_to_n3_arc(F, hyper, strategy="dfs")

@@ -63,6 +63,15 @@ def test_huge_field_parameters_exit_promptly(tmp_path, argv):
     assert out.returncode == 2 and "exceeds the supported range" in out.stderr
 
 
+def test_search_above_the_plane_limit_exits_promptly():
+    src = str(Path(arccodes.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-m", "arccodes.cli", "search", "--q", "65536",
+                          "--max-nodes", "1"], cwd=src, capture_output=True, text=True,
+                         timeout=30)
+    assert out.returncode == 2 and not out.stdout
+    assert "q=65536" in out.stderr and "q=1024" in out.stderr
+
+
 def test_opoly_check(capsys):
     code, out, _ = run(capsys, "opoly-check", "--q", "8", "--opoly", "segre")
     assert code == 0 and "PASS" in out

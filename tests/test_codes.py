@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from arccodes.field import GF, field_from_order, make_field, prime_factors
-from arccodes import geometry as geo
+from arccodes import codes, geometry as geo, lrc
 from arccodes.codes import (
     BudgetExceededError,
     _nmds_side,
@@ -23,8 +23,8 @@ from arccodes.codes import (
 from arccodes.construct import build_odd_matrix, even_closed_form, odd_closed_form, valid_w_set
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
 from arccodes.opoly import make_family_opoly
-from conftest import (dual_matrix, enumerated_zero_sets, nmds_double_sum, paper_code, rref,
-                      shuffled_blocks)
+from conftest import (dual_matrix, enumerated_zero_sets, nmds_double_sum, paper_code,
+                      paper_codes, rref, shuffled_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +494,16 @@ def _brute_dual_distance(G):
     return None
 
 
+def _assert_dual_distance_oracles(G, brute=True):
+    """classify's d_dual (from the line profile when k = 3) against the
+    MacWilliams transform of the weights and, if asked, the column ranks."""
+    d_dual = classify(G).d_dual
+    assert d_dual == codes._dual_distance(weight_distribution(G), G.field.q), G.columns()
+    if brute:
+        assert d_dual == _brute_dual_distance(G), G.columns()
+    return d_dual
+
+
 def test_line_profile_matches_enumeration():
     rng = random.Random(20220817)
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
@@ -501,7 +511,7 @@ def test_line_profile_matches_enumeration():
         for _ in range(12):
             G = _random_k3_matrix(rng, F)
             assert weight_distribution(G) == enumerated_weight_distribution(G), G.columns()
-            assert classify(G).d_dual == _brute_dual_distance(G), G.columns()
+            _assert_dual_distance_oracles(G)
             zero_sets = enumerated_zero_sets(G)
             points = {geo.canonical(F, c) for c in G.columns() if any(c)}
             if len(points) < G.n or any(len(z) >= 4 for z in zero_sets):
@@ -509,6 +519,40 @@ def test_line_profile_matches_enumeration():
                     min_weight_supports(G)
             else:
                 assert min_weight_supports(G) == sorted(z for z in zero_sets if len(z) == 3)
+
+
+@pytest.mark.parametrize("q", [q for q in NMDS_ORACLE_Q if q <= 64])
+def test_profile_dual_distance_matches_macwilliams_on_paper_codes(q):
+    """Every paper code over GF(q), both column orders, against MacWilliams;
+    the least admissible v or w also against the column ranks."""
+    for label, G in paper_codes(q):
+        assert _assert_dual_distance_oracles(G, brute=False) == 3, label
+    assert _assert_dual_distance_oracles(paper_code(q)) == 3
+
+
+def test_profile_dual_distance_at_the_smallest_lengths():
+    F = field_from_order(5)
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _assert_dual_distance_oracles(GeneratorMatrix.from_columns(F, frame)) is None
+    four_arc = GeneratorMatrix.from_columns(F, frame + [(1, 1, 1)])
+    assert geo.is_arc(F, four_arc.columns())
+    assert _assert_dual_distance_oracles(four_arc) == 4
+
+
+def test_k3_classify_makes_no_macwilliams_step(monkeypatch, q4_code):
+    """k = 3 reads d_dual off the line profile, in classify and in
+    lrc_report; k = 4 still takes the MacWilliams transform."""
+    def no_transform(distribution, q):
+        raise AssertionError("MacWilliams step")
+
+    profile, report = classify(q4_code), lrc.lrc_report(q4_code)
+    monkeypatch.setattr(codes, "_macwilliams_sums", no_transform)
+    assert classify(q4_code) == profile and profile.category == "NMDS"
+    assert lrc.lrc_report(q4_code, weight_distribution(q4_code)) == report
+    F = make_field(2, 4)
+    k4 = GeneratorMatrix.from_columns(F, [(1, t, F.mul(t, t), F.pow(t, 3)) for t in range(10)])
+    with pytest.raises(AssertionError, match="MacWilliams step"):
+        classify(k4)
 
 
 def test_dual_distance_budget_is_not_an_answer():

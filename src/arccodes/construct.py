@@ -16,6 +16,7 @@ is built with its length, and its line profile pivots on the added columns.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .field import GF
 from .codes import GeneratorMatrix, WeightDistribution
@@ -36,18 +37,24 @@ def valid_v_set(f: OPolynomial) -> frozenset[int]:
 
 def _w_admissible(F: GF, w: int) -> bool:
     """Whether w is admissible for the odd construction: eta(w) = eta(1+4w)
-    = -1.  The one rule behind `valid_w_set` and both odd entry points."""
+    = -1, a lookup in the field's kept set.  The one rule behind
+    `valid_w_set` and both odd entry points."""
+    return w in _w_set(F)
+
+
+@cache
+def _w_set(F: GF) -> frozenset[int]:
+    """The w with eta(w) = eta(1+4w) = -1, from one pass over F's log tables
+    (`GF.twin_nonsquares`), computed once per field."""
     if F.p == 2:
         raise ValueError("the odd construction needs odd characteristic")
-    eta, add = F.quadratic_character, F.kernel.add
-    two_w = add(w, w)
-    return eta(w) == -1 and eta(add(1, add(two_w, two_w))) == -1
+    return frozenset(F.twin_nonsquares(4 % F.p))
 
 
 def valid_w_set(F: GF) -> frozenset[int]:
-    """Admissible w for the odd construction, by exhaustive scan."""
-    out = frozenset(w for w in range(F.q) if _w_admissible(F, w))
-    if not out:
+    """Admissible w for the odd construction: the field's kept set of
+    `_w_admissible`, read off its log tables."""
+    if not (out := _w_set(F)):
         raise ValueError(f"no admissible w exists at q={F.q}")
     return out
 

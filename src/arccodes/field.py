@@ -7,7 +7,10 @@ encoding 0 is the additive identity and 1 the multiplicative identity, and
 for m = 1 the index is just the residue mod p.
 
 Each field builds one `Kernel`: unchecked add, sub, mul and inv bound to its
-tables, the only code that knows the encoding.  Every field multiplies by
+tables, the only code that knows the encoding.  Beside it `GF.slopes` reads
+the slopes of many points seen from one point of PG(2,q) off the same
+tables, and `GF.twin_nonsquares` finds the x with x and 1 + c x both
+nonsquares in one pass over them.  Every field multiplies by
 its log/antilog tables (generator g).  Sums have one rule per
 characteristic: XOR for p = 2, and for every odd p, prime fields included,
 Zech logarithms (K. Huber, IEEE Trans. IT 36(4), 1990),
@@ -32,7 +35,8 @@ outside [0, q) at such a check.
 
 import math
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from operator import index, xor
 from typing import Callable, NamedTuple
 
@@ -206,6 +210,72 @@ class Kernel(NamedTuple):
     inv: Callable[[int], int]
 
 
+# `GF.slopes(pivot, later)` is the one bulk primitive beside the kernel,
+# unchecked like it.  Given canonical points (last nonzero coordinate 1), it
+# returns, for each later point P in order, its slope from the pivot,
+# L1(P)/L2(P), or q where L2(P) = 0.  L1 and L2 are the forms vanishing on
+# the pivot: x - a z and y - b z for (a,b,1); z and x - a y for (a,1,0); z
+# and y for (1,0,0).  Two later points share a slope exactly when they lie
+# on one line through the pivot.  The slopes are read from the log tables,
+# with no kernel call per point.
+Slopes = Callable[[tuple[int, int, int], list[tuple[int, int, int]]], list[int]]
+
+
+def _slopes(p: int, exp: list[int], log: list[int], zech: list[int] | None) -> Slopes:
+    """The slope pass of GF(p^m), bound to the tables `GF` builds for it.
+
+    Each slope is one read of a table S at k = log(numerator) -
+    log(denominator), with n = q-1.  Logs of nonzero elements are not
+    reduced mod n, and the log of 0 is a marker far enough off that S
+    reads 0 for a zero numerator and q for a zero denominator.  No later
+    point equals the pivot, so no slope is 0/0.
+
+    For p = 2 a difference is one XOR and the logs are the field's (log 0 =
+    2n): k lies in (-n, n) for a slope in GF(q)*, in (n, 2n] for 0 and in
+    [-2n, -n) for q, and S is 5n long (a negative k wraps round).  For odd p,
+    log(c - v) = log c + T[log v - log c], with T the Zech table of 1 - g^i
+    widened to take c = 0 or v = 0 (log 0 = 2n in; 4n, the marker, out).
+    Both the numerator and the denominator are taken negated, as a z - x
+    and b z - y; their logs lie in [0, 2n), or for 0 in [4n, 5n) and {6n}.
+    Then k lies in (-2n, 2n), (2n, 6n] or [-6n, -2n], and S is 13n long.
+    """
+    n = len(log) - 1
+    q, cyc = n + 1, exp[:n]
+    if p == 2:
+        S = cyc + [0] * (2 * n) + [q] * (n + 1) + cyc[1:]
+
+        def slopes(pivot, later):
+            a, b, c = pivot
+            if c:  # (x - a z) / (y - b z)
+                return [S[log[x ^ a * z] - log[y ^ b * z]] for x, y, z in later]
+            if b:  # 1 / (x - a y) at z = 1
+                la = log[a]
+                return [S[-log[x ^ exp[la + log[y]]]] if z else 0 for x, y, z in later]
+            return [S[-log[y]] if z else 0 for _, y, z in later]  # 1 / y at z = 1
+        return slopes
+
+    half, zero = n // 2, 4 * n
+    zneg = [zero if v == 2 * n else v for v in zech[half:] + zech[:half]]  # log(1 - g^i)
+    # T[i] = log(c - v) - log c at i = log v - log c: i in (-n, n) when both
+    # are nonzero (T[0], v = c, is the marker), (n, 2n] when v = 0, and
+    # [-2n, -n) when c = 0, where log(-v) - 2n = i + half.
+    T = zneg + [0] * (n + 1) + list(range(half - 2 * n, half - n)) + zneg
+    S = cyc * 2 + [0] * (5 * n) + [q] * (4 * n + 1) + (cyc * 2)[1:]
+
+    def slopes(pivot, later):
+        a, b, c = pivot
+        if c:  # (a z - x) / (b z - y)
+            A, B = (2 * n, log[a]), (2 * n, log[b])
+            return [S[(u := A[z]) + T[log[x] - u] - (v := B[z]) - T[log[y] - v]]
+                    for x, y, z in later]
+        if b:  # -1 / (a y - x) at z = 1
+            la = log[a]
+            return [S[half - (u := log[exp[la + log[y]]]) - T[log[x] - u]] if z else 0
+                    for x, y, z in later]
+        return [S[-log[y]] if z else 0 for _, y, z in later]  # 1 / y at z = 1
+    return slopes
+
+
 def _kernel(p: int, exp: list[int], log: list[int], zech: list[int] | None) -> Kernel:
     """The kernel of GF(p^m), bound to the tables `GF` builds for it."""
     n = len(log) - 1
@@ -276,6 +346,11 @@ class GF:
                 for x in self._exp[:n]
             ]
         self.kernel = _kernel(p, self._exp, self._log, self._zech)
+
+    @cached_property
+    def slopes(self) -> Slopes:
+        """The field's slope pass (see `Slopes`), its tables built on first use."""
+        return _slopes(self.p, self._exp, self._log, self._zech)
 
     # -- construction internals -------------------------------------------
 
@@ -374,6 +449,18 @@ class GF:
         if not self.check(x):
             return 0
         return -1 if self._log[x] & 1 else 1
+
+    def twin_nonsquares(self, c: int) -> list[int]:
+        """The x for which x and 1 + c x are both nonsquares (eta = -1), odd
+        q, ascending by log: x = g^i for odd i with zech[log c + i] odd, one
+        slice-and-compress pass over the tables.  The zech sentinel for
+        1 + c x = 0 is even, so that x is refused."""
+        if self.p == 2:
+            raise ValueError("quadratic character requires odd characteristic")
+        n, lc = self.q - 1, self._log[self.check(c)]
+        # log(1 + c g^i) for odd i; empty for c = 0 (log 0 = 2n): 1 is a square
+        odd_logs = (self._zech * 2)[lc + 1:lc + n:2]
+        return list(compress(self._exp[1:n:2], map((1).__and__, odd_logs)))
 
     def trace(self, x: int) -> int:
         """Absolute trace onto GF(p): sum of x^(p^i), i < m."""

@@ -8,11 +8,12 @@ when the dot product x.u vanishes; the representation of points and lines is
 identical, so incidence is symmetric under duality.
 
 Field elements are checked once, where they enter (`canonical` for point
-sets, `GF.as_element` for matrix entries); the per-pair work then runs on
-the field's unchecked kernel: one slope per pair in `LineProfile` (per pair
-with an added point, for a construction seeded with its certified arc
-base), and in the arc search O(q^2) operations per plane, for the tables
-its pencil masks are read from.  A checked column (x, y, 1) is already
+sets, `GF.as_element` for matrix entries); the per-pair work then runs
+unchecked.  `LineProfile` reads one slope per pair (per pair with an added
+point, for a construction seeded with its certified arc base) off the
+field's log tables through `GF.slopes`, with no kernel call per pair, and
+the arc search makes O(q^2) kernel operations per plane, for the tables its
+pencil masks are read from.  A checked column (x, y, 1) is already
 canonical, so `LineProfile` rescales only the columns with another last
 coordinate: a paper code's three or four added points and its points at
 infinity.
@@ -90,11 +91,12 @@ class LineProfile:
     with two independent linear forms L1, L2 vanishing on it (x - a z and
     y - b z for (a,b,1); z and x - a y for (a,1,0); z and y for (1,0,0)),
     and each later point P_j gets the slope L1(P_j)/L2(P_j), or q where
-    L2(P_j) = 0: two later points share a slope exactly when they lie on one
-    line through P_i.  A class {j1 < j2 < ...} of equal slopes is the line
-    {i, j1, j2, ...}.  A line through points p_0 < ... < p_(k-1) shows again
-    at each later pivot p_t, t <= k-2, as the class (p_(t+1), ..., p_(k-1));
-    every one of them ends in the same two points.  So a line's key is its
+    L2(P_j) = 0, all read off the log tables by `GF.slopes`: two later
+    points share a slope exactly when they lie on one line through P_i.  A
+    class {j1 < j2 < ...} of equal slopes is the line {i, j1, j2, ...}.  A
+    line through points p_0 < ... < p_(k-1) shows again at each later pivot
+    p_t, t <= k-2, as the class (p_(t+1), ..., p_(k-1)); every one of them
+    ends in the same two points.  So a line's key is its
     last two points, a class whose key was seen is skipped, and each line
     is recorded once, at its lowest point.  A key is kept only for a class
     (j1, j2, ...) that pivot j1 reads again as (j2, ...): one of three or
@@ -136,10 +138,9 @@ class LineProfile:
     """
 
     def __init__(self, F: GF, columns, _arc_base: int = 0, _checked: bool = False):
-        q, K = F.q, F.kernel
-        sub, mul, inv = K.sub, K.mul, K.inv
+        q = F.q
         if _checked:  # a column (x, y, 1) is its own canonical point
-            pts = [col if col[2] == 1 else _scaled(K, *col) for col in columns]
+            pts = [col if col[2] == 1 else _scaled(F.kernel, *col) for col in columns]
         else:
             pts = [canonical(F, col) if any(col) else None for col in columns]
         m, distinct = len(pts), set(pts)
@@ -165,16 +166,8 @@ class LineProfile:
         seen: set[tuple[int, int]] = set()  # the keys of the lines recorded
         if repeated:
             through = [m - 1] * m  # lines through each point holding another
-        for i, (a, b, c) in enumerate(pts[:pivots]):
-            later = pts[i + 1:]
-            if c:  # (x - a z) / (y - b z), with z in {0, 1}
-                slopes = [(mul(sub(x, a), inv(v)) if (v := sub(y, b)) else q) if z
-                          else (mul(x, inv(y)) if y else q) for x, y, z in later]
-            elif b:  # z / (x - a y)
-                slopes = [mul(z, inv(v)) if (v := sub(x, mul(a, y))) else q
-                          for x, y, z in later]
-            else:  # z / y
-                slopes = [mul(z, inv(y)) if y else q for _, y, z in later]
+        for i, pivot in enumerate(pts[:pivots]):
+            slopes = F.slopes(pivot, pts[i + 1:])
             if not repeated and len(set(slopes)) == len(slopes):
                 continue
             classes: dict[int, list[int]] = {}

@@ -7,8 +7,11 @@ projective enumeration.  The oracles (`incident`, `dual_matrix`,
 definition what the library reads off the line profile, the MacWilliams
 identities or the o-polynomial checks on one row per scaling orbit; `rref`
 recomputes the matrix rank, and `nmds_double_sum` the NMDS weights by the
-double sum that `codes.nmds_closed_form` replaces with a recurrence.  Tests
-marked `long` run only when ARCCODES_LONG_TESTS is set."""
+double sum that `codes.nmds_closed_form` replaces with a recurrence.
+`kernel_slopes` and `w_admissible_by_eta` compute on the kernel or the
+checked operations, one call per point or element, what `GF.slopes` and
+`construct.valid_w_set` read off the log tables.  Tests marked `long` run
+only when ARCCODES_LONG_TESTS is set."""
 
 import math
 import os
@@ -175,6 +178,27 @@ def nmds_double_sum(n: int, k: int, q: int, a_min: int, side: str) -> list[int]:
             )
         counts[n - k + s] = val
     return counts
+
+
+def kernel_slopes(F: GF, pivot, later) -> list[int]:
+    """`GF.slopes(pivot, later)` on the kernel, four calls per point: for
+    (a,b,1) (x - a z)/(y - b z), for (a,1,0) z/(x - a y), for (1,0,0) z/y,
+    each q where its denominator is 0."""
+    q, (_, sub, mul, inv) = F.q, F.kernel
+    a, b, c = pivot
+    if c:
+        return [(mul(sub(x, a), inv(v)) if (v := sub(y, b)) else q) if z
+                else (mul(x, inv(y)) if y else q) for x, y, z in later]
+    if b:
+        return [mul(z, inv(v)) if (v := sub(x, mul(a, y))) else q for x, y, z in later]
+    return [mul(z, inv(y)) if y else q for _, y, z in later]
+
+
+def w_admissible_by_eta(F: GF, w: int) -> bool:
+    """The odd construction's rule on the checked operations:
+    eta(w) = eta(1+4w) = -1, with 4 = (1+1)+(1+1)."""
+    eta, two = F.quadratic_character, F.add(1, 1)
+    return eta(w) == -1 and eta(F.add(1, F.mul(F.add(two, two), w))) == -1
 
 
 def incident(F: GF, point, line) -> bool:

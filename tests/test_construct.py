@@ -1,6 +1,6 @@
 import pytest
 
-from arccodes.field import make_field, field_from_order, prime_factors
+from arccodes.field import GF, make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
 from arccodes.codes import (
     classify,
@@ -8,6 +8,7 @@ from arccodes.codes import (
     min_weight_supports,
     weight_distribution,
 )
+from arccodes import construct
 from arccodes.construct import (
     CensusResult,
     build_even_matrix,
@@ -20,7 +21,7 @@ from arccodes.construct import (
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
-from conftest import paper_codes, shuffled_blocks
+from conftest import paper_codes, shuffled_blocks, w_admissible_by_eta
 
 
 def test_valid_v_set_gf4():
@@ -46,6 +47,59 @@ def test_valid_w_set_values():
         valid_w_set(make_field(3))  # (3-2-1)/4 = 0 admissible w
     with pytest.raises(ValueError):
         valid_w_set(make_field(2, 2))  # even characteristic
+
+
+def _odd_prime_powers(top):
+    return [q for q in range(3, top + 1, 2) if len(prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("top", [243, pytest.param(1021, marks=pytest.mark.long)])
+def test_valid_w_set_matches_the_eta_oracle(top):
+    """At every odd prime power q <= top, the set read off the log tables
+    is the w with eta(w) = eta(1+4w) = -1 on the checked operations; at
+    q = 3 there is none, and valid_w_set says so."""
+    for q in _odd_prime_powers(top):
+        F = field_from_order(q)
+        expected = frozenset(w for w in range(q) if w_admissible_by_eta(F, w))
+        if q == 3:
+            assert not expected
+            with pytest.raises(ValueError, match=r"^no admissible w exists at q=3$"):
+                valid_w_set(F)
+            continue
+        assert valid_w_set(F) == expected, q
+
+
+def test_odd_construction_refuses_even_q_and_q3():
+    """The refusals keep their messages: even characteristic at every odd
+    entry point, and any w at q = 3, where none is admissible."""
+    F4 = make_field(2, 2)
+    even = r"^the odd construction needs odd characteristic$"
+    with pytest.raises(ValueError, match=even):
+        valid_w_set(F4)
+    with pytest.raises(ValueError, match=even):
+        build_odd_matrix(F4, 1)
+    with pytest.raises(ValueError, match=even):
+        solution_count_census("odd-B1", F4, w=1)
+    F3 = make_field(3)
+    for w in range(3):
+        with pytest.raises(ValueError, match=rf"^w={w} fails eta\(w\) = eta\(1\+4w\) = -1; "
+                                             "not admissible$"):
+            build_odd_matrix(F3, w)
+
+
+def test_admissible_w_computed_once_per_field(monkeypatch):
+    """The admissible set is one table pass per field, kept: the listing
+    and both odd entry points read it again."""
+    calls = []
+    twin = GF.twin_nonsquares
+    monkeypatch.setattr(GF, "twin_nonsquares", lambda self, c: calls.append(c) or twin(self, c))
+    construct._w_set.cache_clear()
+    F = make_field(5, 2)
+    w = min(valid_w_set(F))
+    build_odd_matrix(F, w)
+    solution_count_census("odd-B2", F, w=w)
+    assert valid_w_set(F) == valid_w_set(field_from_order(25))
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49])

@@ -303,6 +303,23 @@ def test_quadratic_character_even_char_rejected():
         make_field(2, 2).quadratic_character(1)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 125])
+def test_twin_nonsquares_match_the_character(q):
+    """The x with x and 1 + c x both nonsquares, for every c, against the
+    quadratic character on the checked operations; c must be an element,
+    and p = 2 is refused as by the character."""
+    F = field_from_order(q)
+    eta = F.quadratic_character
+    for c in range(q):
+        got = F.twin_nonsquares(c)
+        assert len(got) == len(set(got))
+        assert set(got) == {x for x in range(q) if eta(x) == eta(F.add(1, F.mul(c, x))) == -1}
+    with pytest.raises(ValueError, match="not an element index"):
+        F.twin_nonsquares(q)
+    with pytest.raises(ValueError, match="^quadratic character requires odd characteristic$"):
+        make_field(2, 3).twin_nonsquares(1)
+
+
 @pytest.mark.parametrize("q", [3, 5, 9, 11, 13])
 def test_character_identities(q):
     F = field_from_order(q)

@@ -6,9 +6,16 @@ import pytest
 
 from arccodes.field import GF, Kernel, make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
-from arccodes.construct import build_odd_matrix, even_closed_form, odd_closed_form, valid_w_set
+from arccodes.construct import (
+    build_even_matrix,
+    build_odd_matrix,
+    even_closed_form,
+    odd_closed_form,
+    valid_v_set,
+    valid_w_set,
+)
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
-from conftest import incident, paper_code, paper_codes
+from conftest import incident, kernel_slopes, paper_code, paper_codes
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -308,14 +315,8 @@ def test_line_profile_matches_pairwise_on_a_paper_code(q):
     _assert_profile_matches_pairwise(G.field, G.columns(), G.line_profile())
 
 
-def test_seeded_profile_rescales_only_columns_off_z_1():
-    """The q = 27 paper code's profile on a fresh field with counting kernel
-    wrappers: one inverse per slope, each added pivot against each later
-    column, and one per column whose last coordinate is not 1.  A column
-    (x, y, 1) is its own canonical point and is never rescaled: one inv per
-    column would add about q calls."""
-    F = GF(3, 3)
-    G = build_odd_matrix(F, min(valid_w_set(F)))
+def _count_kernel_calls(F):
+    """Replace F's kernel with counting wrappers; the counts by operation."""
     calls = Counter()
 
     def counted(name, op):
@@ -325,12 +326,60 @@ def test_seeded_profile_rescales_only_columns_off_z_1():
         return call
 
     F.kernel = Kernel(*(counted(name, op) for name, op in zip(Kernel._fields, F.kernel)))
+    return calls
+
+
+def test_seeded_profile_rescales_only_columns_off_z_1():
+    """The q = 27 paper code's profile on a fresh field with counting kernel
+    wrappers: at most one inverse per column whose last coordinate is not
+    1, and none for the slopes, which are read off the log tables.  A
+    column (x, y, 1) is its own canonical point and is never rescaled: one
+    inv per column would add about q calls."""
+    F = GF(3, 3)
+    G = build_odd_matrix(F, min(valid_w_set(F)))
+    calls = _count_kernel_calls(F)
     assert G.line_profile().max_line == 3
     pivots = G.n - G._arc_base
     slopes = sum(G.n - 1 - i for i in range(pivots))
     off_z_1 = sum(col[2] != 1 for col in G.columns())
     assert off_z_1 == 4  # (1,0,0), (0,1,0), (1,1,0), (0,w,-1)
-    assert 0 < calls["inv"] <= slopes + off_z_1
+    assert 0 < calls["inv"] <= off_z_1 < slopes
+
+
+@pytest.mark.parametrize("p, m", [(3, 3), (2, 5)])
+def test_seeded_profile_makes_no_kernel_call_per_pair(p, m):
+    """The paper code's seeded profile on a fresh field with counting kernel
+    wrappers: the kernel only rescales the columns off z = 1 (at most three
+    calls each), a constant number per pivot, and every slope is read off
+    the log tables.  Four calls per (pivot, later point) pair would be
+    about 4(q+4) per pivot."""
+    F = GF(p, m)  # q = 27 and 32
+    if p == 2:
+        f = make_family_opoly(F, "translation", h=1)
+        G = build_even_matrix(f, min(valid_v_set(f)))
+    else:
+        G = build_odd_matrix(F, min(valid_w_set(F)))
+    calls = _count_kernel_calls(F)
+    assert G.line_profile().counts == paper_code(F.q).line_profile().counts
+    pivots = G.n - G._arc_base
+    off_z_1 = sum(col[2] != 1 for col in G.columns())
+    assert 0 < sum(calls.values()) <= 3 * off_z_1 <= 3 * pivots
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 25, 27])
+def test_slopes_match_the_kernel_oracle(q):
+    """`GF.slopes` from every point of PG(2,q) as pivot, in each of the
+    three forms (a,b,1), (a,1,0) and (1,0,0), to every other point, equals
+    the slopes on the kernel: pivots and later points with a zero
+    coordinate and later points at z = 0 included."""
+    F = field_from_order(q)
+    pts = geo.all_points(F)
+    forms = Counter()
+    for i, pivot in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        assert F.slopes(pivot, others) == kernel_slopes(F, pivot, others), (q, pivot)
+        forms[max(k for k in range(3) if pivot[k])] += 1  # its last 1
+    assert forms == {2: q * q, 1: q, 0: 1}
 
 
 def _assert_incidence_identities(F, columns, lp):

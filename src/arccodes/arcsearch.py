@@ -257,7 +257,8 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
             _, cands, one, two, left = stack.pop()
             n -= 1
     else:
-        indices = [i for i in range(len(points)) if candidates >> (top - i) & 1]
+        # index i is bit top - i: character i of the top+1 binary digits
+        indices = [i for i, bit in enumerate(format(candidates, f"0{top + 1}b")) if bit == "1"]
         while done_restarts < restarts and not stop:
             order = list(indices)
             random.Random(seed * 1_000_003 + done_restarts).shuffle(order)

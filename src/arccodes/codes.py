@@ -87,7 +87,7 @@ class GeneratorMatrix:
             raise ValueError("the line profile is defined for k = 3")
         if self._line_profile is None:
             self._line_profile = geometry.LineProfile(self.field, self._columns,
-                                                      _arc_base=self._arc_base, _checked=True)
+                                                      _arc_base=self._arc_base)
         return self._line_profile
 
     def __eq__(self, other):

@@ -35,25 +35,20 @@ def valid_v_set(f: OPolynomial) -> frozenset[int]:
     return f.shift_complement
 
 
-def _w_admissible(F: GF, w: int) -> bool:
-    """Whether w is admissible for the odd construction: eta(w) = eta(1+4w)
-    = -1, a lookup in the field's kept set.  The one rule behind
-    `valid_w_set` and both odd entry points."""
-    return w in _w_set(F)
-
-
 @cache
 def _w_set(F: GF) -> frozenset[int]:
-    """The w with eta(w) = eta(1+4w) = -1, from one pass over F's log tables
-    (`GF.twin_nonsquares`), computed once per field."""
+    """The w with eta(w) = eta(1+4w) = -1, admissible for the odd
+    construction, from one pass over F's log tables (`GF.twin_nonsquares`),
+    computed once per field.  The one rule behind `valid_w_set` and both odd
+    entry points."""
     if F.p == 2:
         raise ValueError("the odd construction needs odd characteristic")
     return frozenset(F.twin_nonsquares(4 % F.p))
 
 
 def valid_w_set(F: GF) -> frozenset[int]:
-    """Admissible w for the odd construction: the field's kept set of
-    `_w_admissible`, read off its log tables."""
+    """Admissible w for the odd construction: the field's kept `_w_set`,
+    read off its log tables."""
     if not (out := _w_set(F)):
         raise ValueError(f"no admissible w exists at q={F.q}")
     return out
@@ -75,7 +70,7 @@ def build_odd_matrix(F: GF, w: int) -> GeneratorMatrix:
     """3 x (q+5) generator matrix for odd q; the first q+1 columns are the
     standard oval, in the reference column order."""
     F.check(w)
-    if not _w_admissible(F, w):
+    if w not in _w_set(F):
         raise ValueError(f"w={w} fails eta(w) = eta(1+4w) = -1; not admissible")
     base = standard_oval(F)
     cols = base + [(0, 1, 0), (1, 1, 0), (0, w, F.neg(1)), (w, 0, 1)]
@@ -164,7 +159,7 @@ def solution_count_census(kind: str, F: GF, f: OPolynomial | None = None,
     else:
         if w is None:
             raise ValueError(f"{kind} needs w")
-        if not _w_admissible(F, F.check(w)):
+        if F.check(w) not in _w_set(F):
             raise ValueError(f"w={w} is not admissible")
         a, shift, diagonal = [mul(x, x) for x in range(q)], w, sub(0, 1)
     b = range(q)

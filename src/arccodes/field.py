@@ -217,7 +217,10 @@ class Kernel(NamedTuple):
 # the pivot: x - a z and y - b z for (a,b,1); z and x - a y for (a,1,0); z
 # and y for (1,0,0).  Two later points share a slope exactly when they lie
 # on one line through the pivot.  The slopes are read from the log tables,
-# with no kernel call per point.
+# with no kernel call per point.  `geometry.LineProfile` reads them for
+# every pivot of a column set, and `opoly.is_o_polynomial` for the chords
+# of a graph {(f(y), y, 1)}: from (f(a), a, 1) the slope of (f(y), y, 1)
+# is (f(y) - f(a)) / (y - a).
 Slopes = Callable[[tuple[int, int, int], list[tuple[int, int, int]]], list[int]]
 
 
@@ -478,13 +481,17 @@ class GF:
         """Least-index element of multiplicative order q-1."""
         return self.generator
 
+    def powers(self) -> list[int]:
+        """g^0, g^1, ..., g^(q-2) for the generator g, off the antilog table."""
+        return self._exp[:self.q - 1]
+
     def elements(self) -> list[int]:
         """All q elements in the reference column order: descending powers of
         the generator then 0 for m >= 2, and q-1, q-2, ..., 1, 0 for prime
         fields."""
         if self.m == 1:
             return list(range(self.q - 1, -1, -1))
-        return [self._exp[i] for i in range(self.q - 2, -1, -1)] + [0]
+        return self.powers()[::-1] + [0]
 
     # -- text forms -----------------------------------------------------------
 

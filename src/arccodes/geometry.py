@@ -131,18 +131,16 @@ class LineProfile:
     precedes every added one, so that line is recorded, with no sort, as
     (j1, j2, i) in column order.  Any other class is sorted.
 
-    `_checked=True`, from `GeneratorMatrix.line_profile`, `is_arc` and
-    `is_n3_arc` alone, vouches that the columns are triples of checked
-    element indices: a column (x, y, 1) is taken as its own canonical point
-    and the others are scaled on the kernel, not by `canonical`.
+    The columns are triples of checked element indices: `GF.as_element`
+    checks a matrix's entries (`GeneratorMatrix.line_profile`), and
+    `canonical` a point set's (`is_arc`, `is_n3_arc`,
+    `line_intersection_profile`).  A column (x, y, 1) is its own canonical
+    point, and the others are scaled on the kernel.
     """
 
-    def __init__(self, F: GF, columns, _arc_base: int = 0, _checked: bool = False):
+    def __init__(self, F: GF, columns, _arc_base: int = 0):
         q = F.q
-        if _checked:  # a column (x, y, 1) is its own canonical point
-            pts = [col if col[2] == 1 else _scaled(F.kernel, *col) for col in columns]
-        else:
-            pts = [canonical(F, col) if any(col) else None for col in columns]
+        pts = [col if col[2] == 1 else _scaled(F.kernel, *col) for col in columns]
         m, distinct = len(pts), set(pts)
         zeros, repeated, index = 0, False, range(m)  # index: each point's first column
         if None in distinct or len(distinct) < m:  # group the columns by point
@@ -210,21 +208,21 @@ class LineProfile:
 
 def line_intersection_profile(F: GF, points) -> tuple[dict[int, int], int]:
     """Map size -> number of lines meeting the set in that many points, over
-    all q^2+q+1 lines, plus the maximum size."""
-    profile = LineProfile(F, points)
-    if profile.zeros:
-        raise ValueError("the zero vector has no projective point")
+    all q^2+q+1 lines, plus the maximum size.  The points are outside
+    input, each checked and scaled by `canonical`; repeats count with
+    multiplicity."""
+    profile = LineProfile(F, [canonical(F, p) for p in points])
     return dict(profile.counts), profile.max_line
 
 
 def is_arc(F: GF, points) -> bool:
     """No three points collinear (pairwise distinct required)."""
-    return LineProfile(F, validate_point_set(F, points), _checked=True).max_line <= 2
+    return LineProfile(F, validate_point_set(F, points)).max_line <= 2
 
 
 def is_n3_arc(F: GF, points) -> bool:
     """Some three points collinear but never four."""
-    return LineProfile(F, validate_point_set(F, points), _checked=True).max_line == 3
+    return LineProfile(F, validate_point_set(F, points)).max_line == 3
 
 
 def hyperoval_from_opoly(f: OPolynomial) -> list[Triple]:

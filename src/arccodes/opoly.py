@@ -131,10 +131,7 @@ def interpolate(F: GF, values) -> tuple[int, ...]:
         raise ValueError("need one value per field element")
     values = [F.check(y) for y in values]
     add, sub, mul = F.kernel.add, F.kernel.sub, F.kernel.mul
-    n, g = q - 1, F.primitive_element()
-    powers = [1]  # powers[i] = g^i, i < n
-    for _ in range(n - 1):
-        powers.append(mul(powers[-1], g))
+    n, powers = q - 1, F.powers()  # powers[i] = g^i, i < n
     at_powers = [values[a] for a in powers]
     coeffs = [values[0]]
     for k in range(1, q):
@@ -342,15 +339,14 @@ def _orbit_leaders(f: OPolynomial, k: int) -> list[int]:
 
     The multipliers lam^k form the subgroup of order r = d / gcd(d, k), so
     the orbits are its cosets g^c <g^s>, c < s = (q-1)/r, for the primitive
-    element g: every s-th of the powers of g, walked once on the kernel.
+    element g: every s-th of the powers of g, read off the field's antilog
+    table (`GF.powers`).
     """
     F = f.field
-    q, mul, top = F.q, F.kernel.mul, f.degree
+    q, top = F.q, f.degree
     d = reduce(gcd, (e - top for e, c in enumerate(f.coeffs) if c), q - 1)
     s = (q - 1) // (d // gcd(d, k))
-    g, powers = F.primitive_element(), [1]
-    for _ in range(q - 2):
-        powers.append(mul(powers[-1], g))
+    powers = F.powers()
     return sorted(min(powers[c::s]) for c in range(s))
 
 
@@ -364,11 +360,13 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
     quotient condition, the witness a.
 
     The quotient condition is checked on pairs a < y: the q-1-a slopes
-    (f(y)+f(a)) / (y+a) must be distinct.  g_a repeats a value exactly when
-    a and two other points of the graph are collinear, and the least point
-    of such a triple sees both others among its later points, so the least
-    failing a, the witness, is the same as for the full maps.  Rows run at
-    0 and at the least a of each scaling orbit (x -> lam x, module
+    (f(y)+f(a)) / (y+a) must be distinct.  Each row reads them off the log
+    tables with `GF.slopes`, from the graph point (f(a), a, 1) to the later
+    points (f(y), y, 1), with no kernel call.  g_a repeats a value exactly
+    when a and two other points of the graph are collinear, and the least
+    point of such a triple sees both others among its later points, so the
+    least failing a, the witness, is the same as for the full maps.  Rows
+    run at 0 and at the least a of each scaling orbit (x -> lam x, module
     docstring), in increasing order: every point of a triple fails with its
     orbit, so the least failing a leads its orbit and no earlier leader
     fails.  Monomials run rows 0 and 1 only.
@@ -383,13 +381,10 @@ def is_o_polynomial(f: OPolynomial) -> Verdict:
         return Verdict(False, "f(0)=0", 0)
     if tab[1] != 1:
         return Verdict(False, "f(1)=1", 1)
-    add, mul, inv = F.kernel.add, F.kernel.mul, F.kernel.inv
-    inverses = [0] + [inv(x) for x in range(1, q)]
+    graph, slopes = [(fy, y, 1) for y, fy in enumerate(tab)], F.slopes
     for a in [0] + _orbit_leaders(f, 1):
-        fa = tab[a]
         # two equal slopes: two later points on one line through a
-        seen = {mul(add(tab[y], fa), inverses[add(y, a)]) for y in range(a + 1, q)}
-        if len(seen) != q - 1 - a:
+        if len(set(slopes(graph[a], graph[a + 1:]))) != q - 1 - a:
             return Verdict(False, "quotient-permutation", a)
     return Verdict(True)
 

@@ -6,6 +6,7 @@ import pytest
 
 from arccodes.field import GF, Kernel, make_field, field_from_order, prime_factors
 from arccodes import geometry as geo
+from arccodes.codes import GeneratorMatrix
 from arccodes.construct import (
     build_even_matrix,
     build_odd_matrix,
@@ -46,7 +47,7 @@ def test_canonical_refuses_non_integer_coordinates():
         with pytest.raises(ValueError, match="not an element index"):
             geo.canonical(F, bad)
         with pytest.raises(ValueError, match="not an element index"):
-            geo.LineProfile(F, [(0, 1, 0), bad])
+            geo.line_intersection_profile(F, [(0, 1, 0), bad])
 
 
 def _join(F, p1, p2):
@@ -212,12 +213,10 @@ def _profile_fields(lp):
 
 
 def _assert_profile_matches_pairwise(F, columns, *also):
-    """Both entries, `canonical` for outside input and the kernel-scaled
-    `_checked` one, and any profile in `also` of the same columns, against
-    the pairwise oracle."""
+    """The profile of the columns, and any profile in `also` of the same
+    columns, against the pairwise oracle."""
     expected = _pairwise_profile(F, columns)
-    profiles = (geo.LineProfile(F, columns), geo.LineProfile(F, columns, _checked=True), *also)
-    for entry, lp in enumerate(profiles):
+    for entry, lp in enumerate((geo.LineProfile(F, columns), *also)):
         assert _profile_fields(lp) == expected, (F.q, entry, columns)
 
 
@@ -383,13 +382,17 @@ def test_slopes_match_the_kernel_oracle(q):
 
 
 def _assert_incidence_identities(F, columns, lp):
-    """Counting the lines, the incidences and the pairs of n distinct
-    points: sum N_c = q^2+q+1, sum c N_c = n(q+1), sum C(c,2) N_c = C(n,2)."""
-    q, n = F.q, len(columns)
+    """Counting the lines, the incidences and the pairs of the n nonzero
+    columns, m_P of them on point P: sum N_c = q^2+q+1, sum c N_c = n(q+1),
+    and sum C(c,2) N_c = C(n,2) + q sum C(m_P,2), since two columns on one
+    point share its q+1 lines and two on distinct points one line."""
+    q = F.q
+    mult = Counter(geo.canonical(F, col) for col in columns if any(col))
+    n = sum(mult.values())
     assert sum(lp.counts.values()) == q * q + q + 1, (q, columns)
     assert sum(c * t for c, t in lp.counts.items()) == n * (q + 1), (q, columns)
-    assert sum(c * (c - 1) // 2 * t for c, t in lp.counts.items()) == n * (n - 1) // 2, \
-        (q, columns)
+    assert sum(c * (c - 1) // 2 * t for c, t in lp.counts.items()) \
+        == n * (n - 1) // 2 + q * sum(m * (m - 1) // 2 for m in mult.values()), (q, columns)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
@@ -414,10 +417,21 @@ def test_line_profile_incidence_identities_on_distinct_columns(q):
 
 @pytest.mark.parametrize("q", [127, 128])
 def test_line_profile_incidence_identities_on_a_paper_code(q):
+    """The paper code, seeded and pairwise, and the same columns with scaled
+    copies of a few of them, an exact repeat and a zero column appended."""
     G = paper_code(q)
     for lp in (G.line_profile(), geo.LineProfile(G.field, G.columns())):
         _assert_incidence_identities(G.field, G.columns(), lp)
         assert lp.max_line == 3
+    F, cols = G.field, list(G.columns())
+    g = F.primitive_element()
+    extra = [_scaled(F, g, cols[0]), _scaled(F, F.pow(g, 5), cols[-1]),
+             _scaled(F, g, cols[-1]), cols[3], (0, 0, 0)]
+    H = GeneratorMatrix.from_columns(F, cols + extra)
+    lp = H.line_profile()
+    assert lp.zeros == 1 and lp.repeated
+    _assert_incidence_identities(F, H.columns(), lp)
+    assert _profile_fields(lp) == _pairwise_profile(F, H.columns())
 
 
 EVEN_PAPER_Q = (4, 8, 16, 32, 64)
@@ -460,10 +474,8 @@ def test_seeded_profile_with_many_added_points(q):
         on = [p for p in off if incident(F, p, line)]
         added = on + rng.sample([p for p in off if p not in on], rng.randrange(0, 6))
         added = [_scaled(F, rng.randrange(1, q), p) for p in rng.sample(added, len(added))]
-        expected = _pairwise_profile(F, base + added)
-        for checked in (False, True):
-            lp = geo.LineProfile(F, base + added, _arc_base=len(base), _checked=checked)
-            assert _profile_fields(lp) == expected, (q, checked, added)
+        lp = geo.LineProfile(F, base + added, _arc_base=len(base))
+        assert _profile_fields(lp) == _pairwise_profile(F, base + added), (q, added)
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 9])
@@ -480,10 +492,9 @@ def test_seeded_profile_secant_with_added_points(q):
     others = [p for p in geo.all_points(F) if p not in base and p not in added]
     for t in (1, 2, 3):
         cols = base + added[:t] + others[:2]
-        for checked in (False, True):
-            lp = geo.LineProfile(F, cols, _arc_base=k, _checked=checked)
-            assert _profile_fields(lp) == _pairwise_profile(F, cols), (q, t, checked)
-            assert [ln for ln in lp.rich if ln[:2] == (0, 1)] == [(0, 1, *range(k, k + t))]
+        lp = geo.LineProfile(F, cols, _arc_base=k)
+        assert _profile_fields(lp) == _pairwise_profile(F, cols), (q, t)
+        assert [ln for ln in lp.rich if ln[:2] == (0, 1)] == [(0, 1, *range(k, k + t))]
 
 
 @pytest.mark.parametrize("bad", ["zero", "added repeats added", "added repeats base"])

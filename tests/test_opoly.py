@@ -165,13 +165,15 @@ def test_both_criteria_match_full_oracles_on_scaling_symmetric_polynomials(q):
 
 
 def test_monomial_checks_make_linear_kernel_calls():
-    """Both criteria on x^2 at q = 4096 make at most 8q kernel calls once
-    the value table is built; a fall back to one row per a or u stops at
-    the first call past that."""
+    """Both criteria on x^2 at q = 4096 do O(q) work once the value table is
+    built.  The quotient check makes no kernel call and passes at most 2q
+    pairs through `GF.slopes`, rows 0 and 1 only; the 2-to-1 check makes at
+    most 8q kernel calls.  A fall back to one row per a or u stops at the
+    first pair or call past its budget."""
     F = GF(2, 12)
     f = make_custom_opoly(F, [0, 0, 1])
     assert len(f.values) == F.q
-    budget, calls = 8 * F.q, 0
+    budget, calls, pairs = 8 * F.q, 0, 0
 
     def counted(op):
         def call(*args):
@@ -181,10 +183,16 @@ def test_monomial_checks_make_linear_kernel_calls():
             return op(*args)
         return call
 
+    def counted_slopes(pivot, later, slopes=F.slopes):
+        nonlocal pairs
+        pairs += len(later)
+        assert pairs <= 2 * F.q, "slope pairs past 2q"
+        return slopes(pivot, later)
+
     F.kernel = Kernel(*map(counted, F.kernel))
+    F.slopes = counted_slopes
     assert is_o_polynomial.__wrapped__(f).ok
-    assert 0 < calls <= budget
-    calls = 0
+    assert calls == 0 and 0 < pairs <= 2 * F.q
     assert is_two_to_one_with_linear(f).ok
     assert 0 < calls <= budget
 

@@ -1,14 +1,17 @@
 """Backtracking extension of arcs to larger (n,3)-arcs in PG(2,q).
 
-Points and lines share one index list (`_Plane.points`), and every set of
-either is one Python int in which index i is bit `top - i`, top = q^2+q:
-the lowest index is the highest bit.  A state is the chosen points, the
-open candidates, and the line counts as two ints: `one`, the lines holding
-at least one chosen point, and `two`, those holding at least two.  Adding
+Points and lines share one index, a point's rank in lexicographic order,
+computed in closed form by `_Plane.index` and inverted by `_Plane.point`.
+Every set of either is one Python int in which index i is bit `top - i`,
+top = q^2+q: the lowest index is the highest bit.  The search holds
+indices only, and makes a point triple when it builds a mask and when it
+returns the arc.  A state is the chosen points, the open candidates, and
+the line counts as two ints: `one`, the lines holding at least one
+chosen point, and `two`, those holding at least two.  Adding
 point i with pencil mask P finds the lines it fills as `two & P`, then sets
 `two |= one & P` and `one |= P`; no per-line counter is raised.  The DFS is
 one loop over plain locals, and its path is an explicit list: each entry is
-a point taken and the parent's state after taking it.  A child that passes
+an index taken and the parent's state after taking it.  A child that passes
 the size bound is pushed, and a level whose candidates run out or are cut
 pops its parent's state back, so a run's whole state is the path, the best
 arc so far and the counters.  The DFS takes the lowest candidate index
@@ -61,38 +64,55 @@ class SearchStats:
 
 
 class _Plane:
-    """The points of one field's plane and masks[i], the lines through
-    point i as a bitset.  Points and lines share one index list, and index
-    i is bit `top - i`, top = q^2+q, so the lowest index is the highest
-    bit.  masks[i] is also the set of points on line i.  `masks` is a plain
-    list holding None until `mask(i)` builds entry i, as that set, from the
-    line's equation in one of three cases; the search loops read the list
-    and call `mask` only on None.
+    """One field's plane: the closed-form point index and masks[i], the
+    lines through point i as a bitset.  Points and lines share one index,
+    and index i is bit `top - i`, top = q^2+q, so the lowest index is the
+    highest bit.  masks[i] is also the set of points on line i.  `masks` is
+    a plain list holding None until `mask(i)` builds entry i, as that set,
+    from the line's equation in one of three cases; the search loops read
+    the list and call `mask` only on None.
 
-    The sorted points with one x form a column of q+1 bits: (x, y, 1) has
-    index x(q+1) + [x>0] + y + [y>0], so its bit is cbit[y] << shift[~x],
-    with cbit[y] = 1 << (q - y - [y>0]) and column x shifted by
-    q^2 - x(q+1) - [x>0].  Bit q-1 of column x is (x, 1, 0), and `column`,
-    the sum of cbit, holds the column's q points (x, y, 1).  Two tables of
-    small ints, built once per plane in O(q^2) kernel operations, hold what
-    the lines y = s + tx need: prod[t], the products tx, and cb[s], where
-    cb[s][u] is cbit[s + u].  `shift` and prod[t] run over x from q-1 down
-    to 0 (so shift[~x] is column x's), and a mask's sum grows from its low
-    bits."""
+    The index is the rank of a canonical point in lexicographic order:
+    (x, y, 1) has index x(q+1) + [x>0] + y + [y>0], (x, 1, 0) has
+    x(q+1) + [x>0] + 1, and (1, 0, 0) has q+1.  `index` computes it and
+    `point` inverts it, so no list of the q^2+q+1 points is kept.  The
+    points with one x form a column of q+1 bits: the bit of (x, y, 1) is
+    cbit[y] << shift[~x], with cbit[y] = 1 << (q - y - [y>0]) and column x
+    shifted by q^2 - x(q+1) - [x>0].  Bit q-1 of column x is (x, 1, 0), and
+    `column`, the sum of cbit, holds the column's q points (x, y, 1).  Two
+    tables of small ints, built once per plane in O(q^2) kernel operations,
+    hold what the lines y = s + tx need: prod[t], the products tx, and
+    cb[s], where cb[s][u] is cbit[s + u].  `shift` and prod[t] run over x
+    from q-1 down to 0 (so shift[~x] is column x's), and a mask's sum grows
+    from its low bits."""
 
     def __init__(self, F: GF):
-        self.points = points = geometry.all_points(F)
-        self.index = {u: i for i, u in enumerate(points)}
-        self.top = len(points) - 1
-        self.masks = [None] * len(points)
         self.field = F
-        q, (add, _, mul, _) = F.q, F.kernel
+        self.q = q = F.q
+        self.top = q * q + q
+        self.masks = [None] * (self.top + 1)
+        add, _, mul, _ = F.kernel
         xs = range(q - 1, -1, -1)
         cbit = [1 << (q - y - (y > 0)) for y in range(q)]
         self.column = sum(cbit)
         self.shift = [q * q - x * (q + 1) - (x > 0) for x in xs]
         self.prod = [[mul(t, x) for x in xs] for t in range(q)]
         self.cb = [[cbit[add(s, u)] for u in range(q)] for s in range(q)]
+
+    def index(self, point) -> int:
+        """The index of a canonical point."""
+        x, y, z = point
+        if not (y or z):
+            return self.q + 1
+        return x * (self.q + 1) + (x > 0) + (y + (y > 0) if z else 1)
+
+    def point(self, i: int):
+        """The canonical point of index i."""
+        q = self.q
+        if i == q + 1:
+            return (1, 0, 0)
+        x, r = divmod(i - (i > q), q + 1)
+        return (x, 1, 0) if r == 1 else (x, r - (r > 0), 1)
 
     def mask(self, i: int) -> int:
         """masks[i], built on first use: the q+1 points of line i,
@@ -102,17 +122,17 @@ class _Plane:
         if out is not None:
             return out
         _, sub, mul, inv = self.field.kernel
-        q, top, shift = self.field.q, self.top, self.shift
-        a, b, c = self.points[i]
+        q, top, shift, index = self.q, self.top, self.shift, self.index
+        a, b, c = self.point(i)
         if b:  # y = s + tx, s = -c/b, t = -a/b; at z = 0, y = tx
             r = inv(b)
             s, t = sub(0, mul(c, r)), sub(0, mul(a, r))
             out = sum(map(lshift, map(self.cb[s].__getitem__, self.prod[t]), shift))
-            out += 1 << (top - self.index[(inv(t), 1, 0) if t else (1, 0, 0)])
+            out += 1 << (top - index((inv(t), 1, 0) if t else (1, 0, 0)))
         elif a:  # x = -c/a, one column; at z = 0, x = 0
-            out = (self.column << shift[~sub(0, mul(c, inv(a)))]) + (1 << (top - 1))
+            out = (self.column << shift[~sub(0, mul(c, inv(a)))]) + (1 << (top - index((0, 1, 0))))
         else:  # z = 0: (x, 1, 0) for every x, and (1, 0, 0)
-            out = sum(1 << (k + q - 1) for k in shift) + (1 << (top - q - 1))
+            out = sum(1 << (k + q - 1) for k in shift) + (1 << (top - index((1, 0, 0))))
         self.masks[i] = out
         return out
 
@@ -132,8 +152,8 @@ def _union(plane: _Plane, bits: int) -> int:
 
 
 STRATEGIES = ("dfs", "greedy-restart")
-# the largest plane measured: a one-node search peaks at 195 MB RSS in 1.3 s,
-# and the plane's point list and index grow as q^2
+# the largest plane measured: a one-node search peaks at 51 MB RSS in 0.37 s;
+# the mask and keep lists grow as q^2 slots, and each built mask as q^2 bits
 MAX_Q = 1024
 
 
@@ -164,21 +184,22 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                          f"since the plane holds all q^2+q+1 points")
     base_pts = geometry.validate_point_set(F, base)
     plane = _plane(F)
-    points, index, masks, mask, top = plane.points, plane.index, plane.masks, plane.mask, plane.top
+    masks, mask, top = plane.masks, plane.mask, plane.top
+    base = list(map(plane.index, base_pts))  # the search holds point indices
 
     base_one = base_two = base_three = 0  # lines holding >= 1, >= 2, >= 3 base points
-    for p in base_pts:
-        P = mask(index[p])
+    for i in base:
+        P = mask(i)
         if base_three & P:
             raise ValueError("base set has four points on a line")
         base_three |= base_two & P
         base_two |= base_one & P
         base_one |= P
     dead = _union(plane, base_three)  # points on a line the base fills
-    taken = sum(1 << (top - index[p]) for p in base_pts)
-    full = (1 << len(points)) - 1
+    taken = sum(1 << (top - i) for i in base)
+    full = (1 << (top + 1)) - 1
     candidates = full ^ (dead | taken)
-    keep = [None] * len(points)
+    keep = [None] * (top + 1)
 
     def keep_of(i):
         """keep[i], built on first use: every point off the base's
@@ -194,7 +215,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
     # 1024th node, so a search may run up to 1023 nodes past its deadline.
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     target = math.inf if target_size is None else target_size
-    best = list(base_pts)
+    best = list(base)
     nodes = 0
     stop = len(best) >= target
     exhausted = False
@@ -202,7 +223,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
 
     done_restarts = prunes = 0
     if strategy == "dfs":
-        # The path is `stack`: per level, the point taken and the parent's
+        # The path is `stack`: per level, the index taken and the parent's
         # (cands, one, two, left) after taking it.  `n` counts the base and
         # the path, and `left` is n + cands.bit_count(), kept in step as each
         # node takes a candidate.  The loop top runs the same tests at every
@@ -240,7 +261,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     child ^= child & (masks[top - b] or mask(top - b))
                     filled ^= 1 << b
                 if n >= best_n:
-                    best = base_pts + [entry[0] for entry in stack] + [points[i]]
+                    best = base + [entry[0] for entry in stack] + [i]
                     best_n = n + 1
                     stop = best_n >= target
                 if child:
@@ -248,7 +269,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     if size <= best_n:
                         prunes += 1
                     else:
-                        stack.append((points[i], cands, one, two, left))
+                        stack.append((i, cands, one, two, left))
                         cands, one, two, left = child, one | P, two | (one & P), size
                         n += 1
                 continue
@@ -263,7 +284,7 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
             order = list(indices)
             random.Random(seed * 1_000_003 + done_restarts).shuffle(order)
             open_, one, two = candidates, base_one, 0
-            pts = list(base_pts)
+            pts = list(base)
             for i in order:
                 if nodes == max_nodes or (deadline is not None and not nodes & 1023
                                           and time.monotonic() >= deadline):
@@ -274,17 +295,19 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
                     # `two` starts empty: the base's two-point lines through i
                     # are off its keep, and once i is added no candidate is
                     # left on them
-                    pts.append(points[i])
+                    pts.append(i)
                     P = mask(i)
                     open_ &= keep_of(i)
                     open_ ^= open_ & _union(plane, two & P)
                     one, two = one | P, two | (one & P)
             done_restarts += 1
-            # larger wins; among equal sizes, lexicographically smaller
+            # larger wins; among equal sizes, lexicographically smaller (the
+            # index order is the points' lexicographic order)
             if len(pts) > len(best) or (len(pts) == len(best) and pts < best):
                 best = pts
             stop = stop or len(best) >= target
 
+    best = list(map(plane.point, best))
     stats = SearchStats(
         found_n=len(best),
         nodes=nodes,
@@ -294,6 +317,6 @@ def extend_to_n3_arc(F: GF, base, strategy: str = "dfs", max_nodes: int | None =
         elapsed_ms=int((time.monotonic() - start) * 1000),
         strategy=strategy,
         budget_exhausted=exhausted,
-        arc=list(best),
+        arc=best,
     )
     return list(best), stats

@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -365,7 +366,7 @@ def test_conclusion_report():
 def test_pencils_match_incidence_scan(q):
     F = field_from_order(q)
     plane, pencils = arcsearch._Plane(F), _pencils(F)
-    assert plane.points == list(pencils)
+    assert [plane.point(i) for i in range(plane.top + 1)] == list(pencils)
     top = len(pencils) - 1  # index li is bit top - li
     assert plane.top == top
     for i, scan in enumerate(pencils.values()):
@@ -379,7 +380,8 @@ def test_masks_pass_incidence_oracle(q):
     per line, where the scan above tests every pair."""
     F = field_from_order(q)
     plane = arcsearch._Plane(F)
-    points, top = plane.points, plane.top
+    top = plane.top
+    points = [plane.point(i) for i in range(top + 1)]
     for i, line in enumerate(points):
         mask = plane.mask(i)
         assert mask.bit_count() == q + 1, line
@@ -392,18 +394,21 @@ def test_masks_pass_incidence_oracle(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 31, 32])
 def test_mask_tables_pin_point_index(q):
     """The closed-form index the mask tables rest on, against the sorted
-    points: (x, y, 1) is bit cb[0][y] << shift[~x], (x, 1, 0) is bit q-1
-    of that column, (0, 1, 0) and (1, 0, 0) are indices 1 and q+1."""
+    points: `point` and `index` are the sorted order both ways, (x, y, 1)
+    is bit cb[0][y] << shift[~x], (x, 1, 0) is bit q-1 of that column,
+    (0, 1, 0) and (1, 0, 0) are indices 1 and q+1."""
     F = field_from_order(q)
     plane = arcsearch._Plane(F)
     cbit, shift, top = plane.cb[0], plane.shift, plane.top
-    assert plane.points == geo.all_points(F)
-    for i, (x, y, z) in enumerate(plane.points):
+    points = geo.all_points(F)
+    assert [plane.point(i) for i in range(top + 1)] == points
+    assert [plane.index(p) for p in points] == list(range(top + 1))
+    for i, (x, y, z) in enumerate(points):
         if z:
             assert 1 << (top - i) == cbit[y] << shift[~x], (x, y, z)
         elif y:
             assert 1 << (top - i) == 1 << (q - 1) << shift[~x], (x, y, z)
-    assert (plane.index[(0, 1, 0)], plane.index[(1, 0, 0)]) == (1, q + 1)
+    assert (plane.index((0, 1, 0)), plane.index((1, 0, 0))) == (1, q + 1)
     assert plane.column == sum(cbit) == (1 << (q + 1)) - 1 - (1 << (q - 1))
     xs = range(q - 1, -1, -1)
     assert plane.prod == [[F.mul(t, x) for x in xs] for t in range(q)]
@@ -413,11 +418,41 @@ def test_mask_tables_pin_point_index(q):
 def test_plane_masks_built_on_first_use():
     F = field_from_order(8)
     plane = arcsearch._Plane(F)
-    assert plane.masks == [None] * len(plane.points)
+    assert plane.masks == [None] * (plane.top + 1)
     mask = plane.mask(5)
     assert mask.bit_count() == 9
     assert [i for i, m in enumerate(plane.masks) if m is not None] == [5]
     assert plane.mask(5) is mask
+
+
+@pytest.mark.parametrize("q", [1021, 1024])
+def test_point_index_closed_form_at_the_plane_limit(q):
+    """`point` and `index` invert each other at q = MAX_Q and the prime
+    below it, from the closed form alone: no point list is built."""
+    plane = arcsearch._Plane(field_from_order(q))
+    assert plane.top == q * q + q
+    fixed = {0: (0, 0, 1), 1: (0, 1, 0), q: (0, q - 1, 1), q + 1: (1, 0, 0),
+             q + 2: (1, 0, 1), 2 * q + 2: (1, q - 1, 1), q * q + q: (q - 1, q - 1, 1)}
+    for i, p in fixed.items():
+        assert plane.point(i) == p and plane.index(p) == i, (i, p)
+    rng = random.Random(q)
+    for i in rng.sample(range(plane.top + 1), 300):
+        p = plane.point(i)
+        assert plane.index(p) == i, (i, p)
+
+
+def test_plane_allocation_is_small():
+    """The plane keeps its mask slots and two tables of small ints, 1.6 MiB
+    at q=256; a point list and a point-to-index dict would add 8.8 MiB."""
+    F = field_from_order(256)
+    tracemalloc.start()
+    try:
+        plane = arcsearch._Plane(F)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plane.top == 256 * 257
+    assert allocated < 3_000_000
 
 
 def test_line_multiplicities_match_recount():
@@ -600,4 +635,4 @@ def test_plane_kept_for_the_last_field_only():
     extend_to_n3_arc(F7, geo.standard_oval(F7), max_nodes=5)
     extend_to_n3_arc(F8, _hyperoval(3)[1], max_nodes=5)
     assert arcsearch._plane.cache_info().currsize == 1
-    assert arcsearch._plane(F8).points == geo.all_points(F8)
+    assert arcsearch._plane(F8).field == F8

@@ -336,25 +336,18 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arccodes",
-        description="Near-MDS codes of dimension 3 from maximal arcs in PG(2,q)",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("field-info", help="describe a finite field")
+def _fill_field_info(sub):
     _add_field_args(sub)
     _add_output_args(sub, powers=True)
-    sub.set_defaults(func=cmd_field_info)
 
-    sub = subs.add_parser("opoly-check", help="validate an o-polynomial descriptor")
+
+def _fill_opoly_check(sub):
     _add_field_args(sub)
     _add_output_args(sub, powers=True)
     sub.add_argument("--opoly", required=True, help="e.g. translation:h=1, segre, custom:coeffs=0,0,1")
-    sub.set_defaults(func=cmd_opoly_check)
 
-    sub = subs.add_parser("construct", help="build a [q+5,3,q+2] code and verify it")
+
+def _fill_construct(sub):
     _add_field_args(sub)
     _add_output_args(sub, powers=True)
     sub.add_argument("--even", action="store_true", help="hyperoval construction (q = 2^m)")
@@ -362,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--opoly", help=f"o-polynomial (even only); defaults to {DEFAULT_OPOLY}")
     sub.add_argument("--v", help="admissible v (even); defaults to the least")
     sub.add_argument("--w", help="admissible w (odd); defaults to the least")
-    sub.set_defaults(func=cmd_construct)
 
-    sub = subs.add_parser("analyze", help="the code report of a matrix file")
+
+def _fill_analyze(sub):
     _add_output_args(sub, powers=False)
     sub.add_argument("matrix", help="matrix text file")
-    sub.set_defaults(func=cmd_analyze)
 
-    sub = subs.add_parser("census", help="root counts of the construction line equations")
+
+def _fill_census(sub):
     _add_field_args(sub)
     _add_output_args(sub, powers=False)
     for kind in construct.CENSUS_KINDS:
@@ -377,20 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--opoly", help=f"o-polynomial (even only); defaults to {DEFAULT_OPOLY}")
     sub.add_argument("--v")
     sub.add_argument("--w")
-    sub.set_defaults(func=cmd_census)
 
-    sub = subs.add_parser("locality", help="locality report of a matrix file")
+
+def _fill_locality(sub):
     _add_output_args(sub, powers=False)
     sub.add_argument("matrix")
-    sub.set_defaults(func=cmd_locality)
 
-    sub = subs.add_parser("bounds", help="locality bound verdicts for given parameters")
+
+def _fill_bounds(sub):
     _add_output_args(sub, powers=False)
     for name in ("n", "k", "d", "r"):
         sub.add_argument(f"--{name}", type=_integer, required=True)
-    sub.set_defaults(func=cmd_bounds)
 
-    sub = subs.add_parser("search", help="extend an arc to a larger (n,3)-arc")
+
+def _fill_search(sub):
     _add_field_args(sub)
     _add_output_args(sub, powers=True)
     sub.add_argument("--base", default="hyperoval:translation:h=1",
@@ -402,17 +395,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--target", type=_integer)
     sub.add_argument("--seed", type=_integer, default=0)
     sub.add_argument("--restarts", type=_integer, default=64)
-    sub.set_defaults(func=cmd_search)
 
-    sub = subs.add_parser("verify-paper", help="run all built-in golden fixtures")
-    sub.set_defaults(func=cmd_verify_paper)
 
+# Each subcommand: (help, the function that adds its arguments, handler).
+COMMANDS = {
+    "field-info": ("describe a finite field", _fill_field_info, cmd_field_info),
+    "opoly-check": ("validate an o-polynomial descriptor", _fill_opoly_check, cmd_opoly_check),
+    "construct": ("build a [q+5,3,q+2] code and verify it", _fill_construct, cmd_construct),
+    "analyze": ("the code report of a matrix file", _fill_analyze, cmd_analyze),
+    "census": ("root counts of the construction line equations", _fill_census, cmd_census),
+    "locality": ("locality report of a matrix file", _fill_locality, cmd_locality),
+    "bounds": ("locality bound verdicts for given parameters", _fill_bounds, cmd_bounds),
+    "search": ("extend an arc to a larger (n,3)-arc", _fill_search, cmd_search),
+    "verify-paper": ("run all built-in golden fixtures", lambda sub: None, cmd_verify_paper),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand, or only `command`'s when it
+    is given.  A parser for one command lists every name as its
+    subcommands' metavar, so its usage reads as the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="arccodes",
+        description="Near-MDS codes of dimension 3 from maximal arcs in PG(2,q)",
+    )
+    every = "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=None if command is None else every)
+    for name, (help_text, fill, handler) in COMMANDS.items():
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            fill(sub)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (default sys.argv[1:]) and return its exit code.
+    Only the named subcommand's parser is built; with no known name first
+    (no argument, --help, a typo), every one is, for argparse's messages."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # exact counts: the dual weights of an [n, k] code run to about
     # (n - k) log10(q) digits, past Python's default int-to-str limit
     limit = sys.get_int_max_str_digits()

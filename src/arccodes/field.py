@@ -9,22 +9,28 @@ for m = 1 the index is just the residue mod p.
 Each field builds one `Kernel`: unchecked add, sub, mul and inv bound to its
 tables, the only code that knows the encoding.  Beside it `GF.slopes` reads
 the slopes of many points seen from one point of PG(2,q) off the same
-tables, and `GF.twin_nonsquares` finds the x with x and 1 + c x both
-nonsquares in one pass over them.  Every field multiplies by
+tables, `GF.evaluate` a polynomial's value at every element from its
+nonzero terms, and `GF.twin_nonsquares` finds the x with x and 1 + c x
+both nonsquares in one pass over them.  Every field multiplies by
 its log/antilog tables (generator g).  Sums have one rule per
 characteristic: XOR for p = 2, and for every odd p, prime fields included,
 Zech logarithms (K. Huber, IEEE Trans. IT 36(4), 1990),
 g^a + g^b = g^(a + zech[b - a]), with -1 folded into a second table for
 differences.  Every operation is O(1).
 
-Set-up has one polynomial arithmetic over GF(p) (`_poly_mul`, `_poly_mod`,
-`_poly_powmod`) and one primitivity test on it, `_generates`: g^((q-1)/l)
-!= 1 for every prime l | q-1.  The default modulus is x - g0 for prime
-fields, g0 the least primitive root, and otherwise the tabulated Conway
-polynomial or the least irreducible modulo which x generates; the generator
-is the least index that generates, and the antilog table is the walk
-v <- v*g mod the modulus: q-1 polynomial products, or for m = 1 q-1
-integer products mod p.
+Set-up picks the modulus and the generator on one polynomial arithmetic
+over GF(p) (`_poly_mul`, `_poly_mod`, `_poly_powmod`) and one primitivity
+test on it, `_generates`: g^((q-1)/l) != 1 for every prime l | q-1.  The
+default modulus is x - g0 for prime fields, g0 the least primitive root,
+and otherwise the tabulated Conway polynomial or the least irreducible
+modulo which x generates; the generator is the least index that
+generates, so g = x for every default modulus.  The antilog table is the
+walk v <- g v in index arithmetic: for m = 1 one integer product mod p per
+step, and otherwise one read of a table of the products x v (`_times_x`),
+built a digit at a time: a shift and one reduction by the modulus, an XOR
+for p = 2 and a sum mod p on the base-p digits otherwise.  A custom
+modulus modulo which x does not generate gets a table of the products g v
+from that one (`_times`).  No polynomial product runs per element.
 
 Input is checked once, where it enters the library: `GF.add/sub/neg/mul/inv`
 check their operands and call the kernel, and the hot loops elsewhere check
@@ -36,7 +42,7 @@ outside [0, q) at such a check.
 import math
 import re
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import index, xor
 from typing import Callable, NamedTuple
 
@@ -77,10 +83,9 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomial arithmetic over GF(p), the only arithmetic before the tables
-# exist: modulus checks, generator tests and the antilog walk.  Polynomials
-# are tuples of coefficients low-to-high; results carry no trailing zeros
-# (() == 0), and inputs may.
+# Polynomial arithmetic over GF(p) for the modulus checks and generator
+# tests, before the tables exist.  Polynomials are tuples of coefficients
+# low-to-high; results carry no trailing zeros (() == 0), and inputs may.
 # ----------------------------------------------------------------------
 
 def _digits(p: int, m: int, i: int) -> tuple[int, ...]:
@@ -157,6 +162,8 @@ def _is_irreducible(p: int, coeffs) -> bool:
         return False
     if m == 1:
         return True
+    if not coeffs[0] or not sum(coeffs) % p:  # a root at 0 or at 1
+        return False
     x = (0, 1)
     # x^(p^m) == x mod f
     if _poly_powmod(p, x, p ** m, coeffs) != x:
@@ -194,6 +201,45 @@ def _find_default_modulus(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(p, coeffs) and _generates(p, (0, 1), coeffs):
             return coeffs
     raise ValueError(f"no primitive irreducible of degree {m} over GF({p})")
+
+
+def _times_x(p: int, m: int, modulus) -> list[int]:
+    """x*v modulo the monic modulus for every index v (m >= 2): a shift and
+    one reduction.  v = t p^(m-1) + r, with t its top digit, goes to
+    p r + t x^m, and x^m = -(modulus - x^m): digit 0 of the sum is that of
+    t x^m, and each higher digit is r's digit below it plus that of t x^m,
+    mod p (for p = 2 the sum is an XOR).  The table is built a digit at a
+    time, p shifted copies of the last, with no loop per entry."""
+    if p == 2:
+        shifted = list(range(0, 2 ** m, 2))
+        return shifted + list(map(_index(2, modulus[:m]).__xor__, shifted))
+    out = []
+    for t in range(p):
+        c = [-t * ci % p for ci in modulus[:m]]  # t x^m
+        row, w = [c[0]], p
+        for ci in c[1:]:
+            row = list(chain.from_iterable(map((w * ((d + ci) % p)).__add__, row)
+                                           for d in range(p)))
+            w *= p
+        out += row
+    return out
+
+
+def _times(p: int, times_x: list[int], g: tuple[int, ...]) -> list[int]:
+    """g*v for every index v, g = sum g_j x^j given by its digits: Horner's
+    rule in x on the x*v table, g*v = x(...x(g_(m-1) v) + ...) + g_0 v, each
+    sum digit by digit mod p."""
+    m = len(g)
+    out = [0] * len(times_x)
+    for v in range(1, len(times_x)):
+        dv, acc = _digits(p, m, v), 0
+        for gj in reversed(g):
+            acc = times_x[acc]
+            if gj:
+                da = _digits(p, m, acc)
+                acc = _index(p, [(a + gj * b) % p for a, b in zip(da, dv)])
+        out[v] = acc
+    return out
 
 
 class Kernel(NamedTuple):
@@ -360,19 +406,19 @@ class GF:
     def _build_log_tables(self):
         p, m, q, modulus = self.p, self.m, self.q, self.modulus
         self.generator = next(i for i in range(1, q) if _generates(p, _digits(p, m, i), modulus))
-        n = q - 1
-        exp = [1] * n
-        if m == 1:  # x*g mod p: 0.02 s at GF(65521), the polynomial walk 0.25 s
+        n, g = q - 1, self.generator
+        exp, log, v = [1] * n, [0] * q, 1
+        if m == 1:  # v <- g v mod p
             for i in range(1, n):
-                exp[i] = exp[i - 1] * self.generator % p
-        else:
-            g, v = _digits(p, m, self.generator), (1,)
+                v = exp[i] = v * g % p
+                log[v] = i
+        else:  # v <- g v read off a table of products: by x, or by g built from it
+            step = _times_x(p, m, modulus)
+            if g != p:  # x does not generate
+                step = _times(p, step, _digits(p, m, g))
             for i in range(1, n):
-                v = _poly_mod(p, _poly_mul(p, g, v), modulus)
-                exp[i] = _index(p, v)
-        log = [0] * q
-        for i, x in enumerate(exp):
-            log[x] = i
+                v = exp[i] = step[v]
+                log[v] = i
         # exp runs twice round the group and then holds zeros, and log[0] is
         # the sentinel 2n: a sum of two logs indexes exp with no reduction,
         # and any sum with the sentinel in it reads a zero.
@@ -441,17 +487,26 @@ class GF:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    # -- characters and traces -------------------------------------------------
+    def evaluate(self, terms) -> list[int]:
+        """The sum of c x^e over the terms (c, e), c != 0 and e >= 0, at every
+        x in GF(q), indexed by x; unchecked like the kernel.  Each term is
+        one pass over the log tables: at x = g^i, c x^e = g^(log c + i e mod
+        (q-1)), a stride of e through the antilog table, and c 0^e is c for
+        e = 0 (0^0 = 1) and 0 otherwise.  Terms are summed on the kernel in
+        log order (one XOR per x for p = 2), and the sum is put in index
+        order once."""
+        n, exp, log, add = self.q - 1, self._exp, self._log, self.kernel.add
+        at_zero, acc = 0, [0] * n
+        for c, e in terms:
+            if e:
+                start = log[c]
+                col = map(exp.__getitem__, map(n.__rmod__, range(start, start + n * e, e)))
+            else:
+                at_zero, col = add(at_zero, c), [c] * n
+            acc = list(map(add, acc, col))
+        return [at_zero, *map(acc.__getitem__, log[1:])]
 
-    def quadratic_character(self, x: int) -> int:
-        """eta(x): 1 for nonzero squares, -1 for nonsquares, 0 at 0.  For odd
-        q the squares of g^i are the g^(2i), and g has even order q-1, so
-        g^i is a square exactly when its log i is even."""
-        if self.p == 2:
-            raise ValueError("quadratic character requires odd characteristic")
-        if not self.check(x):
-            return 0
-        return -1 if self._log[x] & 1 else 1
+    # -- characters and traces -------------------------------------------------
 
     def twin_nonsquares(self, c: int) -> list[int]:
         """The x for which x and 1 + c x are both nonsquares (eta = -1), odd

@@ -30,9 +30,9 @@ from the origin are distinct: the quotient check runs rows 0 and 1 and the
 orbit.
 
 Every later step reads only the values of f, so an o-polynomial carries its
-value table, `values`: one Horner pass over GF(q) on the field's unchecked
-kernel, built on first use and kept with the polynomial.  The coefficients
-are checked when the polynomial is built.
+value table, `values`: one pass over the field's log tables per nonzero
+term (`GF.evaluate`), built on first use and kept with the polynomial.  The
+coefficients are checked when the polynomial is built.
 """
 
 from collections import Counter
@@ -64,15 +64,10 @@ class OPolynomial:
 
     @cached_property
     def values(self) -> tuple[int, ...]:
-        """f(x) for every x in GF(q), indexed by x; not part of equality."""
-        add, mul = self.field.kernel.add, self.field.kernel.mul
-        out = []
-        for x in range(self.field.q):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = add(mul(acc, x), c)
-            out.append(acc)
-        return tuple(out)
+        """f(x) for every x in GF(q), indexed by x; not part of equality.
+        One `GF.evaluate` pass over the log tables per nonzero term, O(q)
+        each, so a sparse polynomial of high degree costs its terms only."""
+        return tuple(self.field.evaluate((c, e) for e, c in enumerate(self.coeffs) if c))
 
     @cached_property
     def shift_complement(self) -> frozenset[int]:

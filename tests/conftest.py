@@ -10,7 +10,11 @@ recomputes the matrix rank, and `nmds_double_sum` the NMDS weights by the
 double sum that `codes.nmds_closed_form` replaces with a recurrence.
 `kernel_slopes` and `w_admissible_by_eta` compute on the kernel or the
 checked operations, one call per point or element, what `GF.slopes` and
-`construct.valid_w_set` read off the log tables.  Tests marked `long` run
+`construct.valid_w_set` read off the log tables; `quadratic_character` is
+Euler's criterion.  `polynomial_walk_tables` rebuilds a field's tables on
+the polynomial arithmetic, and `horner_values` an o-polynomial's value
+table by Horner's rule, the two set-up passes that `GF` and
+`OPolynomial.values` run on index arithmetic and the log tables.  Tests marked `long` run
 only when ARCCODES_LONG_TESTS is set."""
 
 import math
@@ -23,7 +27,7 @@ from functools import lru_cache
 import pytest
 
 from arccodes.field import GF, field_from_order
-from arccodes import codes, construct, opoly
+from arccodes import codes, construct, field, opoly
 from arccodes.codes import GeneratorMatrix
 from arccodes.geometry import projective_points
 
@@ -194,11 +198,61 @@ def kernel_slopes(F: GF, pivot, later) -> list[int]:
     return [mul(z, inv(y)) if y else q for _, y, z in later]
 
 
+def quadratic_character(F: GF, x: int) -> int:
+    """eta(x) by Euler's criterion on the checked operations: x^((q-1)/2),
+    which is 1 on the nonzero squares and -1 on the nonsquares, and 0 at 0.
+    Odd q only, as for `GF.twin_nonsquares`."""
+    if F.p == 2:
+        raise ValueError("quadratic character requires odd characteristic")
+    if not F.check(x):
+        return 0
+    return 1 if F.pow(x, (F.q - 1) // 2) == 1 else -1
+
+
 def w_admissible_by_eta(F: GF, w: int) -> bool:
     """The odd construction's rule on the checked operations:
     eta(w) = eta(1+4w) = -1, with 4 = (1+1)+(1+1)."""
-    eta, two = F.quadratic_character, F.add(1, 1)
-    return eta(w) == -1 and eta(F.add(1, F.mul(F.add(two, two), w))) == -1
+    two = F.add(1, 1)
+    return (quadratic_character(F, w) == -1
+            and quadratic_character(F, F.add(1, F.mul(F.add(two, two), w))) == -1)
+
+
+def polynomial_walk_tables(p: int, m: int, modulus=None) -> dict:
+    """`GF`'s modulus, generator, _exp, _log and _zech rebuilt on the
+    polynomial arithmetic alone: the modulus as `GF` picks it, the least
+    index that generates, the walk v <- v*g, one `_poly_mul` and one
+    `_poly_mod` per step, and every table by its definition (odd p:
+    g^zech[i] = 1 + g^i, the log sentinel where 1 + g^i = 0)."""
+    q, n = p ** m, p ** m - 1
+    if modulus is None:
+        modulus = field._find_default_modulus(p, m)
+    modulus = tuple(c % p for c in modulus)
+    g = next(i for i in range(1, q) if field._generates(p, field._digits(p, m, i), modulus))
+    gd, v, cyc = field._digits(p, m, g), (1,), []
+    for _ in range(n):
+        cyc.append(field._index(p, v))
+        v = field._poly_mod(p, field._poly_mul(p, gd, v), modulus)
+    assert v == (1,) and len(set(cyc)) == n, "g must have order q-1: the modulus makes a field"
+    log = [2 * n] + [0] * n
+    for i, x in enumerate(cyc):
+        log[x] = i
+    zech = None
+    if p != 2:
+        def plus_one(x):  # 1 + x: digit 0 of the index goes up by one, mod p
+            return x - x % p + (x % p + 1) % p
+        zech = [log[plus_one(x)] for x in cyc]
+    return {"modulus": modulus, "generator": g, "_exp": cyc * 2 + [0] * (2 * n + 1),
+            "_log": log, "_zech": zech}
+
+
+def horner_values(f: opoly.OPolynomial) -> list[int]:
+    """f(x) for every x in GF(q), indexed by x: Horner's rule over the dense
+    coefficient tuple on the checked operations, one pass per coefficient."""
+    F = f.field
+    out = [0] * F.q
+    for c in reversed(f.coeffs):
+        out = [F.add(F.mul(h, x), c) for x, h in enumerate(out)]
+    return out
 
 
 def incident(F: GF, point, line) -> bool:

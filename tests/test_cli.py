@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import arccodes
-from arccodes.cli import main
+from arccodes import cli
+from arccodes.cli import COMMANDS, build_parser, main
 from arccodes.codes import nmds_closed_form
 from arccodes.field import make_field
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD
@@ -22,6 +23,42 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, (json.loads(out) if out.strip() else None), err
+
+
+def _parse_outcome(capsys, call):
+    """(exit code, stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+PARSER_ARGVS = ([[], ["--help"], ["no-such-command"], ["verify-paper", "extra"],
+                 ["bounds", "--n", "3"]]
+                + [[name, "--help"] for name in COMMANDS]
+                + [[name, "--no-such-flag"] for name in COMMANDS])
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    """main builds the named command's parser alone, and argparse's help and
+    errors read as with every command built."""
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    got = _parse_outcome(capsys, lambda: main(argv))
+    assert got == _parse_outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+
+
+def test_one_command_parser_holds_that_command_only():
+    def names(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+    assert names(build_parser()) == list(COMMANDS)
+    assert all(names(build_parser(name)) == [name] for name in COMMANDS)
 
 
 def test_field_info(capsys):

@@ -21,7 +21,7 @@ from arccodes.construct import (
 )
 from arccodes.fixtures import GOLDEN_Q4_EVEN, GOLDEN_Q9_ODD, GOLDEN_Q11_ODD
 from arccodes.opoly import applicable_families, make_custom_opoly, make_family_opoly
-from conftest import paper_codes, shuffled_blocks, w_admissible_by_eta
+from conftest import paper_codes, quadratic_character, shuffled_blocks, w_admissible_by_eta
 
 
 def test_valid_v_set_gf4():
@@ -105,7 +105,7 @@ def test_admissible_w_computed_once_per_field(monkeypatch):
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49])
 def test_valid_w_set_size(q):
     F = field_from_order(q)
-    expected = (q - 2 + F.quadratic_character(F.neg(1))) // 4
+    expected = (q - 2 + quadratic_character(F, F.neg(1))) // 4
     assert len(valid_w_set(F)) == expected
 
 

@@ -1,21 +1,26 @@
 import ast
+import functools
 import random
 from pathlib import Path
 
 import pytest
 
 import arccodes
+import arccodes.field as field_module
 from arccodes.field import (
     GF,
     MAX_ORDER,
     _DEFAULT_MODULI,
     _is_irreducible,
+    _poly_mul,
     field_from_order,
     make_field,
     parse_descriptor,
     parse_key_values,
     prime_factors,
 )
+
+from conftest import polynomial_walk_tables, quadratic_character
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -255,6 +260,50 @@ def test_generator_and_antilog_table_match_schoolbook(q):
     assert v == 1
 
 
+# Every extension field up to 2^12 (3^7 among them) and some prime fields.
+TABLE_ORDERS = [2, 3, 5, 7, 11, 13, 4093] + sorted(
+    p ** m for p in range(2, 65) if prime_factors(p) == [p]
+    for m in range(2, 13) if p ** m <= 2 ** 12)
+
+
+def _tables(F):
+    return {"modulus": F.modulus, "generator": F.generator, "_exp": F._exp,
+            "_log": F._log, "_zech": F._zech}
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_tables_match_the_polynomial_walk(q):
+    """The tables built by index arithmetic are the polynomial walk's."""
+    F = field_from_order(q)
+    assert _tables(F) == polynomial_walk_tables(F.p, F.m)
+
+
+# Moduli modulo which x does not generate, so the walk multiplies by another
+# g: 2x at GF(27), x + 1 at GF(16), GF(64) and GF(256).
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)), (7, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1)),
+    (3, 3, (2, 2, 0, 1)), (2, 6, (1, 0, 0, 1, 0, 0, 1)), (3, 4, (2, 0, 1, 0, 1)),
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+])
+def test_tables_match_the_polynomial_walk_for_custom_moduli(p, m, modulus):
+    F = make_field(p, m, modulus)
+    assert F.modulus == modulus and F.generator != p
+    assert _tables(F) == polynomial_walk_tables(p, m, modulus)
+
+
+def test_antilog_table_takes_no_polynomial_products(monkeypatch):
+    """GF(2^12) multiplies polynomials only to pick its modulus and test its
+    generator: fewer than q/4 products, where the walk alone took q-2."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _poly_mul(*args)
+    monkeypatch.setattr(field_module, "_poly_mul", counted)
+    assert GF(2, 12).q == 4096
+    assert 0 < len(calls) < 4096 // 4
+
+
 def test_prime_field_modulus_is_x_minus_least_primitive_root():
     for p in range(2, 1000):
         if prime_factors(p) != [p]:
@@ -283,15 +332,15 @@ def test_quadratic_character_gf11():
     assert squares == {1, 3, 4, 5, 9}
     for x in range(11):
         expected = 0 if x == 0 else (1 if x in squares else -1)
-        assert F.quadratic_character(x) == expected
-    assert F.quadratic_character(F.neg(1)) == -1   # 11 = 3 mod 4
-    assert F.quadratic_character(7) == -1
+        assert quadratic_character(F, x) == expected
+    assert quadratic_character(F, F.neg(1)) == -1   # 11 = 3 mod 4
+    assert quadratic_character(F, 7) == -1
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 243, 3 ** 10, 65521])
 def test_quadratic_character_is_one_exactly_on_the_nonzero_squares(q):
     F = field_from_order(q)
-    eta = F.quadratic_character
+    eta = functools.partial(quadratic_character, F)
     squares = {F.mul(y, y) for y in range(1, q)}
     assert eta(0) == 0
     assert {x for x in range(1, q) if eta(x) == 1} == squares
@@ -300,7 +349,7 @@ def test_quadratic_character_is_one_exactly_on_the_nonzero_squares(q):
 
 def test_quadratic_character_even_char_rejected():
     with pytest.raises(ValueError):
-        make_field(2, 2).quadratic_character(1)
+        quadratic_character(make_field(2, 2), 1)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 125])
@@ -309,7 +358,7 @@ def test_twin_nonsquares_match_the_character(q):
     quadratic character on the checked operations; c must be an element,
     and p = 2 is refused as by the character."""
     F = field_from_order(q)
-    eta = F.quadratic_character
+    eta = functools.partial(quadratic_character, F)
     for c in range(q):
         got = F.twin_nonsquares(c)
         assert len(got) == len(set(got))
@@ -323,7 +372,7 @@ def test_twin_nonsquares_match_the_character(q):
 @pytest.mark.parametrize("q", [3, 5, 9, 11, 13])
 def test_character_identities(q):
     F = field_from_order(q)
-    eta = F.quadratic_character
+    eta = functools.partial(quadratic_character, F)
     for x in range(q):
         for y in range(q):
             assert eta(F.mul(x, y)) == eta(x) * eta(y)

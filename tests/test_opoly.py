@@ -14,7 +14,7 @@ from arccodes.opoly import (
     make_family_opoly,
     parse_opoly_descriptor,
 )
-from conftest import fiber_verdict, quotient_verdict
+from conftest import fiber_verdict, horner_values, quotient_verdict
 
 
 def test_translation_gf4_is_square():
@@ -314,13 +314,32 @@ def test_values_built_once_and_outside_equality():
     F = make_field(2, 4)
     f = make_family_opoly(F, "subiaco")
     assert f.values is f.values
-    horner = [0] * F.q
-    for c in reversed(f.coeffs):
-        horner = [F.add(F.mul(h, x), c) for x, h in enumerate(horner)]
-    assert horner == list(f.values)
+    assert horner_values(f) == list(f.values)
     g = make_family_opoly(F, "subiaco")
     assert g == f and hash(g) == hash(f)
     assert "values" not in repr(f)
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 256])
+def test_values_match_horner_on_every_family(q):
+    for f in applicable_families(field_from_order(q)):
+        assert list(f.values) == horner_values(f), f.descriptor()
+
+
+@pytest.mark.parametrize("q", [16, 64])
+def test_values_match_horner_on_random_polynomials(q):
+    """Seeded polynomials of every density, constant terms included, and
+    the zero polynomial."""
+    F, rng = field_from_order(q), random.Random(q)
+    polys = [[0], [5], [0, 1], [7, 0, 0, 3]]
+    for _ in range(50):
+        density = rng.random()
+        polys.append([rng.randrange(q) if rng.random() < density else 0
+                      for _ in range(rng.randrange(1, q + 1))])
+    assert sum(1 for c in polys if c[0]) >= 10
+    for coeffs in polys:
+        f = make_custom_opoly(F, coeffs)
+        assert list(f.values) == horner_values(f), coeffs
 
 
 def test_subiaco_interpolated_form_matches_pointwise():

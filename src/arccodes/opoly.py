@@ -2,6 +2,14 @@
 two exhaustive validity checks (permutation/quotient criterion and the
 2-to-1-with-linear-term criterion).
 
+Six families (segre, glynn1-3, cherowitzo, payne) are a fixed sum of
+powers of x at each m: one table, `_POWER_SUMS`, holds each one's rule and
+exponents.  Translation, subiaco and adelaide take parameters and keep
+their own branches.  Subiaco and adelaide are given by their values, which
+`interpolate` turns into coefficients with one `GF.evaluate` call.
+Subiaco's values are three more such calls; adelaide's are computed
+element by element in GF(q^2).
+
 A polynomial f of degree < q with f(0)=0 and f(1)=1 parameterizes a
 hyperoval {(f(c), c, 1)} + {(1,0,0), (0,1,0)} exactly when f permutes GF(q)
 and, for every a, the quotient map x -> (f(x+a)+f(a)) * x^(q-2) also
@@ -113,51 +121,64 @@ def _sum_of_powers_opoly(F: GF, family: str, params, exponents) -> OPolynomial:
     return OPolynomial(F, family, tuple(params), tuple(coeffs[: deg + 1]))
 
 
+def _odd_m(m: int) -> bool:
+    return m % 2 == 1 and m >= 3
+
+
+# The families that are a fixed sum of powers of x at each m and take no
+# parameter: name -> (rule text, test on m, exponents at m).  The order is
+# `applicable_families`' order.
+_POWER_SUMS = {
+    "segre": ("needs odd m >= 3", _odd_m, lambda m: [6]),
+    "glynn1": ("needs odd m >= 3", _odd_m, lambda m: [3 * 2 ** ((m + 1) // 2) + 4]),
+    "glynn2": ("needs m = 3 (mod 4)", lambda m: m % 4 == 3,
+               lambda m: [2 ** ((m + 1) // 2) + 2 ** ((m + 1) // 4)]),
+    "glynn3": ("needs m = 1 (mod 4), m >= 5", lambda m: m % 4 == 1 and m >= 5,
+               lambda m: [2 ** ((m + 1) // 2) + 2 ** ((3 * m + 1) // 4)]),
+    "cherowitzo": ("needs odd m >= 3", _odd_m,
+                   lambda m: [2 ** ((m + 1) // 2), 2 ** ((m + 1) // 2) + 2,
+                              3 * 2 ** ((m + 1) // 2) + 4]),
+    "payne": ("needs odd m >= 3", _odd_m,
+              lambda m: [(2 ** (m - 1) + 2) // 3, 2 ** (m - 1), (5 * 2 ** (m - 1) - 2) // 3]),
+}
+
+
 def interpolate(F: GF, values) -> tuple[int, ...]:
     """The reduced polynomial through (x, values[x]) for all x in GF(q).
 
     c_0 = f(0) and c_k = -sum_a f(a) a^(q-1-k) for k >= 1, with 0^0 = 1, so
     a = 0 counts for k = q-1 alone and the other terms run over a = g^i.
-    Returns dense coefficients low-to-high (degree < q, trailing zeros
-    stripped, constant 0 kept as a single coefficient).
+    Those sums are the values of P(y) = sum_i f(g^i) y^i, all read in one
+    `GF.evaluate` call: c_k = -P(g^(q-1-k)) for 1 <= k < q-1, and
+    c_(q-1) = -(P(1) + f(0)).  Returns dense coefficients low-to-high
+    (degree < q, trailing zeros stripped, constant 0 kept as a single
+    coefficient).
     """
     q = F.q
     if len(values) != q:
         raise ValueError("need one value per field element")
     values = [F.check(y) for y in values]
-    add, sub, mul = F.kernel.add, F.kernel.sub, F.kernel.mul
-    n, powers = q - 1, F.powers()  # powers[i] = g^i, i < n
-    at_powers = [values[a] for a in powers]
-    coeffs = [values[0]]
-    for k in range(1, q):
-        e = n - k
-        acc = values[0] if e == 0 else 0
-        for i, y in enumerate(at_powers):
-            acc = add(acc, mul(y, powers[i * e % n]))
-        coeffs.append(sub(0, acc))
+    sub, powers = F.kernel.sub, F.powers()  # powers[i] = g^i, i < q-1
+    at = F.evaluate((values[a], i) for i, a in enumerate(powers) if values[a])
+    coeffs = [values[0], *(sub(0, at[a]) for a in powers[:0:-1]), sub(sub(0, at[1]), values[0])]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
-def _inv0(F: GF, x: int) -> int:
-    """x^(q-2): the inverse for nonzero x, 0 at 0."""
-    return F.inv(x) if x else 0
-
-
 def _subiaco_values(F: GF, a: int) -> list[int]:
+    """f(x) = (a^2 (x^4 + x) + c (x^3 + x^2)) / (x^4 + a^2 x^2 + 1) + x^(q/2),
+    c = a^2 (1 + a + a^2), at every x in GF(q).  The denominator is
+    (x^2 + a x + 1)^2, which has no root when Tr(1/a) = 1.  The numerator,
+    the denominator and x^(q/2) are one `GF.evaluate` call each, and the
+    quotient and sum one pass on the kernel."""
     a2 = F.mul(a, a)
-    c = F.mul(a2, F.add(F.add(1, a), a2))  # a^2 (1 + a + a^2)
-    half = 2 ** (F.m - 1)
-    out = []
-    for x in range(F.q):
-        x2 = F.mul(x, x)
-        x3 = F.mul(x2, x)
-        x4 = F.mul(x2, x2)
-        num = F.add(F.mul(a2, F.add(x4, x)), F.mul(c, F.add(x3, x2)))
-        base = F.add(F.add(x4, F.mul(a2, x2)), 1)
-        out.append(F.add(F.mul(num, _inv0(F, base)), F.pow(x, half)))
-    return out
+    c = F.mul(a2, F.add(F.add(1, a), a2))  # 0 when a^2 + a + 1 = 0
+    num = F.evaluate((k, e) for k, e in ((a2, 4), (a2, 1), (c, 3), (c, 2)) if k)
+    den = F.evaluate(((1, 4), (a2, 2), (1, 0)))
+    root = F.evaluate(((1, F.q // 2),))
+    add, mul, inv = F.kernel.add, F.kernel.mul, F.kernel.inv
+    return [add(mul(u, inv(v)), r) for u, v, r in zip(num, den, root)]
 
 
 def _default_subiaco_a(F: GF) -> int:
@@ -200,7 +221,7 @@ def _adelaide_values(F: GF, beta_power: int, t: int) -> list[int]:
         num2 = T(E.pow(E.add(E.mul(beta, X), beta_q), t))
         denom_base = E.add(E.add(X, E.mul(Tb, sqrt_x)), 1)
         denom = E.mul(Tb, E.pow(denom_base, t - 1)) if denom_base else 0
-        term2 = E.mul(num2, _inv0(E, denom))
+        term2 = E.mul(num2, E.inv(denom)) if denom else 0
         val = E.add(E.add(term1, term2), sqrt_x)
         if val not in unembed:
             raise ValueError(
@@ -238,32 +259,11 @@ def make_family_opoly(F: GF, family: str, **params) -> OPolynomial:
         need(h >= 1, "h must be >= 1")
         need(gcd(h, m) == 1, f"gcd(h={h}, m={m}) != 1")
         return _sum_of_powers_opoly(F, family, (("h", h),), [2 ** (h % m)])
-    if family == "segre":
+    if family in _POWER_SUMS:
+        rule, applies, exponents = _POWER_SUMS[family]
         need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        return _sum_of_powers_opoly(F, family, (), [6])
-    if family == "glynn1":
-        need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        return _sum_of_powers_opoly(F, family, (), [3 * 2 ** ((m + 1) // 2) + 4])
-    if family == "glynn2":
-        need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 4 == 3, "needs m = 3 (mod 4)")
-        return _sum_of_powers_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((m + 1) // 4)])
-    if family == "glynn3":
-        need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 4 == 1 and m >= 5, "needs m = 1 (mod 4), m >= 5")
-        return _sum_of_powers_opoly(F, family, (), [2 ** ((m + 1) // 2) + 2 ** ((3 * m + 1) // 4)])
-    if family == "cherowitzo":
-        need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        e = (m + 1) // 2
-        return _sum_of_powers_opoly(F, family, (), [2 ** e, 2 ** e + 2, 3 * 2 ** e + 4])
-    if family == "payne":
-        need(not params, f"unknown parameters {sorted(params)}")
-        need(m % 2 == 1 and m >= 3, "needs odd m >= 3")
-        half = 2 ** (m - 1)
-        return _sum_of_powers_opoly(F, family, (), [(half + 2) // 3, half, (5 * half - 2) // 3])
+        need(applies(m), rule)
+        return _sum_of_powers_opoly(F, family, (), exponents(m))
     if family == "subiaco":
         need(m >= 2, "needs m >= 2")
         a = params.pop("a", None)
@@ -414,12 +414,9 @@ def applicable_families(F: GF) -> list[OPolynomial]:
     translation exponents, default parameters elsewhere.  A family is left
     out only by its own rule, raised as a ValueError that starts with its
     name: adelaide, which builds GF(q^2), is out of range from q = 1024 on."""
-    out = []
-    for h in range(1, max(F.m, 2)):
-        if gcd(h, F.m) == 1:
-            out.append(make_family_opoly(F, "translation", h=h))
-    for family in ("segre", "glynn1", "glynn2", "glynn3", "cherowitzo", "payne",
-                   "subiaco", "adelaide"):
+    out = [make_family_opoly(F, "translation", h=h) for h in range(1, max(F.m, 2))
+           if gcd(h, F.m) == 1]
+    for family in (*_POWER_SUMS, "subiaco", "adelaide"):
         try:
             out.append(make_family_opoly(F, family))
         except ValueError:

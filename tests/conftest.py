@@ -14,8 +14,12 @@ checked operations, one call per point or element, what `GF.slopes` and
 Euler's criterion.  `polynomial_walk_tables` rebuilds a field's tables on
 the polynomial arithmetic, and `horner_values` an o-polynomial's value
 table by Horner's rule, the two set-up passes that `GF` and
-`OPolynomial.values` run on index arithmetic and the log tables.  Tests marked `long` run
-only when ARCCODES_LONG_TESTS is set."""
+`OPolynomial.values` run on index arithmetic and the log tables.
+`interpolate_by_sums` and `subiaco_by_formula` compute by their defining
+sums and formula, one checked call per pair or element, what
+`opoly.interpolate` and `opoly._subiaco_values` read through
+`GF.evaluate`.  Tests marked `long` run only when ARCCODES_LONG_TESTS is
+set."""
 
 import math
 import os
@@ -252,6 +256,40 @@ def horner_values(f: opoly.OPolynomial) -> list[int]:
     out = [0] * F.q
     for c in reversed(f.coeffs):
         out = [F.add(F.mul(h, x), c) for x, h in enumerate(out)]
+    return out
+
+
+def interpolate_by_sums(F: GF, values) -> tuple[int, ...]:
+    """The reduced polynomial through (x, values[x]) by the defining sums:
+    c_0 = f(0) and c_k = -sum_a f(a) a^(q-1-k) over every a (0^0 = 1), one
+    checked add and mul per (coefficient, point) pair, trailing zeros
+    stripped."""
+    q = F.q
+    coeffs = [values[0]]
+    for k in range(1, q):
+        acc = 0
+        for a, y in enumerate(values):
+            acc = F.add(acc, F.mul(y, F.pow(a, q - 1 - k)))
+        coeffs.append(F.neg(acc))
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def subiaco_by_formula(F: GF, a: int) -> list[int]:
+    """Subiaco's values, element by element on the checked operations:
+    (a^2 (x^4 + x) + c (x^3 + x^2)) (x^4 + a^2 x^2 + 1)^(q-2) + x^(q/2)
+    with c = a^2 (1 + a + a^2)."""
+    a2 = F.mul(a, a)
+    c = F.mul(a2, F.add(F.add(1, a), a2))
+    out = []
+    for x in range(F.q):
+        x2 = F.mul(x, x)
+        x3 = F.mul(x2, x)
+        x4 = F.mul(x2, x2)
+        num = F.add(F.mul(a2, F.add(x4, x)), F.mul(c, F.add(x3, x2)))
+        base = F.add(F.add(x4, F.mul(a2, x2)), 1)
+        out.append(F.add(F.mul(num, F.pow(base, F.q - 2)), F.pow(x, F.q // 2)))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from arccodes.field import GF, Kernel, make_field, field_from_order
 from arccodes.opoly import (
+    _subiaco_values,
     applicable_families,
     interpolate,
     is_o_polynomial,
@@ -14,7 +15,8 @@ from arccodes.opoly import (
     make_family_opoly,
     parse_opoly_descriptor,
 )
-from conftest import fiber_verdict, horner_values, quotient_verdict
+from conftest import (fiber_verdict, horner_values, interpolate_by_sums, quotient_verdict,
+                      subiaco_by_formula)
 
 
 def test_translation_gf4_is_square():
@@ -51,6 +53,59 @@ def test_family_applicability_errors():
 
 FAMILIES = ("translation", "segre", "glynn1", "glynn2", "glynn3", "cherowitzo", "payne",
             "subiaco", "adelaide")
+
+
+def test_applicable_families_order_pinned():
+    """Translation h's ascending, then the other families in FAMILIES order,
+    with their default parameters.  The `search` bench shuffles this list
+    by its seed, so the order fixes which searches run."""
+    expected = {
+        1: ["translation:h=1"],
+        2: ["translation:h=1"],
+        3: ["translation:h=1", "translation:h=2", "segre", "glynn1", "glynn2", "cherowitzo",
+            "payne", "subiaco:a=1"],
+        4: ["translation:h=1", "translation:h=3", "subiaco:a=g^1", "adelaide:beta_power=1,t=5"],
+        5: [*(f"translation:h={h}" for h in range(1, 5)), "segre", "glynn1", "glynn3",
+            "cherowitzo", "payne", "subiaco:a=1"],
+        6: ["translation:h=1", "translation:h=5", "subiaco:a=g^1", "adelaide:beta_power=1,t=21"],
+        7: [*(f"translation:h={h}" for h in range(1, 7)), "segre", "glynn1", "glynn2",
+            "cherowitzo", "payne", "subiaco:a=1"],
+        8: [*(f"translation:h={h}" for h in (1, 3, 5, 7)), "subiaco:a=g^25",
+            "adelaide:beta_power=1,t=85"],
+        9: [*(f"translation:h={h}" for h in (1, 2, 4, 5, 7, 8)), "segre", "glynn1", "glynn3",
+            "cherowitzo", "payne", "subiaco:a=1"],
+        10: [*(f"translation:h={h}" for h in (1, 3, 7, 9)), "subiaco:a=g^77"],
+    }
+    for m, descriptors in expected.items():
+        fams = applicable_families(make_field(2, m))
+        assert [f.descriptor() for f in fams] == descriptors, m
+
+
+POWER_SUM_RULES = {"segre": "needs odd m >= 3", "glynn1": "needs odd m >= 3",
+                   "glynn2": "needs m = 3 (mod 4)", "glynn3": "needs m = 1 (mod 4), m >= 5",
+                   "cherowitzo": "needs odd m >= 3", "payne": "needs odd m >= 3"}
+
+
+def test_power_sum_refusal_texts_pinned():
+    """Each parameterless family's exact refusal, at every m where its rule
+    fails; unknown parameters are refused before the rule is read."""
+    for m in range(1, 11):
+        F = make_field(2, m)
+        for family, rule in POWER_SUM_RULES.items():
+            applies = {"glynn2": m % 4 == 3,
+                       "glynn3": m % 4 == 1 and m >= 5}.get(family, m % 2 == 1 and m >= 3)
+            if applies:
+                assert make_family_opoly(F, family).family == family
+            else:
+                with pytest.raises(ValueError) as err:
+                    make_family_opoly(F, family)
+                assert str(err.value) == f"{family}: {rule}"
+            with pytest.raises(ValueError) as err:
+                make_family_opoly(F, family, x=1)
+            assert str(err.value) == f"{family}: unknown parameters ['x']"
+    with pytest.raises(ValueError) as err:
+        make_family_opoly(make_field(3, 2), "segre")
+    assert str(err.value) == "o-polynomials live in even characteristic"
 
 
 def test_families_left_out_only_by_their_own_rule():
@@ -300,6 +355,31 @@ def test_interpolation_checks_each_value():
     for bad in (8, -1, 1.0, "1"):
         with pytest.raises(ValueError, match="not an element index"):
             interpolate(F, [0] * 7 + [bad])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 27, 64, 256])
+def test_interpolation_matches_defining_sums(q):
+    """Seeded random tables, the zero table, a table nonzero only at 0, and
+    one whose values sum to 0, so c_(q-1) = 0 and trailing zeros are
+    trimmed."""
+    F, rng = field_from_order(q), random.Random(q)
+    tables = [[rng.randrange(q) for _ in range(q)] for _ in range(1 if q == 256 else 4)]
+    tables += [[0] * q, [1 + rng.randrange(q - 1)] + [0] * (q - 1)]
+    trimmed = [rng.randrange(q) for _ in range(q)]
+    trimmed[0] = F.neg(reduce(F.add, trimmed[1:], 0))
+    tables.append(trimmed)
+    for values in tables:
+        assert interpolate(F, values) == interpolate_by_sums(F, values), values
+    assert len(interpolate(F, trimmed)) < q
+
+
+@pytest.mark.parametrize("m", [*range(2, 9), pytest.param(10, marks=pytest.mark.long)])
+def test_subiaco_values_match_formula(m):
+    """Every a with Tr(1/a) = 1, the GF(4) elements at m = 2, 6 included."""
+    F = make_field(2, m)
+    for a in range(1, F.q):
+        if F.trace(F.inv(a)) == 1:
+            assert _subiaco_values(F, a) == subiaco_by_formula(F, a), a
 
 
 def test_interpolated_families_pinned_at_q16():
